@@ -33,6 +33,8 @@ def parse_document(text: str, source: str = "<input>") -> Tensor:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise DocumentError(f"{source}: not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise DocumentError(f"{source}: JSON nested too deeply to parse") from exc
 
     if not isinstance(data, dict):
         raise DocumentError(f"{source}: document must be a JSON object")

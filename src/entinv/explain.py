@@ -2,8 +2,8 @@
 
 Given a (2,2,2) state, instantiate all six flattening constraint systems
 and the 12-row triple-intersection system with the state's coefficients
-substituted in, report every kernel dimension, match the signature to its
-branch of the three-qubit case analysis, and name the class.
+substituted in, report every kernel dimension, and name the state's class
+in the (2,2,2) table and its branch of the three-qubit case analysis.
 """
 
 from __future__ import annotations
@@ -11,21 +11,12 @@ from __future__ import annotations
 from itertools import product
 
 from .invariants import signature, triple_constraint_matrix
+from .tables import table_for
 from .tensors import ArityError, FlatteningSpec, Tensor, flatten
 
 
-def _case_for(singles: tuple[int, int, int], triple: int) -> str:
-    if singles == (2, 2, 2):
-        return "1"
-    if singles == (1, 1, 1):
-        return "2.2"
-    if tuple(sorted(singles)) == (0, 0, 1):
-        return "2.3"
-    if singles == (0, 0, 0) and triple == 1:
-        return "3.1"
-    if singles == (0, 0, 0) and triple == 0:
-        return "3.2"
-    return "unmatched"
+# branch of the three-qubit case analysis that each (2,2,2) class falls in
+_CASE_OF = {"C0": "1", "C1": "2.2", "C2": "2.3", "C3": "2.3", "C4": "2.3", "C5": "3.1", "C6": "3.2"}
 
 
 def _term(field, coeff, var: str) -> str:
@@ -105,12 +96,10 @@ def explain_three_qubit(v: Tensor) -> dict:
         _equation(v.field, triple_m.row(i), triple_vars) for i in range(triple_m.rows)
     ]
 
-    case = _case_for(sig.singles, sig.triple)
-    label = {
-        "1": "C0", "2.2": "C1", "3.1": "C5", "3.2": "C6",
-    }.get(case)
-    if case == "2.3":
-        label = {(0, 0, 1): "C2", (0, 1, 0): "C3", (1, 0, 0): "C4"}[sig.singles]
+    # a signature outside the table (possible over small prime fields) is
+    # reported as unmatched rather than raised as a gap
+    entry = table_for(v.shape).lookup(sig.key())
+    label = entry.label if entry is not None else None
 
     return {
         "field": v.field.descriptor,
@@ -119,7 +108,7 @@ def explain_three_qubit(v: Tensor) -> dict:
         "systems": systems,
         "triple_system": {"equations": triple_equations, "dim": sig.triple},
         "signature": str(sig),
-        "case": case,
+        "case": _CASE_OF.get(label, "unmatched"),
         "class": label,
     }
 

@@ -101,26 +101,22 @@ def triple_constraint_matrix(v: Tensor) -> ExactMatrix:
     """
     if v.n != 3:
         raise ArityError(f"triple intersection needs 3 factors, got {v.n}")
-    d1, d2, d3 = v.shape.dims
+    d1, d2, d3 = dims = v.shape.dims
     size = d1 * d2 * d3
-    off = v.shape.offset
+    strides = (d2 * d3, d3, 1)
+    coeffs = v.coeffs
     zero = v.field.zero
     rows = []
-    for k, l in product(range(d3), repeat=2):
-        row = [zero] * size
-        for i, j in product(range(d1), range(d2)):
-            row[off((i, j, l))] = v.coeffs[off((i, j, k))]
-        rows.append(row)
-    for j, l in product(range(d2), repeat=2):
-        row = [zero] * size
-        for i, k in product(range(d1), range(d3)):
-            row[off((i, l, k))] = v.coeffs[off((i, j, k))]
-        rows.append(row)
-    for i, l in product(range(d1), repeat=2):
-        row = [zero] * size
-        for j, k in product(range(d2), range(d3)):
-            row[off((l, j, k))] = v.coeffs[off((i, j, k))]
-        rows.append(row)
+    # block by block, the factor carrying the identity is 3, 2, 1; row
+    # (m, l) moves each coefficient with index m there to index l
+    for axis in (2, 1, 0):
+        d, stride = dims[axis], strides[axis]
+        base = [o for o in range(size) if o // stride % d == 0]
+        for m, l in product(range(d), repeat=2):
+            row = [zero] * size
+            for o in base:
+                row[o + l * stride] = coeffs[o + m * stride]
+            rows.append(row)
     return ExactMatrix.from_rows(v.field, rows)
 
 

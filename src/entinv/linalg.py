@@ -13,7 +13,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Sequence
 
-from .fields import Field, FieldMismatchError, PrimeField, RationalField
+from .fields import Field, PrimeField, RationalField
 
 
 class InternalConsistencyError(RuntimeError):
@@ -53,11 +53,6 @@ class ExactMatrix:
         one, zero = field.one, field.zero
         return cls(field, n, n, [one if i == j else zero for i in range(n) for j in range(n)])
 
-    @classmethod
-    def zeros(cls, field: Field, rows: int, cols: int) -> "ExactMatrix":
-        zero = field.zero
-        return cls(field, rows, cols, [zero] * (rows * cols))
-
     def __getitem__(self, key):
         i, j = key
         return self.entries[i * self.cols + j]
@@ -67,43 +62,6 @@ class ExactMatrix:
 
     def row_lists(self) -> list[list]:
         return [self.row(i) for i in range(self.rows)]
-
-    def transpose(self) -> "ExactMatrix":
-        return ExactMatrix(
-            self.field,
-            self.cols,
-            self.rows,
-            [self.entries[i * self.cols + j] for j in range(self.cols) for i in range(self.rows)],
-        )
-
-    def __matmul__(self, other: "ExactMatrix") -> "ExactMatrix":
-        if self.field != other.field:
-            raise FieldMismatchError("matrix product across different fields")
-        if self.cols != other.rows:
-            raise ValueError(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
-        zero = self.field.zero
-        out = []
-        for i in range(self.rows):
-            ri = self.row(i)
-            for j in range(other.cols):
-                acc = zero
-                for k in range(self.cols):
-                    acc = acc + ri[k] * other.entries[k * other.cols + j]
-                out.append(acc)
-        return ExactMatrix(self.field, self.rows, other.cols, out)
-
-    def mat_vec(self, vec: Sequence) -> list:
-        if len(vec) != self.cols:
-            raise ValueError("vector length does not match column count")
-        zero = self.field.zero
-        out = []
-        for i in range(self.rows):
-            acc = zero
-            ri = self.row(i)
-            for k in range(self.cols):
-                acc = acc + ri[k] * vec[k]
-            out.append(acc)
-        return out
 
     def __eq__(self, other):
         return (
@@ -180,26 +138,6 @@ class ExactMatrix:
                 vec[p] = -reduced.entries[r * self.cols + f]
             basis.append(vec)
         return basis
-
-    def inverse(self) -> "ExactMatrix":
-        if self.rows != self.cols:
-            raise ValueError("only square matrices can be inverted")
-        n = self.rows
-        aug = ExactMatrix(
-            self.field,
-            n,
-            2 * n,
-            [
-                self.entries[i * n + j] if j < n else (self.field.one if j - n == i else self.field.zero)
-                for i in range(n)
-                for j in range(2 * n)
-            ],
-        )
-        reduced, pivots = aug.rref()
-        if pivots[:n] != list(range(n)):
-            raise ValueError("matrix is singular")
-        inv = [reduced.entries[i * 2 * n + n + j] for i in range(n) for j in range(n)]
-        return ExactMatrix(self.field, n, n, inv)
 
     def is_invertible(self) -> bool:
         return self.rows == self.cols and self.rank() == self.rows

@@ -193,14 +193,14 @@ def flatten(v: Tensor, spec: FlatteningSpec) -> ExactMatrix:
     nrows = _prod(row_dims)
     ncols = _prod(col_dims)
     entries = [v.field.zero] * (nrows * ncols)
-    for full in v.shape.indices():
+    for full, coeff in zip(v.shape.indices(), v.coeffs):
         r = 0
         for pos, d in zip(row_pos, row_dims):
             r = r * d + full[pos]
         c = 0
         for pos, d in zip(col_pos, col_dims):
             c = c * d + full[pos]
-        entries[r * ncols + c] = v.coeffs[v.shape.offset(full)]
+        entries[r * ncols + c] = coeff
     return ExactMatrix(v.field, nrows, ncols, entries)
 
 

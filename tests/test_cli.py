@@ -70,6 +70,13 @@ class TestClassify:
         assert main(["classify", "-"]) == 0
         assert "class: C6" in capsys.readouterr().out
 
+    def test_deeply_nested_json(self, monkeypatch, capsys):
+        import io
+        monkeypatch.setattr("sys.stdin", io.StringIO("[" * 100_000))
+        assert main(["classify", "-"]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+
 
 class TestTable:
     def test_22d_at_2_has_seven_rows(self, capsys):

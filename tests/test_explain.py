@@ -3,7 +3,8 @@ import json
 import pytest
 
 from entinv.explain import explain_three_qubit, render_explain_text
-from entinv.fields import QQ
+from entinv.fields import GF, QQ
+from entinv.tables import ClassificationGapError, classify
 from entinv.tensors import ArityError, Shape, Tensor, from_terms
 
 S222 = Shape((2, 2, 2))
@@ -78,3 +79,21 @@ def test_structured_output_is_json_safe():
     json.dumps(data)
     assert data["class"] == "C5"
     assert data["case"] == "3.1"
+
+
+@pytest.mark.parametrize("field,gaps", [(QQ, 0), (GF(2), 54)], ids=["rational", "gf(2)"])
+def test_class_agrees_with_classify_on_binary_states(field, gaps):
+    # exactly the states classify reports as gaps come out unmatched
+    unmatched = 0
+    for mask in range(256):
+        v = Tensor(field, S222, [field.from_int(mask >> (7 - i) & 1) for i in range(8)])
+        data = explain_three_qubit(v)
+        try:
+            label = classify(v)
+        except ClassificationGapError:
+            unmatched += 1
+            assert (data["case"], data["class"]) == ("unmatched", None)
+            continue
+        assert data["class"] == label
+        assert data["case"] != "unmatched"
+    assert unmatched == gaps

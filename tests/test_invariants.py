@@ -72,6 +72,26 @@ class TestTripleConstraintMatrix:
         with pytest.raises(ArityError):
             triple_constraint_matrix(random_tensor(Shape((2, 2)), 2, seed=1))
 
+    def test_rows_are_the_docstring_sums(self):
+        # row r applied to each unit vector w must equal the r-th sum of the
+        # docstring, evaluated directly, so any misplaced or reordered row fails
+        shape = Shape((2, 3, 4))
+        d1, d2, d3 = shape.dims
+        v = random_tensor(shape, 5, seed=3)
+        m = triple_constraint_matrix(v)
+        for unit in shape.indices():
+            w = Tensor(QQ, shape, [int(index == unit) for index in shape.indices()])
+            sums = (
+                [sum(v[i, j, k] * w[i, j, l] for i in range(d1) for j in range(d2))
+                 for k in range(d3) for l in range(d3)]
+                + [sum(v[i, j, k] * w[i, l, k] for i in range(d1) for k in range(d3))
+                   for j in range(d2) for l in range(d2)]
+                + [sum(v[i, j, k] * w[l, j, k] for j in range(d2) for k in range(d3))
+                   for i in range(d1) for l in range(d1)]
+            )
+            applied = [sum(a * b for a, b in zip(m.row(r), w.coeffs)) for r in range(m.rows)]
+            assert applied == sums
+
 
 class TestTripleKernelDim:
     def test_ghz(self):

@@ -5,6 +5,7 @@ import pytest
 
 from entinv.fields import GF, QQ, QQI, FieldMismatchError, GaussianRational
 from entinv.linalg import ExactMatrix
+from entinv.tensors import FlatteningSpec, Shape, Tensor, flatten, from_terms, random_invertible
 
 FIELDS = [QQ, GF(7), QQI]
 
@@ -16,9 +17,14 @@ def _random_matrix(field, rows, cols, rng, bound=5):
 
 
 def _random_low_rank(field, rows, cols, r, rng):
-    a = _random_matrix(field, rows, r, rng, bound=3)
-    b = _random_matrix(field, r, cols, rng, bound=3)
-    return a @ b
+    # r terms [j,j] in invertible bases flatten to a matrix of rank exactly r
+    bases = [random_invertible(d, 3, seed=rng.randint(0, 10**6), field=field) for d in (rows, cols)]
+    v = from_terms(Shape((rows, cols)), [(j, j) for j in range(1, r + 1)], bases=bases, field=field)
+    return flatten(v, FlatteningSpec((1,), 2))
+
+
+def _zeros(field, rows, cols):
+    return ExactMatrix(field, rows, cols, [0] * (rows * cols))
 
 
 class TestRref:
@@ -29,7 +35,7 @@ class TestRref:
         assert pivots == [0, 1]
 
     def test_zero_matrix(self):
-        m = ExactMatrix.zeros(QQ, 3, 4)
+        m = _zeros(QQ, 3, 4)
         reduced, pivots = m.rref()
         assert reduced == m
         assert pivots == []
@@ -69,7 +75,7 @@ class TestRref:
 
 class TestRank:
     def test_zero_and_identity(self):
-        assert ExactMatrix.zeros(QQ, 3, 5).rank() == 0
+        assert _zeros(QQ, 3, 5).rank() == 0
         assert ExactMatrix.identity(QQ, 4).rank() == 4
         assert ExactMatrix.identity(GF(3), 4).rank() == 4
 
@@ -81,7 +87,9 @@ class TestRank:
         rng = random.Random(23)
         for _ in range(200):
             m = _random_matrix(field, rng.randint(1, 8), rng.randint(1, 8), rng)
-            assert m.rank() == m.transpose().rank()
+            # the complementary flattening of the same entries is the transpose
+            t = flatten(Tensor(field, Shape((m.rows, m.cols)), m.entries), FlatteningSpec((2,), 2))
+            assert m.rank() == t.rank()
 
     @pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.descriptor)
     def test_rank_matches_rref_pivot_count(self, field):
@@ -93,9 +101,9 @@ class TestRank:
         for _ in range(60):
             rows, cols = rng.randint(2, 7), rng.randint(2, 7)
             r = rng.randint(0, min(rows, cols))
-            m = _random_low_rank(field, rows, cols, r, rng) if r else ExactMatrix.zeros(field, rows, cols)
+            m = _random_low_rank(field, rows, cols, r, rng)
             assert m.rank() == len(m.rref()[1])
-            assert m.rank() <= r
+            assert m.rank() == r
 
     def test_rank_with_rational_denominators(self):
         # second row is 3 times the first: rank 1 despite messy denominators
@@ -119,7 +127,7 @@ class TestKernel:
         assert ExactMatrix.identity(QQ, 2).kernel_basis() == []
 
     def test_zero_matrix_kernel_is_standard_basis(self):
-        basis = ExactMatrix.zeros(QQ, 2, 3).kernel_basis()
+        basis = _zeros(QQ, 2, 3).kernel_basis()
         assert basis == [
             [QQ.one, QQ.zero, QQ.zero],
             [QQ.zero, QQ.one, QQ.zero],
@@ -134,7 +142,8 @@ class TestKernel:
             basis = m.kernel_basis()
             assert m.rank() + len(basis) == m.cols
             for vec in basis:
-                assert all(x == field.zero for x in m.mat_vec(vec))
+                for i in range(m.rows):
+                    assert sum((a * x for a, x in zip(m.row(i), vec)), field.zero) == field.zero
 
     def test_kernel_basis_independent(self):
         rng = random.Random(17)
@@ -153,23 +162,6 @@ class TestKernel:
             [QQ.zero, QQ.one, QQ.zero],
             [-QQ.one, QQ.zero, QQ.one],
         ]
-
-
-class TestInverse:
-    @pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.descriptor)
-    def test_inverse_round_trip(self, field):
-        rng = random.Random(3)
-        found = 0
-        while found < 10:
-            m = _random_matrix(field, 3, 3, rng)
-            if not m.is_invertible():
-                continue
-            found += 1
-            assert m @ m.inverse() == ExactMatrix.identity(field, 3)
-
-    def test_singular_rejected(self):
-        with pytest.raises(ValueError):
-            ExactMatrix.from_rows(QQ, [[1, 2], [2, 4]]).inverse()
 
 
 def test_gaussian_rational_matrix_rank():

@@ -64,7 +64,11 @@ class TestFlatten:
             for i in range(5):
                 v = random_tensor(shape, 4, seed=i)
                 for spec in all_specs(shape.n):
-                    assert flatten(v, spec) == flatten(v, spec.complement()).transpose()
+                    m, t = flatten(v, spec), flatten(v, spec.complement())
+                    assert (t.rows, t.cols) == (m.cols, m.rows)
+                    for r in range(m.rows):
+                        for c in range(m.cols):
+                            assert m[r, c] == t[c, r]
 
     def test_wrong_arity_rejected(self):
         v = random_tensor(Shape((2, 2)), 2, seed=0)
@@ -103,13 +107,16 @@ class TestFromTerms:
     def test_generic_bases_match_local_action(self):
         # the same state built two independent ways: direct expansion in
         # the given bases versus a local transform of the standard build
-        shape = Shape((2, 2, 2))
-        terms = [(1, 1, 1), (1, 2, 2), (2, 1, 2)]
-        for seed in range(10):
-            bases = [random_invertible(2, 3, seed=seed * 31 + axis) for axis in range(3)]
-            direct = from_terms(shape, terms, bases=bases)
-            via_action = apply_local(from_terms(shape, terms), bases)
-            assert direct == via_action
+        for dims, terms in [
+            ((2, 2, 2), [(1, 1, 1), (1, 2, 2), (2, 1, 2)]),
+            ((2, 3, 4), [(1, 1, 1), (1, 2, 2), (2, 1, 3), (2, 3, 4)]),
+        ]:
+            shape = Shape(dims)
+            for seed in range(10):
+                bases = [random_invertible(d, 3, seed=seed * 31 + axis) for axis, d in enumerate(dims)]
+                direct = from_terms(shape, terms, bases=bases)
+                via_action = apply_local(from_terms(shape, terms), bases)
+                assert direct == via_action
 
 
 class TestApplyLocal:
@@ -117,13 +124,6 @@ class TestApplyLocal:
         v = random_tensor(Shape((2, 3, 4)), 5, seed=1)
         eyes = [ExactMatrix.identity(QQ, d) for d in (2, 3, 4)]
         assert apply_local(v, eyes) == v
-
-    def test_group_action_inverts(self):
-        shape = Shape((2, 3, 4))
-        v = random_tensor(shape, 5, seed=2)
-        maps = [random_invertible(d, 3, seed=40 + d) for d in shape.dims]
-        back = apply_local(apply_local(v, maps), [m.inverse() for m in maps])
-        assert back == v
 
     def test_singular_map_rejected(self):
         v = random_tensor(Shape((2, 2)), 2, seed=3)
