@@ -27,7 +27,6 @@ from .tensors import (
     Shape,
     ShapeError,
     Tensor,
-    all_specs,
     apply_local,
     flatten,
     from_terms,
@@ -66,7 +65,7 @@ __all__ = [
     "field_from_descriptor",
     "ExactMatrix", "InternalConsistencyError",
     "ArityError", "BasisError", "FlatteningSpec", "Shape", "ShapeError", "Tensor",
-    "all_specs", "apply_local", "flatten", "from_terms",
+    "apply_local", "flatten", "from_terms",
     "random_invertible", "random_tensor",
     "InvariantSignature", "general_form_decomposition", "kernel_dim",
     "signature", "triple_constraint_matrix", "triple_kernel_dim",

@@ -193,6 +193,10 @@ def _cmd_representative(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    if args.samples is not None and args.samples < 1:
+        raise _UsageError(f"--samples must be >= 1, got {args.samples}")
+    if args.d_max < 2:
+        raise _UsageError(f"--d-max must be >= 2, got {args.d_max}")
     field = field_from_descriptor(args.field)
     report = run_suite(
         args.suite, d_max=args.d_max, samples=args.samples, seed=args.seed, field=field
@@ -230,7 +234,7 @@ def main(argv=None) -> int:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
     except ClassificationGapError as exc:
-        # commands that do not handle gaps themselves (e.g. explain3)
+        # only `verify --suite tables` raises one, and only on a table defect
         print(json.dumps(exc.payload(), indent=2))
         print(f"classification gap: {exc}", file=sys.stderr)
         return 2

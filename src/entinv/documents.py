@@ -5,7 +5,8 @@ A document is a single JSON object with exactly three keys:
     field    "rational" | "gf(p)" | "gaussian-rational"
     dims     list of 2 or 3 positive integers
     entries  dense:  list of scalar strings, row-major, length prod(dims)
-             sparse: list of {"index": [0-based ints], "value": "scalar"}
+             sparse: list of {"index": [0-based ints], "value": "scalar"};
+                     omitted positions are zero, so [] is the zero state
 
 Scalars are exact strings ("a", "a/b", "a/b+c/di"); anything that smells
 of floating point is rejected.  Unknown keys are rejected so that typos
@@ -64,7 +65,8 @@ def parse_document(text: str, source: str = "<input>") -> Tensor:
     if not isinstance(entries, list):
         raise DocumentError(f"{source}: 'entries' must be a list")
 
-    if all(isinstance(e, str) for e in entries):
+    # an empty list is sparse: the zero state has no nonzero entry to list
+    if entries and all(isinstance(e, str) for e in entries):
         if len(entries) != shape.size:
             raise DocumentError(
                 f"{source}: dense entries need {shape.size} scalars for dims {shape.dims}, "

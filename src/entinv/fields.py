@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from functools import cache
 
 
 class FieldMismatchError(TypeError):
@@ -194,7 +195,7 @@ class Field:
         raise NotImplementedError
 
     def coerce(self, value):
-        """Accept an element, an int, or a scalar string; return an element."""
+        """Accept an element or an int; return an element (strings go through `parse`)."""
         raise NotImplementedError
 
     def parse(self, text: str):
@@ -218,8 +219,6 @@ class RationalField(Field):
             return value
         if isinstance(value, int):
             return Fraction(value)
-        if isinstance(value, str):
-            return self.parse(value)
         raise FieldMismatchError(f"not a rational scalar: {value!r}")
 
     def parse(self, text: str) -> Fraction:
@@ -258,8 +257,6 @@ class PrimeField(Field):
             return value
         if isinstance(value, int):
             return GFElement(value, self.p)
-        if isinstance(value, str):
-            return self.parse(value)
         raise FieldMismatchError(f"not a GF({self.p}) scalar: {value!r}")
 
     def parse(self, text: str) -> GFElement:
@@ -289,8 +286,6 @@ class GaussianRationalField(Field):
             return value
         if isinstance(value, (int, Fraction)):
             return GaussianRational(value)
-        if isinstance(value, str):
-            return self.parse(value)
         raise FieldMismatchError(f"not a Gaussian rational scalar: {value!r}")
 
     def parse(self, text: str) -> GaussianRational:
@@ -341,16 +336,11 @@ def _is_prime(n: int) -> bool:
 QQ = RationalField()
 QQI = GaussianRationalField()
 
-_GF_CACHE: dict[int, PrimeField] = {}
 
-
+@cache
 def GF(p: int) -> PrimeField:
     """The prime field GF(p); instances are cached per p."""
-    field = _GF_CACHE.get(p)
-    if field is None:
-        field = PrimeField(p)
-        _GF_CACHE[p] = field
-    return field
+    return PrimeField(p)
 
 
 _GF_DESCRIPTOR_RE = re.compile(r"^gf\((\d+)\)$")

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
+from math import prod
 from typing import Optional
 
 from .linalg import ExactMatrix, InternalConsistencyError
@@ -80,9 +81,7 @@ class InvariantSignature:
 
 def kernel_dim(v: Tensor, spec: FlatteningSpec) -> int:
     """Kernel dimension of the flattening against `spec` (dim W - rank)."""
-    dim_w = 1
-    for i in spec.row_factors:
-        dim_w *= v.shape.dims[i - 1]
+    dim_w = prod(v.shape.dims[i - 1] for i in spec.row_factors)
     return dim_w - flatten(v, spec).rank()
 
 

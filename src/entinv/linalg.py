@@ -48,11 +48,6 @@ class ExactMatrix:
             flat.extend(row)
         return cls(field, nr, nc, flat)
 
-    @classmethod
-    def identity(cls, field: Field, n: int) -> "ExactMatrix":
-        one, zero = field.one, field.zero
-        return cls(field, n, n, [one if i == j else zero for i in range(n) for j in range(n)])
-
     def __getitem__(self, key):
         i, j = key
         return self.entries[i * self.cols + j]

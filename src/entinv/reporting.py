@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 
 @dataclass
@@ -68,15 +68,6 @@ class Report:
             "title": self.title,
             "passed": self.passed,
             "notes": list(self.notes),
-            "checks": [
-                {
-                    "name": c.name,
-                    "passed": c.passed,
-                    "detail": c.detail,
-                    "repro": c.repro,
-                    "gap": c.gap,
-                }
-                for c in self.checks
-            ],
+            "checks": [asdict(c) for c in self.checks],
             "data": self.data,
         }

@@ -105,9 +105,7 @@ def suite_duality(samples: int = 200, seed: int = 0, field: Field = QQ) -> Repor
     return report
 
 
-def suite_local_invariance(
-    draws: int = 100, d_max: int = 5, seed: int = 0, bound: int = 2
-) -> Report:
+def suite_local_invariance(draws: int = 100, d_max: int = 5, seed: int = 0) -> Report:
     """Invertible local maps and nonzero scalings must not move signatures."""
     report = Report(title=f"local invariance ({draws} draws per class, d up to {d_max})")
     shapes = list(_tripartite_shapes(d_max))
@@ -121,7 +119,7 @@ def suite_local_invariance(
             for i in range(draws):
                 maps = [
                     random_invertible(
-                        d, bound, seed=_child(seed, "inv", shape.dims, entry.label, i, axis)
+                        d, 2, seed=_child(seed, "inv", shape.dims, entry.label, i, axis)
                     )
                     for axis, d in enumerate(shape.dims)
                 ]
@@ -188,24 +186,18 @@ def suite_exhaustive_222(field: Field = QQ) -> Report:
     return report
 
 
-def suite_survey(
-    samples: int = 1000,
-    seed: int = 0,
-    bound: int = 3,
-    field: Field = QQ,
-    shapes=SURVEY_SHAPES,
-) -> Report:
-    """Random integer states must classify without gaps on every survey shape."""
-    report = Report(title=f"survey ({samples} samples per shape, bound {bound}, seed {seed})")
+def suite_survey(samples: int = 1000, seed: int = 0, field: Field = QQ) -> Report:
+    """Random states with integer entries in [-3, 3] must classify without gaps."""
+    report = Report(title=f"survey ({samples} samples per shape, bound 3, seed {seed})")
     if field != QQ:
         report.note(f"field {field.descriptor}: results are field-dependent")
     histogram: dict[str, dict[str, int]] = {}
-    for dims in shapes:
+    for dims in SURVEY_SHAPES:
         shape = Shape(dims)
         gaps = []
         hist: dict[str, int] = {}
         for i in range(samples):
-            v = random_tensor(shape, bound, seed=_child(seed, "survey", dims, i), field=field)
+            v = random_tensor(shape, 3, seed=_child(seed, "survey", dims, i), field=field)
             try:
                 label, _ = classify_full(v)
             except ClassificationGapError as exc:
@@ -239,13 +231,13 @@ def run_suite(
     if name == "tables":
         return suite_tables(d_max=d_max)
     if name == "duality":
-        return suite_duality(samples=samples or 200, seed=seed, field=field)
+        return suite_duality(samples=200 if samples is None else samples, seed=seed, field=field)
     if name == "local-invariance":
         return suite_local_invariance(d_max=min(d_max, 5), seed=seed)
     if name == "exhaustive-222":
         return suite_exhaustive_222(field=field)
     if name == "survey":
-        return suite_survey(samples=samples or 1000, seed=seed, field=field)
+        return suite_survey(samples=1000 if samples is None else samples, seed=seed, field=field)
     raise ValueError(f"unknown suite {name!r}; choose from {', '.join(SUITE_NAMES)}")
 
 

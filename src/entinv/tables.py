@@ -164,12 +164,6 @@ class ClassTable:
                 return entry
         return None
 
-    def by_label(self, label: str) -> Optional[ClassEntry]:
-        for entry in self.entries:
-            if entry.label == label:
-                return entry
-        return None
-
 
 def _tripartite_entries(family: str) -> tuple[ClassEntry, ...]:
     entries = []
@@ -301,48 +295,41 @@ def verify_tables(family: str, d_values: Sequence[int]) -> Report:
     Every entry must also classify back to its own label.
     """
     report = Report(title=f"class-table verification: {family}")
+    # (shape, check-name prefix, representative flags) per shape checked
     if family == "bipartite":
-        for d1 in d_values:
-            for d2 in d_values:
-                shape = Shape((d1, d2))
-                for entry in table_for(shape).entries:
-                    v = from_terms(shape, entry.terms)
-                    sig = signature(v)
-                    want = entry.invariants_at(shape)
-                    got = sig.key()
-                    label = classify(v)
-                    report.add(
-                        f"({d1},{d2}) {entry.label}",
-                        got == want and label == entry.label,
-                        detail=f"k1={got[0]} expected {want[0]}, classified {label}",
-                        repro=f"entinv representative --family bipartite --d1 {d1} --d2 {d2} "
-                        f"--label {entry.label} | entinv classify -",
-                    )
-        return report
-
-    if family not in _TRIPARTITE_RAW:
+        cases = [
+            (Shape((d1, d2)), f"({d1},{d2})", f"--d1 {d1} --d2 {d2}")
+            for d1 in d_values
+            for d2 in d_values
+        ]
+    elif family in _TRIPARTITE_RAW:
+        d_base = {"22d": 2, "23d": 3}[family]
+        cases = [(Shape((2, d_base, d)), f"{family} d={d}", f"--d {d}") for d in d_values]
+    else:
         raise ValueError(f"unknown family {family!r}; expected bipartite, 22d, or 23d")
-    d_base = {"22d": 2, "23d": 3}[family]
-    for d in d_values:
-        shape = Shape((2, d_base, d))
+    for shape, where, flags in cases:
         table = table_for(shape)
-        want_count = expected_count(family, d)
-        report.add(
-            f"{family} d={d} class count",
-            len(table.entries) == want_count,
-            detail=f"{len(table.entries)} valid entries, expected {want_count}",
-        )
+        if family != "bipartite":
+            want_count = expected_count(family, shape.dims[2])
+            report.add(
+                f"{where} class count",
+                len(table.entries) == want_count,
+                detail=f"{len(table.entries)} valid entries, expected {want_count}",
+            )
         for entry in table.entries:
             v = from_terms(shape, entry.terms)
-            sig = signature(v)
             want = entry.invariants_at(shape)
-            got = sig.key()
+            got = signature(v).key()
             label = classify(v)
+            if family == "bipartite":
+                detail = f"k1={got[0]} expected {want[0]}"
+            else:
+                detail = f"signature key {got}, expected {want}"
             report.add(
-                f"{family} d={d} {entry.label}",
+                f"{where} {entry.label}",
                 got == want and label == entry.label,
-                detail=f"signature key {got}, expected {want}, classified {label}",
-                repro=f"entinv representative --family {family} --d {d} "
+                detail=f"{detail}, classified {label}",
+                repro=f"entinv representative --family {family} {flags} "
                 f"--label {entry.label} | entinv classify -",
             )
     return report

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import random
 from itertools import product
+from math import prod
 from typing import Optional, Sequence
 
 from .fields import Field, QQ
@@ -48,10 +49,7 @@ class Shape:
 
     @property
     def size(self) -> int:
-        out = 1
-        for d in self.dims:
-            out *= d
-        return out
+        return prod(self.dims)
 
     def offset(self, index: Sequence[int]) -> int:
         """Row-major offset of a 0-based multi-index."""
@@ -116,20 +114,6 @@ class FlatteningSpec:
         return f"FlatteningSpec(rows={self.row_factors}, n={self.n})"
 
 
-def all_specs(n: int) -> list[FlatteningSpec]:
-    """Every proper bipartition, singles first, in increasing factor order."""
-    if n == 2:
-        return [FlatteningSpec((1,), 2), FlatteningSpec((2,), 2)]
-    return [
-        FlatteningSpec((1,), 3),
-        FlatteningSpec((2,), 3),
-        FlatteningSpec((3,), 3),
-        FlatteningSpec((1, 2), 3),
-        FlatteningSpec((1, 3), 3),
-        FlatteningSpec((2, 3), 3),
-    ]
-
-
 class Tensor:
     """Immutable dense tensor over one exact field."""
 
@@ -144,19 +128,12 @@ class Tensor:
         self.shape = shape
         self.coeffs = tuple(field.coerce(c) for c in coeffs)
 
-    @classmethod
-    def zero(cls, field: Field, shape: Shape) -> "Tensor":
-        return cls(field, shape, [field.zero] * shape.size)
-
     @property
     def n(self) -> int:
         return self.shape.n
 
     def __getitem__(self, index) -> object:
         return self.coeffs[self.shape.offset(index)]
-
-    def is_zero(self) -> bool:
-        return not any(self.coeffs)
 
     def scale(self, scalar) -> "Tensor":
         s = self.field.coerce(scalar)
@@ -190,8 +167,8 @@ def flatten(v: Tensor, spec: FlatteningSpec) -> ExactMatrix:
     col_pos = [i - 1 for i in spec.col_factors]
     row_dims = [dims[i] for i in row_pos]
     col_dims = [dims[i] for i in col_pos]
-    nrows = _prod(row_dims)
-    ncols = _prod(col_dims)
+    nrows = prod(row_dims)
+    ncols = prod(col_dims)
     entries = [v.field.zero] * (nrows * ncols)
     for full, coeff in zip(v.shape.indices(), v.coeffs):
         r = 0
@@ -279,8 +256,8 @@ def apply_local(v: Tensor, maps: Sequence[ExactMatrix]) -> Tensor:
 
 def _mode_apply(coeffs: list, dims: tuple[int, ...], axis: int, a: ExactMatrix) -> list:
     d = dims[axis]
-    inner = _prod(dims[axis + 1 :])
-    outer = _prod(dims[:axis])
+    inner = prod(dims[axis + 1 :])
+    outer = prod(dims[:axis])
     zero = a.field.zero
     out = [zero] * len(coeffs)
     for o in range(outer):
@@ -320,10 +297,3 @@ def random_invertible(d: int, bound: int, seed: int, field: Field = QQ) -> Exact
         )
         if m.rank() == d:
             return m
-
-
-def _prod(xs) -> int:
-    out = 1
-    for x in xs:
-        out *= x
-    return out

@@ -1,0 +1,53 @@
+"""Every public name is used by the package itself or documented in the README.
+
+A name that only tests call is dead weight in the library: the test keeps
+it alive but no user path runs it.
+"""
+
+import inspect
+import re
+from pathlib import Path
+
+import entinv
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "entinv"
+
+
+def _public_names():
+    """Exported names, plus `Class.member` for public members of exported classes."""
+    for name in entinv.__all__:
+        if name.startswith("__"):
+            continue
+        yield name, name
+        obj = getattr(entinv, name)
+        if not inspect.isclass(obj):
+            continue
+        for member, value in vars(obj).items():
+            if member.startswith("_"):
+                continue
+            if isinstance(value, (property, classmethod, staticmethod)) or inspect.isfunction(value):
+                yield f"{name}.{member}", member
+
+
+def _unused_names(source_lines, readme):
+    unused = []
+    for qualified, name in _public_names():
+        word = re.compile(rf"\b{re.escape(name)}\b")
+        own_line = re.compile(rf"^\s*(?:def|class)\s+{re.escape(name)}\b")
+        used = any(word.search(line) and not own_line.match(line) for line in source_lines)
+        if not used and not word.search(readme):
+            unused.append(qualified)
+    return unused
+
+
+def test_no_public_name_only_tests_call():
+    # __init__.py re-exports every name, so its lines are no evidence of use
+    source_lines = [
+        line
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.name != "__init__.py"
+        for line in path.read_text(encoding="utf-8").splitlines()
+    ]
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    assert _unused_names(source_lines, readme) == []

@@ -139,6 +139,19 @@ class TestRepresentative:
                     doc = capsys.readouterr().out
                     assert classify(parse_document(doc)) == entry.label
 
+    @pytest.mark.parametrize("family,dims", [
+        ("22d", ["--d", "2"]), ("23d", ["--d", "3"]), ("bipartite", ["--d1", "2", "--d2", "3"]),
+    ])
+    def test_sparse_zero_state_classifies(self, family, dims, monkeypatch, capsys):
+        import io
+        args = ["representative", "--family", family, *dims, "--label", "C0", "--sparse"]
+        assert main(args) == 0
+        doc = capsys.readouterr().out
+        assert json.loads(doc)["entries"] == []
+        monkeypatch.setattr("sys.stdin", io.StringIO(doc))
+        assert main(["classify", "-"]) == 0
+        assert "class: C0" in capsys.readouterr().out
+
     def test_gf_field_emission(self, capsys):
         args = ["representative", "--family", "22d", "--d", "2", "--label", "C6",
                 "--field", "gf(5)", "--sparse"]
@@ -164,6 +177,17 @@ class TestVerify:
         assert main(["verify", "--suite", "survey", "--samples", "5", "--seed", "7"]) == 0
         out = capsys.readouterr().out
         assert "zero gaps" in out
+
+    @pytest.mark.parametrize("flags,message", [
+        (["--suite", "duality", "--samples", "0"], "--samples must be >= 1, got 0"),
+        (["--suite", "survey", "--samples", "-3"], "--samples must be >= 1, got -3"),
+        (["--suite", "tables", "--d-max", "1"], "--d-max must be >= 2, got 1"),
+    ])
+    def test_out_of_range_flags_rejected(self, flags, message, capsys):
+        assert main(["verify", *flags]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"usage error: {message}\n"
 
     def test_unknown_suite_rejected(self, capsys):
         assert main(["verify", "--suite", "everything"]) == 1

@@ -20,6 +20,14 @@ def test_sparse_round_trip():
     assert parse_document(text) == v
 
 
+@pytest.mark.parametrize("dims", [(2, 2, 2), (2, 3, 4), (2, 3)])
+def test_sparse_zero_state_round_trip(dims):
+    zero = from_terms(Shape(dims), [], field=QQ)
+    text = emit_document(zero, sparse=True)
+    assert json.loads(text)["entries"] == []
+    assert parse_document(text) == zero
+
+
 def test_round_trip_preserves_scalar_strings():
     doc = {
         "field": "rational",

@@ -22,7 +22,7 @@ def test_product_state_walkthrough():
 
 
 def test_zero_state():
-    data = explain_three_qubit(Tensor.zero(QQ, S222))
+    data = explain_three_qubit(from_terms(S222, [], field=QQ))
     assert data["case"] == "1"
     assert data["class"] == "C0"
     assert [s["dim"] for s in data["systems"]] == [2, 2, 2, 4, 4, 4]
@@ -62,9 +62,9 @@ def test_equations_substitute_coefficients():
 
 def test_non_222_rejected():
     with pytest.raises(ArityError):
-        explain_three_qubit(Tensor.zero(QQ, Shape((2, 2, 3))))
+        explain_three_qubit(from_terms(Shape((2, 2, 3)), [], field=QQ))
     with pytest.raises(ArityError):
-        explain_three_qubit(Tensor.zero(QQ, Shape((2, 2))))
+        explain_three_qubit(from_terms(Shape((2, 2)), [], field=QQ))
 
 
 def test_render_text_is_complete():

@@ -27,9 +27,13 @@ def _zeros(field, rows, cols):
     return ExactMatrix(field, rows, cols, [0] * (rows * cols))
 
 
+def _identity(field, n):
+    return ExactMatrix.from_rows(field, [[int(i == j) for j in range(n)] for i in range(n)])
+
+
 class TestRref:
     def test_identity(self):
-        m = ExactMatrix.identity(QQ, 2)
+        m = _identity(QQ, 2)
         reduced, pivots = m.rref()
         assert reduced == m
         assert pivots == [0, 1]
@@ -76,8 +80,8 @@ class TestRref:
 class TestRank:
     def test_zero_and_identity(self):
         assert _zeros(QQ, 3, 5).rank() == 0
-        assert ExactMatrix.identity(QQ, 4).rank() == 4
-        assert ExactMatrix.identity(GF(3), 4).rank() == 4
+        assert _identity(QQ, 4).rank() == 4
+        assert _identity(GF(3), 4).rank() == 4
 
     def test_epr_flattening_is_full_rank(self):
         assert ExactMatrix.from_rows(QQ, [[1, 0], [0, 1]]).rank() == 2
@@ -124,7 +128,7 @@ class TestRank:
 
 class TestKernel:
     def test_identity_kernel_empty(self):
-        assert ExactMatrix.identity(QQ, 2).kernel_basis() == []
+        assert _identity(QQ, 2).kernel_basis() == []
 
     def test_zero_matrix_kernel_is_standard_basis(self):
         basis = _zeros(QQ, 2, 3).kernel_basis()

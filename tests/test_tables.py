@@ -15,13 +15,13 @@ from entinv.tables import (
 from entinv.tensors import (
     FlatteningSpec,
     Shape,
-    Tensor,
-    all_specs,
     flatten,
     from_terms,
     random_invertible,
 )
 from entinv.fields import QQ
+
+SPECS_3 = [FlatteningSpec(rows, 3) for rows in ((1,), (2,), (3,), (1, 2), (1, 3), (2, 3))]
 
 
 class TestTableFor:
@@ -60,9 +60,9 @@ class TestTableFor:
                 assert len(set(keys)) == len(keys)
 
     def test_bracket_notation(self):
-        table = table_for(Shape((2, 2, 2)))
-        assert table.by_label("C0").bracket() == "0"
-        assert table.by_label("C6").bracket() == "[1,1,1]+[2,2,2]"
+        brackets = {e.label: e.bracket() for e in table_for(Shape((2, 2, 2))).entries}
+        assert brackets["C0"] == "0"
+        assert brackets["C6"] == "[1,1,1]+[2,2,2]"
 
     def test_discard_rule_matches_validity(self):
         # an entry is valid at d exactly when all four invariants are >= 0
@@ -85,7 +85,7 @@ class TestClassify:
         assert classify(v) == "C7"
 
     def test_zero_tensor(self):
-        assert classify(Tensor.zero(QQ, Shape((2, 3, 4)))) == "C0"
+        assert classify(from_terms(Shape((2, 3, 4)), [], field=QQ)) == "C0"
 
     def test_bipartite_epr(self):
         assert classify(from_terms(Shape((2, 2)), [(1, 1), (2, 2)])) == "C2"
@@ -150,7 +150,7 @@ class TestRepresentative:
                 shape = Shape((2, base, d))
                 for entry in table_for(shape).entries:
                     v = from_terms(shape, entry.terms)
-                    for spec in all_specs(3):
+                    for spec in SPECS_3:
                         projections = {
                             tuple(t[i - 1] for i in spec.row_factors) for t in entry.terms
                         }
@@ -187,6 +187,28 @@ class TestVerifyTables:
     def test_bipartite_law(self):
         report = verify_tables("bipartite", range(1, 6))
         assert report.passed
+
+    def test_check_strings_are_pinned(self):
+        # one check per family, at its position in the report
+        bipartite = verify_tables("bipartite", range(1, 4)).checks
+        assert [c.name for c in bipartite[:4]] == ["(1,1) C0", "(1,1) C1", "(1,2) C0", "(1,2) C1"]
+        c = bipartite[13]
+        assert (c.name, c.detail, c.repro) == (
+            "(2,3) C2",
+            "k1=0 expected 0, classified C2",
+            "entinv representative --family bipartite --d1 2 --d2 3 --label C2"
+            " | entinv classify -",
+        )
+        c = verify_tables("22d", range(2, 4)).checks[8]
+        assert (c.name, c.detail, c.repro) == (
+            "22d d=3 class count", "9 valid entries, expected 9", ""
+        )
+        c = verify_tables("23d", [4]).checks[18]
+        assert (c.name, c.detail, c.repro) == (
+            "23d d=4 C17",
+            "signature key (0, 1, 0, 6), expected (0, 1, 0, 6), classified C17",
+            "entinv representative --family 23d --d 4 --label C17 | entinv classify -",
+        )
 
     def test_unknown_family(self):
         with pytest.raises(ValueError):
