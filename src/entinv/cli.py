@@ -14,7 +14,7 @@ import sys
 
 from .documents import DocumentError, emit_document, parse_document
 from .explain import explain_three_qubit, render_explain_text
-from .fields import FieldMismatchError, field_from_descriptor
+from .fields import QQ, FieldMismatchError, field_from_descriptor
 from .suites import SUITE_NAMES, run_suite
 from .tables import (
     ClassificationGapError,
@@ -197,7 +197,14 @@ def _cmd_verify(args) -> int:
         raise _UsageError(f"--samples must be >= 1, got {args.samples}")
     if args.d_max < 2:
         raise _UsageError(f"--d-max must be >= 2, got {args.d_max}")
+    # a flag the suite does not read is refused, not silently ignored
+    if args.samples is not None and args.suite in ("tables", "local-invariance", "exhaustive-222"):
+        raise _UsageError(f"suite {args.suite} does not take --samples")
     field = field_from_descriptor(args.field)
+    if field != QQ and args.suite in ("tables", "local-invariance"):
+        raise _UsageError(
+            f"suite {args.suite} runs over the rationals only, got --field {field.descriptor}"
+        )
     report = run_suite(
         args.suite, d_max=args.d_max, samples=args.samples, seed=args.seed, field=field
     )

@@ -17,7 +17,7 @@ from math import prod
 from typing import Optional
 
 from .linalg import ExactMatrix, InternalConsistencyError
-from .tensors import ArityError, FlatteningSpec, Tensor, flatten
+from .tensors import ArityError, FlatteningSpec, Shape, Tensor, flatten
 
 
 @dataclass(frozen=True)
@@ -120,8 +120,42 @@ def triple_constraint_matrix(v: Tensor) -> ExactMatrix:
 
 
 def triple_kernel_dim(v: Tensor) -> int:
-    """Dimension of the joint kernel of the three extended pair maps."""
-    return v.shape.size - triple_constraint_matrix(v).rank()
+    """Dimension of the joint kernel of the three extended pair maps.
+
+    Computed on the concise slice subtensor.  Let r be the rank of the
+    (1,2) flattening, whose columns are the slices v[:,:,k], let S be its
+    pivot columns (the first r independent slices) and v|S the
+    (d1, d2, r) subtensor keeping only those slices.  Then
+
+        k123(v) = k123(v|S) + (d3 - r) (d1 d2 - r),
+
+    with k123(v|S) = 0 when r = 0 (no slices) or r = d1 d2 (block 1 of
+    `triple_constraint_matrix` then forces w = 0).  Why: v = sum over k in S
+    of v_k x f_k with the f_k independent, and k123 is invariant under
+    invertible local maps, so a map on V3 turns v into v|S padded with
+    d3 - r zero slices.  There block 1 puts every slice w[:,:,l] in K12,
+    of dimension d1 d2 - r; slices l >= r appear in no row of blocks 2
+    and 3, which only see third indices < r, and the remaining rows are
+    exactly the system of v|S.  `triple_constraint_matrix(v)` stays the
+    full stacked system; tests compare the two routes.
+    """
+    if v.n != 3:
+        raise ArityError(f"triple intersection needs 3 factors, got {v.n}")
+    d1, d2, d3 = v.shape.dims
+    d12 = d1 * d2
+    _, slices = ExactMatrix(v.field, d12, d3, v.coeffs).rref()
+    r = len(slices)
+    free = (d3 - r) * (d12 - r)
+    if r in (0, d12):
+        return free
+    if r < d3:
+        coeffs = v.coeffs
+        v = Tensor(
+            v.field,
+            Shape((d1, d2, r)),
+            [coeffs[o + k] for o in range(0, len(coeffs), d3) for k in slices],
+        )
+    return v.shape.size - triple_constraint_matrix(v).rank() + free
 
 
 def signature(v: Tensor) -> InvariantSignature:

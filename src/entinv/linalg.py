@@ -144,8 +144,10 @@ class ExactMatrix:
 def _rank_rational(rows: list[list[Fraction]], cols: int) -> int:
     int_rows = []
     for row in rows:
-        scale = lcm(*(x.denominator for x in row)) if row else 1
-        int_rows.append([int(x * scale) for x in row])
+        # a list, not a generator: an `f(*generator)` argument tuple is
+        # grown to size, and CPython keeps up to 2,000 of each size freed
+        scale = lcm(*[x.denominator for x in row])
+        int_rows.append([x.numerator * (scale // x.denominator) for x in row])
     return _rank_bareiss(int_rows, cols)
 
 

@@ -319,8 +319,8 @@ def verify_tables(family: str, d_values: Sequence[int]) -> Report:
         for entry in table.entries:
             v = from_terms(shape, entry.terms)
             want = entry.invariants_at(shape)
-            got = signature(v).key()
-            label = classify(v)
+            label, sig = classify_full(v)
+            got = sig.key()
             if family == "bipartite":
                 detail = f"k1={got[0]} expected {want[0]}"
             else:

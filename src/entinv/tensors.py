@@ -126,7 +126,9 @@ class Tensor:
             )
         self.field = field
         self.shape = shape
-        self.coeffs = tuple(field.coerce(c) for c in coeffs)
+        # from a list, not a generator: tuple() then allocates the exact
+        # size once instead of growing it, which keeps the heap compact
+        self.coeffs = tuple([field.coerce(c) for c in coeffs])
 
     @property
     def n(self) -> int:

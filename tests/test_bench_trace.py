@@ -2,9 +2,10 @@
 
 `bench/spans.py` times layers by wrapping named module attributes from
 outside the program.  A refactor that renames one of them, or stops
-calling through it, would silently zero that layer's metrics.  This test
-loads the tracer as a plain file, classifies one (2,3,4) document through
-`cli.main`, and counts the spans of each layer.
+calling through it, would silently zero that layer's metrics.  These
+tests load the tracer as a plain file, classify one document through
+`cli.main`, and count the spans of each layer: a (2,3,4) state, and a
+(2,3,12) state on each route of `triple_kernel_dim`.
 """
 
 import importlib.util
@@ -15,7 +16,14 @@ from pathlib import Path
 
 from entinv.cli import main
 from entinv.documents import emit_document
-from entinv.tensors import Shape, random_tensor
+from entinv.tensors import (
+    FlatteningSpec,
+    Shape,
+    flatten,
+    from_terms,
+    random_invertible,
+    random_tensor,
+)
 
 SPANS_PY = Path(__file__).resolve().parent.parent / "bench" / "spans.py"
 
@@ -27,9 +35,9 @@ def _tracer():
     return module.Tracer()
 
 
-def test_classify_234_records_every_layer(monkeypatch, capsys):
-    doc = emit_document(random_tensor(Shape((2, 3, 4)), 3, seed=0))
-    monkeypatch.setattr("sys.stdin", io.StringIO(doc))
+def _classify_traced(v, monkeypatch, capsys) -> dict:
+    """Classify `v` through `cli.main` under the tracer; return its cut."""
+    monkeypatch.setattr("sys.stdin", io.StringIO(emit_document(v)))
     tracer = _tracer()
     tracer.install()
     try:
@@ -39,10 +47,44 @@ def test_classify_234_records_every_layer(monkeypatch, capsys):
     assert code == 0
     assert json.loads(capsys.readouterr().out)["class"] is not None
     assert tracer.missing == []
+    return tracer.cut()
 
-    spans = tracer.cut()["spans"]
+
+def _rank_parents(spans) -> Counter:
+    return Counter(spans[parent][0] for name, _, _, parent in spans if name == "linalg.rank")
+
+
+def test_classify_234_records_every_layer(monkeypatch, capsys):
+    v = random_tensor(Shape((2, 3, 4)), 3, seed=0)
+    spans = _classify_traced(v, monkeypatch, capsys)["spans"]
     names = Counter(name for name, _, _, _ in spans)
     assert names["tensors.flatten"] == 6
     assert names["invariants.triple_constraint_matrix"] == 1
-    rank_parents = Counter(spans[parent][0] for name, _, _, parent in spans if name == "linalg.rank")
-    assert rank_parents == {"invariants.kernel_dim": 6, "invariants.triple_kernel_dim": 1}
+    assert _rank_parents(spans) == {"invariants.kernel_dim": 6, "invariants.triple_kernel_dim": 1}
+
+
+def test_generic_2312_state_builds_no_k123_system(monkeypatch, capsys):
+    # its (1,2) flattening has full rank 6, so K12 = 0 and k123 = 0 directly
+    cut = _classify_traced(random_tensor(Shape((2, 3, 12)), 3, seed=0), monkeypatch, capsys)
+    names = Counter(name for name, _, _, _ in cut["spans"])
+    assert names["tensors.flatten"] == 6
+    assert names["invariants.triple_constraint_matrix"] == 0
+    assert _rank_parents(cut["spans"]) == {"invariants.kernel_dim": 6}
+    assert cut["cells"] == 0
+
+
+def test_class_2312_state_ranks_its_concise_slices(monkeypatch, capsys):
+    # C5 = [1,1,1]+[1,2,2]+[2,1,2] has r = 2 independent third-factor slices
+    shape = Shape((2, 3, 12))
+    bases = [random_invertible(d, 2, seed=axis) for axis, d in enumerate(shape.dims)]
+    v = from_terms(shape, [(1, 1, 1), (1, 2, 2), (2, 1, 2)], bases=bases)
+    r = flatten(v, FlatteningSpec((1, 2), 3)).rank()
+    assert r == 2
+    cut = _classify_traced(v, monkeypatch, capsys)
+    names = Counter(name for name, _, _, _ in cut["spans"])
+    assert names["tensors.flatten"] == 6
+    assert names["invariants.triple_constraint_matrix"] == 1
+    assert cut["cells"] == (r * r + 9 + 4) * (6 * r)
+    assert _rank_parents(cut["spans"]) == {
+        "invariants.kernel_dim": 6, "invariants.triple_kernel_dim": 1
+    }

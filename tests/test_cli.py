@@ -189,6 +189,23 @@ class TestVerify:
         assert captured.out == ""
         assert captured.err == f"usage error: {message}\n"
 
+    @pytest.mark.parametrize("flags,message", [
+        (["--suite", "tables", "--field", "gf(7)"],
+         "suite tables runs over the rationals only, got --field gf(7)"),
+        (["--suite", "local-invariance", "--field", "gaussian-rational"],
+         "suite local-invariance runs over the rationals only, got --field gaussian-rational"),
+        (["--suite", "tables", "--samples", "5"], "suite tables does not take --samples"),
+        (["--suite", "local-invariance", "--samples", "5"],
+         "suite local-invariance does not take --samples"),
+        (["--suite", "exhaustive-222", "--samples", "5"],
+         "suite exhaustive-222 does not take --samples"),
+    ])
+    def test_flags_the_suite_does_not_read_rejected(self, flags, message, capsys):
+        assert main(["verify", *flags]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"usage error: {message}\n"
+
     def test_unknown_suite_rejected(self, capsys):
         assert main(["verify", "--suite", "everything"]) == 1
 

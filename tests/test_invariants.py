@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from entinv.fields import GF, QQ
+from entinv.fields import GF, QQ, field_from_descriptor
 from entinv.invariants import (
     InvariantSignature,
     general_form_decomposition,
@@ -12,6 +12,7 @@ from entinv.invariants import (
     triple_kernel_dim,
 )
 from entinv.linalg import ExactMatrix, InternalConsistencyError
+from entinv.tables import table_for
 from entinv.tensors import (
     ArityError,
     FlatteningSpec,
@@ -109,6 +110,57 @@ class TestTripleKernelDim:
     def test_on_taller_third_factor(self):
         v = from_terms(Shape((2, 2, 3)), [(1, 1, 1), (2, 2, 1)])
         assert triple_kernel_dim(v) == 6
+
+    # the stacked system stays the reference for the concise-slice route
+    @pytest.mark.parametrize("descriptor,d_max", [
+        ("rational", 8), ("gf(101)", 8), ("gaussian-rational", 4),
+    ])
+    def test_matches_stacked_system_on_class_states(self, descriptor, d_max):
+        field = field_from_descriptor(descriptor)
+        for base in (2, 3):
+            for d in range(2, d_max + 1):
+                shape = Shape((2, base, d))
+                for n, entry in enumerate(table_for(shape).entries):
+                    bases = [
+                        random_invertible(dim, 2, seed=(100 * base + d) * 100 + 3 * n + axis,
+                                          field=field)
+                        for axis, dim in enumerate(shape.dims)
+                    ]
+                    v = from_terms(shape, entry.terms, bases=bases, field=field)
+                    assert triple_kernel_dim(v) == _stacked_k123(v), (shape.dims, entry.label)
+
+    @pytest.mark.parametrize("descriptor", ["gf(2)", "gf(3)"])
+    @pytest.mark.parametrize("dims", [(3, 3, 3), (1, 3, 4), (2, 2, 1), (3, 3, 10), (2, 4, 5)])
+    def test_matches_stacked_system_off_the_tables(self, dims, descriptor):
+        field = field_from_descriptor(descriptor)
+        shape = Shape(dims)
+        states = [from_terms(shape, [], field=field)]
+        states += [random_tensor(shape, 1, seed=seed, field=field) for seed in range(8)]
+        states += [
+            _few_slices(shape, t, seed, field) for t in range(1, 4) for seed in range(6)
+        ]
+        for v in states:
+            assert triple_kernel_dim(v) == _stacked_k123(v), v
+
+    def test_rejects_bipartite_input(self):
+        with pytest.raises(ArityError):
+            triple_kernel_dim(random_tensor(Shape((2, 2)), 2, seed=1))
+
+
+def _stacked_k123(v):
+    return v.shape.size - triple_constraint_matrix(v).rank()
+
+
+def _few_slices(shape, t, seed, field):
+    """Random tensor whose third-factor slices span at most t dimensions."""
+    d1, d2, d3 = shape.dims
+    u = random_tensor(Shape((d1 * d2, t)), 1, seed=seed, field=field).coeffs
+    c = random_tensor(Shape((t, d3)), 1, seed=seed + 1000, field=field).coeffs
+    return Tensor(field, shape, [
+        sum((u[o * t + s] * c[s * d3 + k] for s in range(t)), field.zero)
+        for o in range(d1 * d2)
+        for k in range(d3)
+    ])
 
 
 class TestSignature:

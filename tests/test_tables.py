@@ -144,6 +144,18 @@ class TestRepresentative:
                     v = representative(entry.label, shape, bases=bases)
                     assert classify(v) == entry.label
 
+    def test_tall_23d_classes_round_trip_in_random_bases(self):
+        # at d = 48 the stacked k123 system would be 2,317 x 288 per state
+        shape = Shape((2, 3, 48))
+        entries = table_for(shape).entries
+        assert len(entries) == 26
+        for n, entry in enumerate(entries):
+            bases = [
+                random_invertible(dim, 2, seed=10 * n + axis)
+                for axis, dim in enumerate(shape.dims)
+            ]
+            assert classify(representative(entry.label, shape, bases=bases)) == entry.label
+
     def test_flattening_rank_bounded_by_distinct_row_indices(self):
         for base in (2, 3):
             for d in range(2, 6):
@@ -209,6 +221,18 @@ class TestVerifyTables:
             "signature key (0, 1, 0, 6), expected (0, 1, 0, 6), classified C17",
             "entinv representative --family 23d --d 4 --label C17 | entinv classify -",
         )
+
+    def test_one_signature_per_entry(self, monkeypatch):
+        calls = []
+
+        def counted(v):
+            calls.append(v)
+            return signature(v)
+
+        monkeypatch.setattr("entinv.tables.signature", counted)
+        report = verify_tables("23d", range(2, 5))
+        assert report.passed
+        assert len(calls) == 9 + 17 + 23
 
     def test_unknown_family(self):
         with pytest.raises(ValueError):
