@@ -73,9 +73,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run a verification suite")
     p.add_argument("--suite", choices=SUITE_NAMES, required=True)
-    p.add_argument("--d-max", type=int, default=8)
+    p.add_argument("--d-max", type=int, default=None)
     p.add_argument("--samples", type=int, default=None)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--field", default="rational")
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(handler=_cmd_verify)
@@ -192,14 +192,26 @@ def _cmd_representative(args) -> int:
     return 0
 
 
+# the count flags each suite reads; `--field` is checked on its own below
+_SUITE_FLAGS = {
+    "tables": ("--d-max",),
+    "duality": ("--samples", "--seed"),
+    "local-invariance": ("--d-max", "--seed"),
+    "exhaustive-222": (),
+    "survey": ("--samples", "--seed"),
+}
+
+
 def _cmd_verify(args) -> int:
     if args.samples is not None and args.samples < 1:
         raise _UsageError(f"--samples must be >= 1, got {args.samples}")
-    if args.d_max < 2:
+    if args.d_max is not None and args.d_max < 2:
         raise _UsageError(f"--d-max must be >= 2, got {args.d_max}")
     # a flag the suite does not read is refused, not silently ignored
-    if args.samples is not None and args.suite in ("tables", "local-invariance", "exhaustive-222"):
-        raise _UsageError(f"suite {args.suite} does not take --samples")
+    given = {"--samples": args.samples, "--seed": args.seed, "--d-max": args.d_max}
+    for flag, value in given.items():
+        if value is not None and flag not in _SUITE_FLAGS[args.suite]:
+            raise _UsageError(f"suite {args.suite} does not take {flag}")
     field = field_from_descriptor(args.field)
     if field != QQ and args.suite in ("tables", "local-invariance"):
         raise _UsageError(

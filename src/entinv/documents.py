@@ -10,7 +10,8 @@ A document is a single JSON object with exactly three keys:
 
 Scalars are exact strings ("a", "a/b", "a/b+c/di"); anything that smells
 of floating point is rejected.  Unknown keys are rejected so that typos
-fail loudly instead of being ignored.
+fail loudly instead of being ignored.  A state has at most
+MAX_COEFFICIENTS coefficients, checked before any of them is allocated.
 """
 
 from __future__ import annotations
@@ -24,6 +25,8 @@ from .tensors import Shape, ShapeError, Tensor
 class DocumentError(ValueError):
     """A tensor document failed to parse or validate."""
 
+
+MAX_COEFFICIENTS = 2**20
 
 _TOP_KEYS = {"field", "dims", "entries"}
 _SPARSE_KEYS = {"index", "value"}
@@ -60,6 +63,11 @@ def parse_document(text: str, source: str = "<input>") -> Tensor:
         shape = Shape(dims)
     except ShapeError as exc:
         raise DocumentError(f"{source}: {exc}") from exc
+    if shape.size > MAX_COEFFICIENTS:
+        raise DocumentError(
+            f"{source}: dims {shape.dims} give {shape.size} coefficients, "
+            f"more than the cap of {MAX_COEFFICIENTS}"
+        )
 
     entries = data["entries"]
     if not isinstance(entries, list):

@@ -143,7 +143,7 @@ def triple_kernel_dim(v: Tensor) -> int:
         raise ArityError(f"triple intersection needs 3 factors, got {v.n}")
     d1, d2, d3 = v.shape.dims
     d12 = d1 * d2
-    _, slices = ExactMatrix(v.field, d12, d3, v.coeffs).rref()
+    slices = ExactMatrix(v.field, d12, d3, v.coeffs).pivots()
     r = len(slices)
     free = (d3 - r) * (d12 - r)
     if r in (0, d12):

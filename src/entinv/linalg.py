@@ -2,9 +2,9 @@
 
 All arithmetic is exact field arithmetic; there are no tolerances and no
 pivoting heuristics (the first nonzero entry in column order is the pivot).
-`rank` takes fraction-free integer fast paths for rational and GF(p)
-matrices; its agreement with the pivot count of `rref` is a tested
-invariant, not an assumption.
+`pivots` and `rank` eliminate integers only (Bareiss over Q and over the
+rational image of Q(i), residues over GF(p)); their agreement with the
+pivots of `rref` is a tested invariant, not an assumption.
 """
 
 from __future__ import annotations
@@ -107,13 +107,30 @@ class ExactMatrix:
         flat = [x for row in m for x in row]
         return ExactMatrix(self.field, self.rows, self.cols, flat), pivots
 
+    def pivots(self) -> list[int]:
+        """The pivot columns of `rref()`, by integer elimination.
+
+        Over Q(i), a + bi acts on Q^2 as [[a, -b], [b, a]]; column c is a
+        pivot exactly when columns 2c and 2c + 1 of that rational image are.
+        """
+        rows = self.row_lists()
+        if isinstance(self.field, PrimeField):
+            return _pivots_prime(rows, self.cols, self.field.p)
+        if isinstance(self.field, RationalField):
+            return _pivots_bareiss(_integer_rows(rows), self.cols)
+        image = []
+        for ab in _integer_rows([[t for x in row for t in (x.re, x.im)] for row in rows]):
+            image.append([-t if k % 2 else t for k, t in enumerate(ab)])
+            image.append([ab[k ^ 1] for k in range(len(ab))])
+        paired = _pivots_bareiss(image, 2 * self.cols)
+        pivots = [c // 2 for c in paired[::2]]
+        if paired != [2 * c + j for c in pivots for j in (0, 1)]:
+            raise InternalConsistencyError("pivots of the rational image are not paired")
+        return pivots
+
     def rank(self) -> int:
         """Number of pivot columns of the reduced row echelon form."""
-        if isinstance(self.field, RationalField):
-            return _rank_rational(self.row_lists(), self.cols)
-        if isinstance(self.field, PrimeField):
-            return _rank_prime(self.row_lists(), self.cols, self.field.p)
-        return len(self.rref()[1])
+        return len(self.pivots())
 
     def kernel_basis(self) -> list[list]:
         """Deterministic basis of the right null space.
@@ -141,27 +158,28 @@ class ExactMatrix:
 # -- fraction-free fast paths ------------------------------------------
 
 
-def _rank_rational(rows: list[list[Fraction]], cols: int) -> int:
+def _integer_rows(rows: list[list[Fraction]]) -> list[list[int]]:
     int_rows = []
     for row in rows:
         # a list, not a generator: an `f(*generator)` argument tuple is
         # grown to size, and CPython keeps up to 2,000 of each size freed
         scale = lcm(*[x.denominator for x in row])
         int_rows.append([x.numerator * (scale // x.denominator) for x in row])
-    return _rank_bareiss(int_rows, cols)
+    return int_rows
 
 
-def _rank_bareiss(rows: list[list[int]], cols: int) -> int:
-    """Rank of an integer matrix by fraction-free (Bareiss) elimination.
+def _pivots_bareiss(rows: list[list[int]], cols: int) -> list[int]:
+    """Pivot columns of an integer matrix by fraction-free (Bareiss) elimination.
 
     Entries stay exact minors of the input, so intermediate growth is
     polynomial and every division below is exact; a nonzero remainder
     would mean a bug, not a data issue.
     """
     nr = len(rows)
-    rank = 0
+    pivots = []
     prev = 1
     for c in range(cols):
+        rank = len(pivots)
         piv = None
         for i in range(rank, nr):
             if rows[i][c]:
@@ -184,17 +202,16 @@ def _rank_bareiss(rows: list[list[int]], cols: int) -> int:
                 ri[j] = q
             ri[c] = 0
         prev = p
-        rank += 1
-        if rank == nr:
-            break
-    return rank
+        pivots.append(c)
+    return pivots
 
 
-def _rank_prime(rows: list[list], cols: int, p: int) -> int:
+def _pivots_prime(rows: list[list], cols: int, p: int) -> list[int]:
     m = [[x.value for x in row] for row in rows]
     nr = len(m)
-    rank = 0
+    pivots = []
     for c in range(cols):
+        rank = len(pivots)
         piv = None
         for i in range(rank, nr):
             if m[i][c] % p:
@@ -210,7 +227,5 @@ def _rank_prime(rows: list[list], cols: int, p: int) -> int:
             if f:
                 mr = m[rank]
                 m[i] = [(a - f * b) % p for a, b in zip(m[i], mr)]
-        rank += 1
-        if rank == nr:
-            break
-    return rank
+        pivots.append(c)
+    return pivots

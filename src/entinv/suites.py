@@ -223,11 +223,13 @@ def suite_survey(samples: int = 1000, seed: int = 0, field: Field = QQ) -> Repor
 
 def run_suite(
     name: str,
-    d_max: int = 8,
+    d_max: int | None = None,
     samples: int | None = None,
-    seed: int = 0,
+    seed: int | None = None,
     field: Field = QQ,
 ) -> Report:
+    d_max = 8 if d_max is None else d_max
+    seed = 0 if seed is None else seed
     if name == "tables":
         return suite_tables(d_max=d_max)
     if name == "duality":

@@ -4,8 +4,9 @@
 outside the program.  A refactor that renames one of them, or stops
 calling through it, would silently zero that layer's metrics.  These
 tests load the tracer as a plain file, classify one document through
-`cli.main`, and count the spans of each layer: a (2,3,4) state, and a
-(2,3,12) state on each route of `triple_kernel_dim`.
+`cli.main`, and count the spans of each layer: a (2,3,4) state, a
+(2,3,12) state on each route of `triple_kernel_dim`, and a (2,3,4)
+Gaussian-rational state, whose ranks run on the rational image.
 """
 
 import importlib.util
@@ -16,6 +17,8 @@ from pathlib import Path
 
 from entinv.cli import main
 from entinv.documents import emit_document
+from entinv.fields import QQI, GaussianRational
+from entinv.linalg import ExactMatrix
 from entinv.tensors import (
     FlatteningSpec,
     Shape,
@@ -88,3 +91,21 @@ def test_class_2312_state_ranks_its_concise_slices(monkeypatch, capsys):
     assert _rank_parents(cut["spans"]) == {
         "invariants.kernel_dim": 6, "invariants.triple_kernel_dim": 1
     }
+
+
+def test_gaussian_234_class_state_ranks_on_both_layers(monkeypatch, capsys):
+    # C5 in unipotent bases with entries i above the diagonal
+    i = GaussianRational(0, 1)
+    shape = Shape((2, 3, 4))
+    bases = [
+        ExactMatrix.from_rows(QQI, [[i if c > r else int(r == c) for c in range(d)]
+                                    for r in range(d)])
+        for d in shape.dims
+    ]
+    v = from_terms(shape, [(1, 1, 1), (1, 2, 2), (2, 1, 2)], bases=bases, field=QQI)
+    assert any(c.im for c in v.coeffs)
+    spans = _classify_traced(v, monkeypatch, capsys)["spans"]
+    names = Counter(name for name, _, _, _ in spans)
+    assert names["tensors.flatten"] == 6
+    assert names["invariants.triple_constraint_matrix"] == 1
+    assert _rank_parents(spans) == {"invariants.kernel_dim": 6, "invariants.triple_kernel_dim": 1}

@@ -77,6 +77,25 @@ class TestClassify:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error:")
 
+    def test_huge_dims_refused_before_allocation(self, monkeypatch, capsys):
+        import io
+        import tracemalloc
+        doc = json.dumps({"field": "rational", "dims": [2, 3, 10**9],
+                          "entries": [{"index": [0, 0, 0], "value": "1"}]})
+        monkeypatch.setattr("sys.stdin", io.StringIO(doc))
+        tracemalloc.start()
+        try:
+            code = main(["classify", "-"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: <stdin>: dims (2, 3, 1000000000) give 6000000000 coefficients, "
+            "more than the cap of 1048576\n"
+        )
+        assert peak < 2**20
+
 
 class TestTable:
     def test_22d_at_2_has_seven_rows(self, capsys):
@@ -199,6 +218,14 @@ class TestVerify:
          "suite local-invariance does not take --samples"),
         (["--suite", "exhaustive-222", "--samples", "5"],
          "suite exhaustive-222 does not take --samples"),
+        (["--suite", "tables", "--seed", "5"], "suite tables does not take --seed"),
+        (["--suite", "exhaustive-222", "--seed", "5"],
+         "suite exhaustive-222 does not take --seed"),
+        (["--suite", "duality", "--d-max", "3"], "suite duality does not take --d-max"),
+        (["--suite", "exhaustive-222", "--d-max", "3"],
+         "suite exhaustive-222 does not take --d-max"),
+        (["--suite", "survey", "--samples", "2", "--d-max", "3"],
+         "suite survey does not take --d-max"),
     ])
     def test_flags_the_suite_does_not_read_rejected(self, flags, message, capsys):
         assert main(["verify", *flags]) == 1

@@ -2,7 +2,13 @@ import json
 
 import pytest
 
-from entinv.documents import DocumentError, document_dict, emit_document, parse_document
+from entinv.documents import (
+    MAX_COEFFICIENTS,
+    DocumentError,
+    document_dict,
+    emit_document,
+    parse_document,
+)
 from entinv.fields import GF, QQ, QQI
 from entinv.tensors import Shape, from_terms, random_tensor
 
@@ -105,6 +111,14 @@ def test_sparse_document_errors(entries, fragment):
     with pytest.raises(DocumentError) as err:
         parse_document(json.dumps(doc))
     assert fragment in str(err.value)
+
+
+def test_coefficient_cap_is_inclusive():
+    doc = {"field": "gf(2)", "dims": [2, 2, MAX_COEFFICIENTS // 4], "entries": []}
+    assert parse_document(json.dumps(doc)).shape.size == MAX_COEFFICIENTS
+    doc["dims"][2] += 1
+    with pytest.raises(DocumentError, match="more than the cap of 1048576"):
+        parse_document(json.dumps(doc))
 
 
 def test_invalid_json_reports_source():

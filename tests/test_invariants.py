@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from entinv.fields import GF, QQ, field_from_descriptor
+from entinv.fields import GF, QQ, QQI, GaussianRational, field_from_descriptor
 from entinv.invariants import (
     InvariantSignature,
     general_form_decomposition,
@@ -122,8 +122,7 @@ class TestTripleKernelDim:
                 shape = Shape((2, base, d))
                 for n, entry in enumerate(table_for(shape).entries):
                     bases = [
-                        random_invertible(dim, 2, seed=(100 * base + d) * 100 + 3 * n + axis,
-                                          field=field)
+                        _random_basis(dim, (100 * base + d) * 100 + 3 * n + axis, field)
                         for axis, dim in enumerate(shape.dims)
                     ]
                     v = from_terms(shape, entry.terms, bases=bases, field=field)
@@ -148,7 +147,25 @@ class TestTripleKernelDim:
 
 
 def _stacked_k123(v):
-    return v.shape.size - triple_constraint_matrix(v).rank()
+    # Q(i) ranks through its rational image; plain elimination stays its oracle
+    m = triple_constraint_matrix(v)
+    return v.shape.size - (len(m.rref()[1]) if v.field == QQI else m.rank())
+
+
+def _random_basis(dim, seed, field):
+    """Random invertible basis; over Q(i) it is X + iY with X, Y integer,
+    redrawn until plain elimination finds it invertible."""
+    x = random_invertible(dim, 2, seed=seed, field=field)
+    if field != QQI:
+        return x
+    while True:
+        seed += 7919
+        y = random_invertible(dim, 2, seed=seed, field=field)
+        b = ExactMatrix(field, dim, dim, [
+            s + GaussianRational(0, 1) * t for s, t in zip(x.entries, y.entries)
+        ])
+        if len(b.rref()[1]) == dim:
+            return b
 
 
 def _few_slices(shape, t, seed, field):

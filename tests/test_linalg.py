@@ -2,25 +2,67 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from entinv.fields import GF, QQ, QQI, FieldMismatchError, GaussianRational
 from entinv.linalg import ExactMatrix
-from entinv.tensors import FlatteningSpec, Shape, Tensor, flatten, from_terms, random_invertible
+from entinv.tensors import FlatteningSpec, Shape, Tensor, flatten, from_terms
 
 FIELDS = [QQ, GF(7), QQI]
+I = GaussianRational(0, 1)
+
+
+def _random_entry(field, rng, bound=5):
+    # over Q(i), a nonzero draw has a nonzero imaginary part and denominators
+    n = rng.randint(-bound, bound)
+    if field != QQI or n == 0:
+        return field.from_int(n)
+    im = rng.choice((-1, 1)) * rng.randint(1, bound)
+    return GaussianRational(Fraction(n, rng.randint(1, 4)), Fraction(im, rng.randint(1, 4)))
 
 
 def _random_matrix(field, rows, cols, rng, bound=5):
     return ExactMatrix(
-        field, rows, cols, [field.from_int(rng.randint(-bound, bound)) for _ in range(rows * cols)]
+        field, rows, cols, [_random_entry(field, rng, bound) for _ in range(rows * cols)]
     )
 
 
 def _random_low_rank(field, rows, cols, r, rng):
-    # r terms [j,j] in invertible bases flatten to a matrix of rank exactly r
-    bases = [random_invertible(d, 3, seed=rng.randint(0, 10**6), field=field) for d in (rows, cols)]
+    # r terms [j,j] in invertible bases flatten to a matrix of rank exactly r;
+    # invertibility is judged by the rref oracle, not by the rank under test
+    bases = []
+    for d in (rows, cols):
+        b = _random_matrix(field, d, d, rng, bound=3)
+        while len(b.rref()[1]) != d:
+            b = _random_matrix(field, d, d, rng, bound=3)
+        bases.append(b)
     v = from_terms(Shape((rows, cols)), [(j, j) for j in range(1, r + 1)], bases=bases, field=field)
     return flatten(v, FlatteningSpec((1,), 2))
+
+
+_SCALARS = {
+    QQ: st.fractions(-5, 5, max_denominator=6),
+    GF(7): st.integers(0, 6).map(GF(7).from_int),
+    QQI: st.builds(
+        GaussianRational,
+        st.fractions(-3, 3, max_denominator=4),
+        st.fractions(-3, 3, max_denominator=4),
+    ) | st.just(I),
+}
+
+
+@st.composite
+def _matrices(draw, field):
+    """Matrices with 0 to 5 rows and columns, plus rows that are multiples
+    of others (over Q(i) also i times another row), so that pivots skip."""
+    scalars = _SCALARS[field]
+    cols = draw(st.integers(0, 5))
+    rows = draw(st.lists(st.lists(scalars, min_size=cols, max_size=cols), max_size=5))
+    for _ in range(draw(st.integers(0, 3)) if rows else 0):
+        j = draw(st.integers(0, len(rows) - 1))
+        c = draw(scalars)
+        rows.insert(draw(st.integers(0, len(rows))), [c * x for x in rows[j]])
+    return ExactMatrix(field, len(rows), cols, [x for row in rows for x in row])
 
 
 def _zeros(field, rows, cols):
@@ -75,6 +117,31 @@ class TestRref:
             ExactMatrix(QQ, 1, 2, [Fraction(1), GF(5).from_int(1)])
         with pytest.raises(FieldMismatchError):
             ExactMatrix(GF(5), 1, 1, [Fraction(1, 2)])
+
+
+class TestPivots:
+    @pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.descriptor)
+    @given(data=st.data())
+    def test_integer_elimination_matches_rref(self, field, data):
+        m = data.draw(_matrices(field))
+        pivots = m.rref()[1]
+        assert m.pivots() == pivots
+        assert m.rank() == len(pivots)
+
+    def test_rows_dependent_only_through_i(self):
+        # each row pair (u, i u) is independent over Q but not over Q(i)
+        rng = random.Random(3)
+        for _ in range(40):
+            m = _random_matrix(QQI, rng.randint(1, 4), rng.randint(1, 6), rng)
+            rows = [row for u in m.row_lists() for row in (u, [I * x for x in u])]
+            doubled = ExactMatrix.from_rows(QQI, rows)
+            assert doubled.pivots() == m.pivots() == m.rref()[1]
+            assert doubled.rank() == len(doubled.rref()[1])
+
+    def test_gaussian_columns_pivot_in_their_own_place(self):
+        # column 1 is i times column 0, so column 2 is the second pivot
+        m = ExactMatrix.from_rows(QQI, [[1, I, 0], [I, -1, 1]])
+        assert m.pivots() == m.rref()[1] == [0, 2]
 
 
 class TestRank:
