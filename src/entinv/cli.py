@@ -14,15 +14,17 @@ import sys
 
 from .documents import DocumentError, emit_document, parse_document
 from .explain import explain_three_qubit, render_explain_text
-from .fields import QQ, FieldMismatchError, field_from_descriptor
-from .suites import SUITE_NAMES, run_suite
+from .fields import FieldMismatchError, field_from_descriptor
+from .suites import SUITES, SuiteFlagError, run_suite
 from .tables import (
+    TRIPARTITE_DIMS,
     ClassificationGapError,
     LabelValidityError,
     UnsupportedShapeError,
     classify_full,
     representative,
     table_for,
+    tripartite_shape,
 )
 from .tensors import BasisError, Shape, ShapeError, random_invertible
 
@@ -52,7 +54,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_classify)
 
     p = sub.add_parser("table", help="print a class table")
-    p.add_argument("--family", choices=("22d", "23d", "bipartite"), required=True)
+    p.add_argument("--family", choices=(*TRIPARTITE_DIMS, "bipartite"), required=True)
     p.add_argument("--d", type=int, help="third-factor dimension (tripartite families)")
     p.add_argument("--d1", type=int, help="first dimension (bipartite)")
     p.add_argument("--d2", type=int, help="second dimension (bipartite)")
@@ -60,7 +62,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_table)
 
     p = sub.add_parser("representative", help="emit a class representative document")
-    p.add_argument("--family", choices=("22d", "23d", "bipartite"), required=True)
+    p.add_argument("--family", choices=(*TRIPARTITE_DIMS, "bipartite"), required=True)
     p.add_argument("--d", type=int)
     p.add_argument("--d1", type=int)
     p.add_argument("--d2", type=int)
@@ -72,7 +74,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_representative)
 
     p = sub.add_parser("verify", help="run a verification suite")
-    p.add_argument("--suite", choices=SUITE_NAMES, required=True)
+    p.add_argument("--suite", choices=SUITES, required=True)
     p.add_argument("--d-max", type=int, default=None)
     p.add_argument("--samples", type=int, default=None)
     p.add_argument("--seed", type=int, default=None)
@@ -108,8 +110,7 @@ def _shape_for(args) -> Shape:
         raise _UsageError(f"family {args.family} needs --d")
     if args.d < 2:
         raise _UsageError(f"family {args.family} needs --d >= 2, got {args.d}")
-    base = {"22d": 2, "23d": 3}[args.family]
-    return Shape((2, base, args.d))
+    return tripartite_shape(args.family, args.d)
 
 
 def _cmd_classify(args) -> int:
@@ -192,31 +193,8 @@ def _cmd_representative(args) -> int:
     return 0
 
 
-# the count flags each suite reads; `--field` is checked on its own below
-_SUITE_FLAGS = {
-    "tables": ("--d-max",),
-    "duality": ("--samples", "--seed"),
-    "local-invariance": ("--d-max", "--seed"),
-    "exhaustive-222": (),
-    "survey": ("--samples", "--seed"),
-}
-
-
 def _cmd_verify(args) -> int:
-    if args.samples is not None and args.samples < 1:
-        raise _UsageError(f"--samples must be >= 1, got {args.samples}")
-    if args.d_max is not None and args.d_max < 2:
-        raise _UsageError(f"--d-max must be >= 2, got {args.d_max}")
-    # a flag the suite does not read is refused, not silently ignored
-    given = {"--samples": args.samples, "--seed": args.seed, "--d-max": args.d_max}
-    for flag, value in given.items():
-        if value is not None and flag not in _SUITE_FLAGS[args.suite]:
-            raise _UsageError(f"suite {args.suite} does not take {flag}")
     field = field_from_descriptor(args.field)
-    if field != QQ and args.suite in ("tables", "local-invariance"):
-        raise _UsageError(
-            f"suite {args.suite} runs over the rationals only, got --field {field.descriptor}"
-        )
     report = run_suite(
         args.suite, d_max=args.d_max, samples=args.samples, seed=args.seed, field=field
     )
@@ -249,7 +227,7 @@ def main(argv=None) -> int:
         return 1
     try:
         return args.handler(args)
-    except _UsageError as exc:
+    except (_UsageError, SuiteFlagError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
     except ClassificationGapError as exc:

@@ -8,17 +8,20 @@ over inputs.
 
 from __future__ import annotations
 
+import inspect
 from fractions import Fraction
 
 from .fields import Field, QQ
 from .invariants import signature
 from .reporting import Report
 from .tables import (
+    TRIPARTITE_DIMS,
     ClassificationGapError,
     classify,
     classify_full,
     representative,
     table_for,
+    tripartite_shape,
     verify_tables,
 )
 from .tensors import (
@@ -30,8 +33,6 @@ from .tensors import (
     random_invertible,
     random_tensor,
 )
-
-SUITE_NAMES = ("tables", "duality", "local-invariance", "exhaustive-222", "survey")
 
 SURVEY_SHAPES = (
     (2, 2, 2), (2, 2, 3), (2, 2, 4), (2, 2, 5),
@@ -52,10 +53,14 @@ THREE_QUBIT_REFERENCE = {
 }
 
 
+class SuiteFlagError(ValueError):
+    """A `verify` flag is out of range, or the suite does not read it."""
+
+
 def _tripartite_shapes(d_max: int):
-    for base in (2, 3):
+    for family in TRIPARTITE_DIMS:
         for d in range(2, d_max + 1):
-            yield Shape((2, base, d))
+            yield tripartite_shape(family, d)
 
 
 def suite_tables(d_max: int = 8) -> Report:
@@ -106,7 +111,8 @@ def suite_duality(samples: int = 200, seed: int = 0, field: Field = QQ) -> Repor
 
 
 def suite_local_invariance(draws: int = 100, d_max: int = 5, seed: int = 0) -> Report:
-    """Invertible local maps and nonzero scalings must not move signatures."""
+    """Invertible local maps and nonzero scalings must not move signatures (d_max <= 5)."""
+    d_max = min(d_max, 5)
     report = Report(title=f"local invariance ({draws} draws per class, d up to {d_max})")
     shapes = list(_tripartite_shapes(d_max))
     shapes.extend(Shape((d1, d2)) for d1 in range(1, 6) for d2 in range(1, 6))
@@ -221,6 +227,16 @@ def suite_survey(samples: int = 1000, seed: int = 0, field: Field = QQ) -> Repor
     return report
 
 
+# each suite's parameters are the `verify` flags it reads
+SUITES = {
+    "tables": suite_tables,
+    "duality": suite_duality,
+    "local-invariance": suite_local_invariance,
+    "exhaustive-222": suite_exhaustive_222,
+    "survey": suite_survey,
+}
+
+
 def run_suite(
     name: str,
     d_max: int | None = None,
@@ -228,19 +244,30 @@ def run_suite(
     seed: int | None = None,
     field: Field = QQ,
 ) -> Report:
-    d_max = 8 if d_max is None else d_max
-    seed = 0 if seed is None else seed
-    if name == "tables":
-        return suite_tables(d_max=d_max)
-    if name == "duality":
-        return suite_duality(samples=200 if samples is None else samples, seed=seed, field=field)
-    if name == "local-invariance":
-        return suite_local_invariance(d_max=min(d_max, 5), seed=seed)
-    if name == "exhaustive-222":
-        return suite_exhaustive_222(field=field)
-    if name == "survey":
-        return suite_survey(samples=1000 if samples is None else samples, seed=seed, field=field)
-    raise ValueError(f"unknown suite {name!r}; choose from {', '.join(SUITE_NAMES)}")
+    """Run one suite; a flag left at None keeps the suite's own default.
+
+    Raises SuiteFlagError for a flag out of range, a flag the suite does
+    not read, or a field other than the rationals for a suite without one.
+    """
+    if name not in SUITES:
+        raise ValueError(f"unknown suite {name!r}; choose from {', '.join(SUITES)}")
+    if samples is not None and samples < 1:
+        raise SuiteFlagError(f"--samples must be >= 1, got {samples}")
+    if d_max is not None and d_max < 2:
+        raise SuiteFlagError(f"--d-max must be >= 2, got {d_max}")
+    reads = inspect.signature(SUITES[name]).parameters
+    given = {"samples": samples, "seed": seed, "d_max": d_max}
+    kwargs = {param: value for param, value in given.items() if value is not None}
+    for param in kwargs:
+        if param not in reads:
+            raise SuiteFlagError(f"suite {name} does not take --{param.replace('_', '-')}")
+    if "field" in reads:
+        kwargs["field"] = field
+    elif field != QQ:
+        raise SuiteFlagError(
+            f"suite {name} runs over the rationals only, got --field {field.descriptor}"
+        )
+    return SUITES[name](**kwargs)
 
 
 def _child(seed: int, *tags) -> int:

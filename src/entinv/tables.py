@@ -1,17 +1,21 @@
 """Built-in entanglement class tables and the signature classifier.
 
 Three families are covered: any bipartite shape (d1, d2), and the
-tripartite shapes (2, 2, d) and (2, 3, d) for d >= 2.  Tripartite entries
-carry their four invariants as affine functions a*d + b together with a
-representative term list; an entry is valid at a given d exactly when all
-its invariants evaluate non-negative (equivalently, when d is at least
-the largest third index used by the representative -- both derivations
-are computed and cross-checked at table construction).  Bipartite classes
-C_l are generated on demand with k1 = d1 - l.
+tripartite shapes (2, 2, d) and (2, 3, d) for d >= 2.  An entry is a
+label, a representative term list, and the invariants of its concise
+state.  Let r be the largest last index of the representative: its
+number of independent last-factor slices.  A tripartite entry stores
+(k1, k2, k123) of the representative at d = r.  Padding the last factor
+from r to d leaves k1 and k2 alone, gives k3 = d - r and adds
+(d - r)(d1 d2 - r) to k123 (the concise-slice identity of
+`triple_kernel_dim`), so one stored triple gives the key at every d.  The
+bipartite class C_l is [1,1]+...+[l,l], so r = l and k1 = d1 - l.  An
+entry is valid at a shape exactly when its representative fits in it.
 """
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -21,59 +25,51 @@ from .linalg import ExactMatrix, InternalConsistencyError
 from .reporting import Report
 from .tensors import Shape, Tensor, from_terms
 
-Affine = tuple[int, int]  # (a, b) meaning a*d + b
-
-# label, (k1, k2, k3, k123) as affine pairs, representative terms
+# label, (k1, k2, k123) at d = r, representative terms
 _RAW_22D = (
-    ("C0", ((0, 2), (0, 2), (1, 0), (4, 0)), ()),
-    ("C1", ((0, 1), (0, 1), (1, -1), (3, -2)), ((1, 1, 1),)),
-    ("C2", ((0, 0), (0, 0), (1, -1), (3, -3)), ((1, 1, 1), (2, 2, 1))),
-    ("C3", ((0, 0), (0, 1), (1, -2), (2, -1)), ((1, 1, 1), (2, 1, 2))),
-    ("C4", ((0, 1), (0, 0), (1, -2), (2, -1)), ((1, 1, 1), (1, 2, 2))),
-    ("C5", ((0, 0), (0, 0), (1, -2), (2, -3)), ((1, 1, 1), (1, 2, 2), (2, 1, 2))),
-    ("C6", ((0, 0), (0, 0), (1, -2), (2, -4)), ((1, 1, 1), (2, 2, 2))),
-    ("C7", ((0, 0), (0, 0), (1, -3), (1, -2)), ((1, 1, 1), (1, 2, 2), (2, 2, 3))),
-    ("C8", ((0, 0), (0, 0), (1, -3), (1, -3)), ((1, 1, 1), (1, 2, 2), (2, 1, 2), (2, 2, 3))),
-    ("C9", ((0, 0), (0, 0), (1, -4), (0, 0)), ((1, 1, 1), (1, 2, 2), (2, 1, 3), (2, 2, 4))),
+    ("C0", (2, 2, 0), ()),
+    ("C1", (1, 1, 1), ((1, 1, 1),)),
+    ("C2", (0, 0, 0), ((1, 1, 1), (2, 2, 1))),
+    ("C3", (0, 1, 3), ((1, 1, 1), (2, 1, 2))),
+    ("C4", (1, 0, 3), ((1, 1, 1), (1, 2, 2))),
+    ("C5", (0, 0, 1), ((1, 1, 1), (1, 2, 2), (2, 1, 2))),
+    ("C6", (0, 0, 0), ((1, 1, 1), (2, 2, 2))),
+    ("C7", (0, 0, 1), ((1, 1, 1), (1, 2, 2), (2, 2, 3))),
+    ("C8", (0, 0, 0), ((1, 1, 1), (1, 2, 2), (2, 1, 2), (2, 2, 3))),
+    ("C9", (0, 0, 0), ((1, 1, 1), (1, 2, 2), (2, 1, 3), (2, 2, 4))),
 )
 
 _RAW_23D = (
-    ("C0", ((0, 2), (0, 3), (1, 0), (6, 0)), ()),
-    ("C1", ((0, 1), (0, 2), (1, -1), (5, -3)), ((1, 1, 1),)),
-    ("C2", ((0, 0), (0, 1), (1, -1), (5, -5)), ((1, 1, 1), (2, 2, 1))),
-    ("C3", ((0, 0), (0, 2), (1, -2), (4, -2)), ((1, 1, 1), (2, 1, 2))),
-    ("C4", ((0, 1), (0, 1), (1, -2), (4, -3)), ((1, 1, 1), (1, 2, 2))),
-    ("C5", ((0, 0), (0, 1), (1, -2), (4, -5)), ((1, 1, 1), (1, 2, 2), (2, 1, 2))),
-    ("C6", ((0, 0), (0, 1), (1, -2), (4, -6)), ((1, 1, 1), (2, 2, 2))),
-    ("C7", ((0, 0), (0, 0), (1, -2), (4, -7)), ((1, 1, 1), (1, 2, 2), (2, 3, 1))),
-    ("C8", ((0, 0), (0, 0), (1, -2), (4, -8)), ((1, 1, 1), (1, 2, 2), (2, 2, 1), (2, 3, 2))),
-    ("C9", ((0, 1), (0, 0), (1, -3), (3, -1)), ((1, 1, 1), (1, 2, 2), (1, 3, 3))),
-    ("C10", ((0, 0), (0, 1), (1, -3), (3, -4)), ((1, 1, 1), (1, 2, 2), (2, 1, 3))),
-    ("C11", ((0, 0), (0, 1), (1, -3), (3, -5)), ((1, 1, 1), (1, 2, 2), (2, 1, 2), (2, 2, 3))),
-    ("C12", ((0, 0), (0, 0), (1, -3), (3, -5)), ((1, 1, 1), (1, 2, 2), (1, 3, 3), (2, 1, 2))),
-    ("C13", ((0, 0), (0, 0), (1, -3), (3, -6)), ((1, 1, 1), (1, 2, 2), (2, 3, 3))),
-    ("C14", ((0, 0), (0, 0), (1, -3), (3, -7)),
-     ((1, 1, 1), (1, 2, 2), (1, 3, 3), (2, 1, 2), (2, 2, 3))),
-    ("C15", ((0, 0), (0, 0), (1, -3), (3, -8)), ((1, 1, 1), (1, 2, 2), (2, 1, 3), (2, 3, 1))),
-    ("C16", ((0, 0), (0, 0), (1, -3), (3, -9)), ((1, 1, 1), (1, 2, 2), (2, 2, 2), (2, 3, 3))),
-    ("C17", ((0, 0), (0, 1), (1, -4), (2, -2)), ((1, 1, 1), (1, 2, 2), (2, 1, 3), (2, 2, 4))),
-    ("C18", ((0, 0), (0, 0), (1, -4), (2, -3)), ((1, 1, 1), (1, 2, 2), (1, 3, 3), (2, 3, 4))),
-    ("C19", ((0, 0), (0, 0), (1, -4), (2, -5)),
-     ((1, 1, 1), (1, 2, 2), (1, 3, 3), (2, 2, 4), (2, 3, 1))),
-    ("C20", ((0, 0), (0, 0), (1, -4), (2, -6)), ((1, 1, 1), (1, 2, 2), (2, 2, 3), (2, 3, 4))),
-    ("C21", ((0, 0), (0, 0), (1, -4), (2, -7)),
-     ((1, 1, 1), (1, 2, 2), (1, 3, 3), (2, 2, 3), (2, 3, 4))),
-    ("C22", ((0, 0), (0, 0), (1, -4), (2, -8)),
-     ((1, 1, 1), (1, 2, 2), (1, 3, 3), (2, 1, 2), (2, 2, 3), (2, 3, 4))),
-    ("C23", ((0, 0), (0, 0), (1, -5), (1, -3)),
-     ((1, 1, 1), (1, 2, 2), (1, 3, 3), (2, 1, 4), (2, 2, 5))),
-    ("C24", ((0, 0), (0, 0), (1, -5), (1, -5)),
-     ((1, 1, 1), (1, 2, 2), (1, 3, 3), (2, 1, 3), (2, 2, 4), (2, 3, 5))),
-    ("C25", ((0, 0), (0, 0), (1, -6), (0, 0)),
-     ((1, 1, 1), (1, 2, 2), (1, 3, 3), (2, 1, 4), (2, 2, 5), (2, 3, 6))),
+    ("C0", (2, 3, 0), ()),
+    ("C1", (1, 2, 2), ((1, 1, 1),)),
+    ("C2", (0, 1, 0), ((1, 1, 1), (2, 2, 1))),
+    ("C3", (0, 2, 6), ((1, 1, 1), (2, 1, 2))),
+    ("C4", (1, 1, 5), ((1, 1, 1), (1, 2, 2))),
+    ("C5", (0, 1, 3), ((1, 1, 1), (1, 2, 2), (2, 1, 2))),
+    ("C6", (0, 1, 2), ((1, 1, 1), (2, 2, 2))),
+    ("C7", (0, 0, 1), ((1, 1, 1), (1, 2, 2), (2, 3, 1))),
+    ("C8", (0, 0, 0), ((1, 1, 1), (1, 2, 2), (2, 2, 1), (2, 3, 2))),
+    ("C9", (1, 0, 8), ((1, 1, 1), (1, 2, 2), (1, 3, 3))),
+    ("C10", (0, 1, 5), ((1, 1, 1), (1, 2, 2), (2, 1, 3))),
+    ("C11", (0, 1, 4), ((1, 1, 1), (1, 2, 2), (2, 1, 2), (2, 2, 3))),
+    ("C12", (0, 0, 4), ((1, 1, 1), (1, 2, 2), (1, 3, 3), (2, 1, 2))),
+    ("C13", (0, 0, 3), ((1, 1, 1), (1, 2, 2), (2, 3, 3))),
+    ("C14", (0, 0, 2), ((1, 1, 1), (1, 2, 2), (1, 3, 3), (2, 1, 2), (2, 2, 3))),
+    ("C15", (0, 0, 1), ((1, 1, 1), (1, 2, 2), (2, 1, 3), (2, 3, 1))),
+    ("C16", (0, 0, 0), ((1, 1, 1), (1, 2, 2), (2, 2, 2), (2, 3, 3))),
+    ("C17", (0, 1, 6), ((1, 1, 1), (1, 2, 2), (2, 1, 3), (2, 2, 4))),
+    ("C18", (0, 0, 5), ((1, 1, 1), (1, 2, 2), (1, 3, 3), (2, 3, 4))),
+    ("C19", (0, 0, 3), ((1, 1, 1), (1, 2, 2), (1, 3, 3), (2, 2, 4), (2, 3, 1))),
+    ("C20", (0, 0, 2), ((1, 1, 1), (1, 2, 2), (2, 2, 3), (2, 3, 4))),
+    ("C21", (0, 0, 1), ((1, 1, 1), (1, 2, 2), (1, 3, 3), (2, 2, 3), (2, 3, 4))),
+    ("C22", (0, 0, 0), ((1, 1, 1), (1, 2, 2), (1, 3, 3), (2, 1, 2), (2, 2, 3), (2, 3, 4))),
+    ("C23", (0, 0, 2), ((1, 1, 1), (1, 2, 2), (1, 3, 3), (2, 1, 4), (2, 2, 5))),
+    ("C24", (0, 0, 0), ((1, 1, 1), (1, 2, 2), (1, 3, 3), (2, 1, 3), (2, 2, 4), (2, 3, 5))),
+    ("C25", (0, 0, 0), ((1, 1, 1), (1, 2, 2), (1, 3, 3), (2, 1, 4), (2, 2, 5), (2, 3, 6))),
 )
 
-_TRIPARTITE_RAW = {"22d": _RAW_22D, "23d": _RAW_23D}
+# the fixed first two dims of each tripartite family; the third is any d >= 2
+TRIPARTITE_DIMS = {"22d": (2, 2), "23d": (2, 3)}
 
 # valid-entry counts by d (last value holds from there on)
 _EXPECTED_COUNTS = {
@@ -124,26 +120,39 @@ class ClassificationGapError(RuntimeError):
 
 @dataclass(frozen=True)
 class ClassEntry:
-    """One class: its label, invariant formulas, and representative terms."""
+    """One class: its label, the invariants of its concise state, and its representative.
+
+    `concise` is (k1, k2, k123) at d = r for a tripartite entry and empty
+    for a bipartite one.
+    """
 
     label: str
-    family: str
+    concise: tuple[int, ...]
     terms: tuple[tuple[int, ...], ...]
-    formulas: Optional[tuple[Affine, Affine, Affine, Affine]] = None  # tripartite
-    level: Optional[int] = None  # bipartite l, k1 = d1 - l
-    min_d: Optional[int] = None  # tripartite validity floor
+    # derived from `terms` once, as every lookup reads them: the smallest
+    # dims the representative fits in (none for the zero state), and r
+    extent: tuple[int, ...] = dataclasses.field(init=False, repr=False)
+    r: int = dataclasses.field(init=False, repr=False)
+
+    def __post_init__(self):
+        extent = tuple(map(max, zip(*self.terms)))
+        object.__setattr__(self, "extent", extent)
+        object.__setattr__(self, "r", extent[-1] if extent else 0)
 
     def invariants_at(self, shape: Shape) -> tuple[int, ...]:
-        """The signature key this entry predicts at a concrete shape."""
-        if self.family == "bipartite":
-            return (shape.dims[0] - self.level,)
-        d = shape.dims[2]
-        return tuple(a * d + b for a, b in self.formulas)
+        """The signature key this entry predicts at a concrete shape.
+
+        Bipartite: (d1 - r,).  Tripartite: the concise key padded from r to d.
+        """
+        *head, d = shape.dims
+        if len(head) == 1:
+            return (head[0] - self.r,)
+        k1, k2, k123 = self.concise
+        pad = d - self.r
+        return (k1, k2, pad, k123 + pad * (head[0] * head[1] - self.r))
 
     def valid_at(self, shape: Shape) -> bool:
-        if self.family == "bipartite":
-            return self.level <= min(shape.dims)
-        return shape.dims[2] >= self.min_d
+        return all(e <= d for e, d in zip(self.extent, shape.dims))
 
     def bracket(self) -> str:
         """Representative in bracket notation, '0' for the zero state."""
@@ -165,26 +174,10 @@ class ClassTable:
         return None
 
 
-def _tripartite_entries(family: str) -> tuple[ClassEntry, ...]:
-    entries = []
-    for label, formulas, terms in _TRIPARTITE_RAW[family]:
-        max_third = max((t[2] for t in terms), default=0)
-        formula_floor = 2
-        while any(a * formula_floor + b < 0 for a, b in formulas):
-            formula_floor += 1
-        min_d = max(2, max_third)
-        if min_d != formula_floor:
-            raise InternalConsistencyError(
-                f"{family} {label}: representative needs d>={max(2, max_third)} but "
-                f"formulas turn non-negative at d>={formula_floor}"
-            )
-        entries.append(
-            ClassEntry(label=label, family=family, terms=terms, formulas=formulas, min_d=min_d)
-        )
-    return tuple(entries)
-
-
-_TRIPARTITE_ENTRIES = {fam: _tripartite_entries(fam) for fam in _TRIPARTITE_RAW}
+_TRIPARTITE_ENTRIES = {
+    family: tuple(ClassEntry(*row) for row in rows)
+    for family, rows in (("22d", _RAW_22D), ("23d", _RAW_23D))
+}
 
 
 def expected_count(family: str, d: int) -> int:
@@ -202,12 +195,15 @@ def expected_count(family: str, d: int) -> int:
 def family_of(shape: Shape) -> str:
     if shape.n == 2:
         return "bipartite"
-    dims = shape.dims
-    if dims[0] == 2 and dims[1] == 2 and dims[2] >= 2:
-        return "22d"
-    if dims[0] == 2 and dims[1] == 3 and dims[2] >= 2:
-        return "23d"
-    raise UnsupportedShapeError(dims)
+    for family, head in TRIPARTITE_DIMS.items():
+        if shape.dims[:2] == head and shape.dims[2] >= 2:
+            return family
+    raise UnsupportedShapeError(shape.dims)
+
+
+def tripartite_shape(family: str, d: int) -> Shape:
+    """The shape (2, 2, d) or (2, 3, d) of a tripartite family."""
+    return Shape(TRIPARTITE_DIMS[family] + (d,))
 
 
 def table_for(shape: Shape) -> ClassTable:
@@ -219,15 +215,9 @@ def table_for(shape: Shape) -> ClassTable:
     """
     family = family_of(shape)
     if family == "bipartite":
-        d1, d2 = shape.dims
         entries = tuple(
-            ClassEntry(
-                label=f"C{l}",
-                family="bipartite",
-                terms=tuple((j, j) for j in range(1, l + 1)),
-                level=l,
-            )
-            for l in range(min(d1, d2) + 1)
+            ClassEntry(f"C{l}", (), tuple((j, j) for j in range(1, l + 1)))
+            for l in range(min(shape.dims) + 1)
         )
     else:
         entries = tuple(e for e in _TRIPARTITE_ENTRIES[family] if e.valid_at(shape))
@@ -285,10 +275,10 @@ def representative(
 
 
 def verify_tables(family: str, d_values: Sequence[int]) -> Report:
-    """Re-derive every table entry and compare against its stored formulas.
+    """Re-derive every table entry and compare against the key it predicts.
 
     For the tripartite families each valid representative's computed
-    (k1, k2, k3, k123) must equal the stored affine formulas at every d in
+    (k1, k2, k3, k123) must equal its entry's key at every d in
     `d_values`, and the valid-entry count must match the expected
     progression.  For the bipartite family `d_values` ranges over both
     factors and each representative [1,1]+...+[l,l] must give k1 = d1 - l.
@@ -302,9 +292,8 @@ def verify_tables(family: str, d_values: Sequence[int]) -> Report:
             for d1 in d_values
             for d2 in d_values
         ]
-    elif family in _TRIPARTITE_RAW:
-        d_base = {"22d": 2, "23d": 3}[family]
-        cases = [(Shape((2, d_base, d)), f"{family} d={d}", f"--d {d}") for d in d_values]
+    elif family in TRIPARTITE_DIMS:
+        cases = [(tripartite_shape(family, d), f"{family} d={d}", f"--d {d}") for d in d_values]
     else:
         raise ValueError(f"unknown family {family!r}; expected bipartite, 22d, or 23d")
     for shape, where, flags in cases:

@@ -14,7 +14,7 @@ from itertools import product
 from math import prod
 from typing import Optional, Sequence
 
-from .fields import Field, QQ
+from .fields import QQ, QQI, Field, GaussianRational
 from .linalg import ExactMatrix
 
 
@@ -276,26 +276,30 @@ def _mode_apply(coeffs: list, dims: tuple[int, ...], axis: int, a: ExactMatrix) 
     return out
 
 
+def _draw(rng: random.Random, bound: int, field: Field):
+    """An integer uniform in [-bound, bound]; over Q(i) a second one is the imaginary part."""
+    n = rng.randint(-bound, bound)
+    if field == QQI:
+        return GaussianRational(n, rng.randint(-bound, bound))
+    return field.from_int(n)
+
+
 def random_tensor(shape: Shape, bound: int, seed: int, field: Field = QQ) -> Tensor:
-    """Deterministic tensor with integer coefficients uniform in [-bound, bound]."""
+    """Deterministic tensor of integer coefficients uniform in [-bound, bound] (see _draw)."""
     if bound < 1:
         raise ValueError(f"bound must be >= 1, got {bound}")
     rng = random.Random(f"tensor|{shape.dims}|{bound}|{seed}")
-    return Tensor(
-        field, shape, [field.from_int(rng.randint(-bound, bound)) for _ in range(shape.size)]
-    )
+    return Tensor(field, shape, [_draw(rng, bound, field) for _ in range(shape.size)])
 
 
 def random_invertible(d: int, bound: int, seed: int, field: Field = QQ) -> ExactMatrix:
-    """Deterministic invertible d x d integer matrix, by rejection sampling."""
+    """Deterministic invertible d x d matrix of `_draw` entries, by rejection sampling."""
     if d < 1:
         raise ValueError(f"dimension must be >= 1, got {d}")
     if bound < 1:
         raise ValueError(f"bound must be >= 1, got {bound}")
     rng = random.Random(f"invertible|{d}|{bound}|{seed}")
     while True:
-        m = ExactMatrix(
-            field, d, d, [field.from_int(rng.randint(-bound, bound)) for _ in range(d * d)]
-        )
+        m = ExactMatrix(field, d, d, [_draw(rng, bound, field) for _ in range(d * d)])
         if m.rank() == d:
             return m

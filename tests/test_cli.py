@@ -4,6 +4,7 @@ import pytest
 
 from entinv.cli import main
 from entinv.documents import parse_document
+from entinv.suites import suite_local_invariance
 from entinv.tables import classify, table_for
 from entinv.tensors import Shape
 
@@ -76,6 +77,24 @@ class TestClassify:
         assert main(["classify", "-"]) == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error:")
+
+    @pytest.mark.parametrize("field,value,code", [
+        ("rational", "1" + "0" * 4299, 0),
+        ("rational", "1" + "0" * 4300, 1),
+        ("gaussian-rational", "1/" + "3" * 4301 + "i", 1),
+        ("gf(7)", "-" + "9" * 4301, 1),
+    ])
+    def test_scalar_integers_capped_at_4300_digits(self, field, value, code, monkeypatch,
+                                                   capsys):
+        import io
+        doc = json.dumps({"field": field, "dims": [2, 2], "entries": [value, "0", "0", "1"]})
+        monkeypatch.setattr("sys.stdin", io.StringIO(doc))
+        assert main(["classify", "-"]) == code
+        if code:
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            err = captured.err.splitlines()
+            assert len(err) == 1 and err[0].startswith("error: <stdin>: entries[0]: ")
 
     def test_huge_dims_refused_before_allocation(self, monkeypatch, capsys):
         import io
@@ -235,6 +254,11 @@ class TestVerify:
 
     def test_unknown_suite_rejected(self, capsys):
         assert main(["verify", "--suite", "everything"]) == 1
+
+    def test_local_invariance_caps_d_max_itself(self):
+        assert suite_local_invariance(draws=0, d_max=8).title == (
+            "local invariance (0 draws per class, d up to 5)"
+        )
 
 
 class TestUsage:

@@ -1,7 +1,11 @@
+from fractions import Fraction
+
 import pytest
 
 from entinv.invariants import signature
 from entinv.tables import (
+    _TRIPARTITE_ENTRIES,
+    TRIPARTITE_DIMS,
     ClassificationGapError,
     LabelValidityError,
     UnsupportedShapeError,
@@ -10,6 +14,7 @@ from entinv.tables import (
     expected_count,
     representative,
     table_for,
+    tripartite_shape,
     verify_tables,
 )
 from entinv.tensors import (
@@ -66,14 +71,24 @@ class TestTableFor:
 
     def test_discard_rule_matches_validity(self):
         # an entry is valid at d exactly when all four invariants are >= 0
-        from entinv.tables import _TRIPARTITE_ENTRIES
-
         for family, base in (("22d", 2), ("23d", 3)):
             for entry in _TRIPARTITE_ENTRIES[family]:
                 for d in range(2, 9):
                     shape = Shape((2, base, d))
                     nonneg = all(x >= 0 for x in entry.invariants_at(shape))
                     assert entry.valid_at(shape) == nonneg, (entry.label, d)
+
+    def test_stored_invariants_hold_at_the_concise_shape(self):
+        # d = r reaches (2, b, 1), below the tables' floor of d = 2
+        checked = 0
+        for family in TRIPARTITE_DIMS:
+            for entry in _TRIPARTITE_ENTRIES[family]:
+                if entry.r >= 1:
+                    v = from_terms(tripartite_shape(family, entry.r), entry.terms)
+                    k1, k2, k123 = entry.concise
+                    assert signature(v).key() == (k1, k2, 0, k123), (family, entry.label)
+                    checked += 1
+        assert checked == 34
 
 
 class TestClassify:
@@ -167,6 +182,59 @@ class TestRepresentative:
                             tuple(t[i - 1] for i in spec.row_factors) for t in entry.terms
                         }
                         assert flatten(v, spec).rank() <= len(projections)
+
+
+# two (2,3,d) states in different orbits that share C12's signature at every d >= 3
+C12_JORDAN = ((1, 1, 1), (1, 2, 2), (1, 3, 3), (2, 1, 2))  # pencil s*I + t*N
+C12_KRONECKER = ((1, 1, 1), (1, 2, 3), (2, 1, 2), (2, 3, 3))  # pencil L1 (+) L1^T
+
+
+def _fraction_rank(rows):
+    rows = [[Fraction(x) for x in row] for row in rows]
+    rank = 0
+    for c in range(len(rows[0])):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][c]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        for i in range(rank + 1, len(rows)):
+            f = rows[i][c] / rows[rank][c]
+            rows[i] = [a - f * b for a, b in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
+
+
+def _normal_rank(v):
+    """Largest rank of s*A + t*B, with A = v[0,:,:] and B = v[1,:,:].
+
+    A nonzero maximal minor is a binary form of degree at most m, so it
+    vanishes at no more than m of the m + 1 points (1, t) tried here.
+    """
+    _, m, n = v.shape.dims
+    a = [[Fraction(v[0, j, k]) for k in range(n)] for j in range(m)]
+    b = [[Fraction(v[1, j, k]) for k in range(n)] for j in range(m)]
+    return max(
+        _fraction_rank([[x + t * y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)])
+        for t in range(m + 1)
+    )
+
+
+class TestC12HoldsTwoOrbits:
+    def test_equal_signatures_but_different_pencils(self):
+        for d in (3, 4, 6):
+            shape = Shape((2, 3, d))
+            jordan = from_terms(shape, C12_JORDAN)
+            kronecker = from_terms(shape, C12_KRONECKER)
+            assert signature(jordan) == signature(kronecker), d
+            # local maps preserve the normal rank, so no local map joins them
+            assert (_normal_rank(jordan), _normal_rank(kronecker)) == (3, 2), d
+
+    @pytest.mark.xfail(strict=True, reason="the signature merges both orbits into C12")
+    def test_classified_apart(self):
+        shape = Shape((2, 3, 3))
+        jordan = from_terms(shape, C12_JORDAN)
+        kronecker = from_terms(shape, C12_KRONECKER)
+        assert classify(jordan) != classify(kronecker)
 
 
 class TestThreeQubitPairKernels:

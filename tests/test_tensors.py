@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from entinv.fields import GF, QQ
+from entinv.fields import GF, QQ, QQI
 from entinv.linalg import ExactMatrix
 from entinv.tensors import (
     BasisError,
@@ -193,6 +193,32 @@ class TestRandomSources:
     def test_random_invertible_over_gf(self):
         m = random_invertible(4, 3, seed=2, field=GF(5))
         assert m.rank() == 4
+
+    def test_rational_and_prime_field_draws_unchanged(self):
+        # literal draws pin the rng stream over Q and GF(p)
+        shape = Shape((2, 3, 4))
+        v = random_tensor(shape, 3, seed=5)
+        assert [QQ.format(c) for c in v.coeffs] == [
+            "0", "3", "0", "2", "2", "0", "-2", "0", "1", "-1", "3", "-2",
+            "-1", "3", "-3", "0", "-1", "-3", "-2", "-1", "-3", "2", "0", "2",
+        ]
+        field = GF(101)
+        v = random_tensor(shape, 3, seed=5, field=field)
+        assert [field.format(c) for c in v.coeffs] == [
+            "0", "3", "0", "2", "2", "0", "99", "0", "1", "100", "3", "99",
+            "100", "3", "98", "0", "100", "98", "99", "100", "98", "2", "0", "2",
+        ]
+        m = random_invertible(3, 2, seed=4)
+        assert [QQ.format(c) for c in m.entries] == [
+            "2", "2", "2", "-1", "-2", "1", "0", "-2", "0",
+        ]
+
+    def test_gaussian_draws_have_imaginary_parts(self):
+        v = random_tensor(Shape((2, 3, 4)), 3, seed=5, field=QQI)
+        assert any(c.im for c in v.coeffs)
+        m = random_invertible(3, 2, seed=4, field=QQI)
+        assert any(c.im for c in m.entries)
+        assert m.rank() == 3
 
 
 def test_tensor_over_gf_field():
