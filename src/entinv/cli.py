@@ -8,6 +8,7 @@ Machine output goes to stdout, diagnostics to stderr.  Exit codes:
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -39,6 +40,8 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+# parsing leaves the parser unchanged, so one instance serves every main() call
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="entinv",

@@ -50,13 +50,7 @@ class GFElement:
         self.p = p
 
     def _coerce(self, other) -> "GFElement":
-        if isinstance(other, GFElement):
-            if other.p != self.p:
-                raise FieldMismatchError(f"GF({self.p}) vs GF({other.p})")
-            return other
-        if isinstance(other, int):
-            return GFElement(other, self.p)
-        raise FieldMismatchError(f"cannot mix GF({self.p}) with {type(other).__name__}")
+        return GF(self.p).coerce(other)
 
     def __add__(self, other):
         o = self._coerce(other)
@@ -117,13 +111,7 @@ class GaussianRational:
 
     @staticmethod
     def _coerce(other) -> "GaussianRational":
-        if isinstance(other, GaussianRational):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return GaussianRational(other)
-        raise FieldMismatchError(
-            f"cannot mix Gaussian rationals with {type(other).__name__}"
-        )
+        return QQI.coerce(other)
 
     def __add__(self, other):
         o = self._coerce(other)

@@ -16,6 +16,7 @@ entry is valid at a shape exactly when its representative fits in it.
 from __future__ import annotations
 
 import dataclasses
+import re
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -23,7 +24,7 @@ from .fields import Field, QQ
 from .invariants import InvariantSignature, signature
 from .linalg import ExactMatrix, InternalConsistencyError
 from .reporting import Report
-from .tensors import Shape, Tensor, from_terms
+from .tensors import Shape, Tensor, apply_local, from_terms
 
 # label, (k1, k2, k123) at d = r, representative terms
 _RAW_22D = (
@@ -253,10 +254,21 @@ def representative(
     bases: Optional[Sequence[ExactMatrix]] = None,
     field: Field = QQ,
 ) -> Tensor:
-    """The representative state of a class, optionally in generic bases."""
+    """The representative state of a class, optionally in generic bases.
+
+    A label that does not fit the shape is discarded.  For the bipartite
+    family every well-formed C<l> is a class, [1,1]+...+[l,l], so only a
+    malformed label is unknown there.
+    """
     family = family_of(shape)
     if family == "bipartite":
         universe = table_for(shape).entries
+        l = int(label[1:]) if re.fullmatch(r"C(0|[1-9][0-9]*)", label) else 0
+        if l >= len(universe):
+            # C<l> is [1,1]+...+[l,l] with key k1 = d1 - l; when only
+            # k2 = d2 - l is negative, the message shows it too
+            d1, d2 = shape.dims
+            raise _discarded(label, shape, (d1 - l,) if l > d1 else (d1 - l, d2 - l))
     else:
         universe = _TRIPARTITE_ENTRIES[family]
     chosen = next((e for e in universe if e.label == label), None)
@@ -265,13 +277,17 @@ def representative(
             f"unknown label {label!r} for family {family}; labels run C0..{universe[-1].label}"
         )
     if not chosen.valid_at(shape):
-        values = chosen.invariants_at(shape)
-        negative = [v for v in values if v < 0]
-        raise LabelValidityError(
-            f"{label} is discarded at shape {shape.dims}: invariants {values} "
-            f"include negative value(s) {negative}"
-        )
-    return from_terms(shape, chosen.terms, bases=bases, field=field)
+        raise _discarded(label, shape, chosen.invariants_at(shape))
+    v = from_terms(shape, chosen.terms, field=field)
+    return v if bases is None else apply_local(v, bases)
+
+
+def _discarded(label: str, shape: Shape, values: tuple[int, ...]) -> LabelValidityError:
+    negative = [v for v in values if v < 0]
+    return LabelValidityError(
+        f"{label} is discarded at shape {shape.dims}: invariants {values} "
+        f"include negative value(s) {negative}"
+    )
 
 
 def verify_tables(family: str, d_values: Sequence[int]) -> Report:

@@ -4,7 +4,9 @@ A tensor of shape (d1, ..., dn), n in {2, 3}, stores its coefficients
 row-major (last index fastest).  Flattening against an ordered bipartition
 of the factors produces an :class:`~entinv.linalg.ExactMatrix`; states are
 built either coefficient-by-coefficient or from bracket-notation term
-lists like [1,1,1]+[2,2,1] (1-based indices, converted at the boundary).
+lists like [1,1,1]+[2,2,1] (1-based indices, converted at the boundary)
+in the standard basis.  `apply_local` is the one local action: it moves
+a state into other bases or along a local orbit.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from __future__ import annotations
 import random
 from itertools import product
 from math import prod
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .fields import QQ, QQI, Field, GaussianRational
 from .linalg import ExactMatrix
@@ -183,53 +185,22 @@ def flatten(v: Tensor, spec: FlatteningSpec) -> ExactMatrix:
     return ExactMatrix(v.field, nrows, ncols, entries)
 
 
-def from_terms(
-    shape: Shape,
-    terms: Sequence[Sequence[int]],
-    bases: Optional[Sequence[ExactMatrix]] = None,
-    field: Field = QQ,
-) -> Tensor:
+def from_terms(shape: Shape, terms: Sequence[Sequence[int]], field: Field = QQ) -> Tensor:
     """Sum of decomposable terms given in 1-based bracket notation.
 
-    Term (j1, ..., jn) contributes u_{1,j1} x ... x u_{n,jn}, where
-    u_{i,j} is column j of bases[i-1]; with no bases the standard basis is
-    used and each distinct term lands as a single unit coefficient.
+    Term (j1, ..., jn) is the standard basis vector e_{j1} x ... x e_{jn},
+    so each distinct term lands as a single unit coefficient.  To write
+    the state in other bases, act on it with `apply_local`.
     """
-    if bases is not None:
-        if len(bases) != shape.n:
-            raise BasisError(f"need {shape.n} basis matrices, got {len(bases)}")
-        for i, b in enumerate(bases):
-            d = shape.dims[i]
-            if b.rows != d or b.cols != d:
-                raise BasisError(f"basis for factor {i + 1} must be {d}x{d}")
-            if b.field != field:
-                raise BasisError(f"basis for factor {i + 1} is over the wrong field")
-            if not b.is_invertible():
-                raise BasisError(f"basis for factor {i + 1} is singular")
-
+    coeffs = [field.zero] * shape.size
     for term in terms:
         if len(term) != shape.n:
             raise ShapeError(f"term {tuple(term)} has wrong arity for {shape.dims}")
         for j, d in zip(term, shape.dims):
             if not 1 <= j <= d:
                 raise ShapeError(f"term index {tuple(term)} out of range for {shape.dims}")
-
-    coeffs = [field.zero] * shape.size
-    if bases is None:
-        for term in terms:
-            off = shape.offset(tuple(j - 1 for j in term))
-            coeffs[off] = coeffs[off] + field.one
-    else:
-        for term in terms:
-            cols = [
-                [bases[i].entries[a * shape.dims[i] + (term[i] - 1)] for a in range(shape.dims[i])]
-                for i in range(shape.n)
-            ]
-            for off, full in enumerate(shape.indices()):
-                prod_val = field.one
-                for i, a in enumerate(full):
-                    prod_val = prod_val * cols[i][a]
-                coeffs[off] = coeffs[off] + prod_val
+        off = shape.offset(tuple(j - 1 for j in term))
+        coeffs[off] = coeffs[off] + field.one
     return Tensor(field, shape, coeffs)
 
 

@@ -22,6 +22,7 @@ from entinv.linalg import ExactMatrix
 from entinv.tensors import (
     FlatteningSpec,
     Shape,
+    apply_local,
     flatten,
     from_terms,
     random_invertible,
@@ -80,7 +81,7 @@ def test_class_2312_state_ranks_its_concise_slices(monkeypatch, capsys):
     # C5 = [1,1,1]+[1,2,2]+[2,1,2] has r = 2 independent third-factor slices
     shape = Shape((2, 3, 12))
     bases = [random_invertible(d, 2, seed=axis) for axis, d in enumerate(shape.dims)]
-    v = from_terms(shape, [(1, 1, 1), (1, 2, 2), (2, 1, 2)], bases=bases)
+    v = apply_local(from_terms(shape, [(1, 1, 1), (1, 2, 2), (2, 1, 2)]), bases)
     r = flatten(v, FlatteningSpec((1, 2), 3)).rank()
     assert r == 2
     cut = _classify_traced(v, monkeypatch, capsys)
@@ -102,7 +103,7 @@ def test_gaussian_234_class_state_ranks_on_both_layers(monkeypatch, capsys):
                                     for r in range(d)])
         for d in shape.dims
     ]
-    v = from_terms(shape, [(1, 1, 1), (1, 2, 2), (2, 1, 2)], bases=bases, field=QQI)
+    v = apply_local(from_terms(shape, [(1, 1, 1), (1, 2, 2), (2, 1, 2)], field=QQI), bases)
     assert any(c.im for c in v.coeffs)
     spans = _classify_traced(v, monkeypatch, capsys)["spans"]
     names = Counter(name for name, _, _, _ in spans)

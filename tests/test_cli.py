@@ -2,8 +2,9 @@ import json
 
 import pytest
 
-from entinv.cli import main
+from entinv.cli import build_parser, main
 from entinv.documents import parse_document
+from entinv.linalg import ExactMatrix
 from entinv.suites import suite_local_invariance
 from entinv.tables import classify, table_for
 from entinv.tensors import Shape
@@ -153,6 +154,24 @@ class TestRepresentative:
         assert main(["representative", "--family", "22d", "--d", "3", "--label", "C9"]) == 1
         assert "discarded" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("dims,label,message", [
+        (("1", "3"), "C2",
+         "C2 is discarded at shape (1, 3): invariants (-1,) include negative value(s) [-1]"),
+        (("3", "1"), "C2",
+         "C2 is discarded at shape (3, 1): invariants (1, -1) include negative value(s) [-1]"),
+        (("1", "3"), "C02", "unknown label 'C02' for family bipartite; labels run C0..C1"),
+        (("1", "3"), "X1", "unknown label 'X1' for family bipartite; labels run C0..C1"),
+    ])
+    def test_bipartite_label_past_the_shape_is_discarded(self, dims, label, message, capsys):
+        # every well-formed C<l> is a bipartite class; only a malformed label is unknown
+        d1, d2 = dims
+        args = ["representative", "--family", "bipartite", "--d1", d1, "--d2", d2,
+                "--label", label]
+        assert main(args) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
     def test_c16_on_233(self, capsys):
         assert main(["representative", "--family", "23d", "--d", "3", "--label", "C16"]) == 0
         v = parse_document(capsys.readouterr().out)
@@ -252,6 +271,20 @@ class TestVerify:
         assert captured.out == ""
         assert captured.err == f"usage error: {message}\n"
 
+    def test_duality_rank_fault_is_a_fail_line(self, monkeypatch, capsys):
+        # a rank one short on tall matrices breaks every complementary pair
+        # with a tall side; the suite must report it, not raise
+        rank = ExactMatrix.rank
+        monkeypatch.setattr(
+            ExactMatrix, "rank", lambda m: rank(m) - (m.rows > m.cols)
+        )
+        assert main(["verify", "--suite", "duality", "--samples", "2"]) == 1
+        captured = capsys.readouterr()
+        assert "[PASS] rank duality on (2, 2)" in captured.out
+        assert "[FAIL] rank duality on (3, 4) -- sample 0: rank duality violated" in captured.out
+        assert "result: 1/5 checks passed" in captured.out
+        assert captured.err == ""
+
     def test_unknown_suite_rejected(self, capsys):
         assert main(["verify", "--suite", "everything"]) == 1
 
@@ -271,6 +304,26 @@ class TestUsage:
 
     def test_no_command(self, capsys):
         assert main([]) == 1
+
+    def test_one_parser_serves_calls_in_sequence(self, ghz_path, capsys):
+        # the parser is built once per process; each call must still read
+        # exactly as it does when it is the process's first
+        calls = [
+            ["classify", "--wat", "x"],
+            ["classify", ghz_path, "--format", "json"],
+            ["table", "--family", "22d", "--d", "3"],
+        ]
+        alone = []
+        for argv in calls:
+            build_parser.cache_clear()
+            code = main(argv)
+            alone.append((code, capsys.readouterr()))
+        in_sequence = []
+        for argv in calls:
+            code = main(argv)
+            in_sequence.append((code, capsys.readouterr()))
+        assert [code for code, _ in alone] == [1, 0, 0]
+        assert in_sequence == alone
 
 
 class TestDeterminism:

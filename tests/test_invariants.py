@@ -125,7 +125,7 @@ class TestTripleKernelDim:
                         _random_basis(dim, (100 * base + d) * 100 + 3 * n + axis, field)
                         for axis, dim in enumerate(shape.dims)
                     ]
-                    v = from_terms(shape, entry.terms, bases=bases, field=field)
+                    v = apply_local(from_terms(shape, entry.terms, field=field), bases)
                     assert triple_kernel_dim(v) == _stacked_k123(v), (shape.dims, entry.label)
 
     @pytest.mark.parametrize("descriptor", ["gf(2)", "gf(3)"])

@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 
 from entinv.fields import GF, QQ, QQI, FieldMismatchError, GaussianRational
 from entinv.linalg import ExactMatrix
-from entinv.tensors import FlatteningSpec, Shape, Tensor, flatten, from_terms
+from entinv.tensors import FlatteningSpec, Shape, Tensor, apply_local, flatten, from_terms
 
 FIELDS = [QQ, GF(7), QQI]
 I = GaussianRational(0, 1)
@@ -36,7 +36,8 @@ def _random_low_rank(field, rows, cols, r, rng):
         while len(b.rref()[1]) != d:
             b = _random_matrix(field, d, d, rng, bound=3)
         bases.append(b)
-    v = from_terms(Shape((rows, cols)), [(j, j) for j in range(1, r + 1)], bases=bases, field=field)
+    terms = [(j, j) for j in range(1, r + 1)]
+    v = apply_local(from_terms(Shape((rows, cols)), terms, field=field), bases)
     return flatten(v, FlatteningSpec((1,), 2))
 
 
