@@ -100,21 +100,19 @@ def triple_constraint_matrix(v: Tensor) -> ExactMatrix:
     """
     if v.n != 3:
         raise ArityError(f"triple intersection needs 3 factors, got {v.n}")
-    d1, d2, d3 = dims = v.shape.dims
-    size = d1 * d2 * d3
-    strides = (d2 * d3, d3, 1)
+    size = v.shape.size
     coeffs = v.coeffs
     zero = v.field.zero
     rows = []
     # block by block, the factor carrying the identity is 3, 2, 1; row
     # (m, l) moves each coefficient with index m there to index l
     for axis in (2, 1, 0):
-        d, stride = dims[axis], strides[axis]
-        base = [o for o in range(size) if o // stride % d == 0]
-        for m, l in product(range(d), repeat=2):
+        step = v.shape.offsets([axis])
+        base = v.shape.offsets([i for i in range(3) if i != axis])
+        for m, l in product(step, repeat=2):
             row = [zero] * size
             for o in base:
-                row[o + l * stride] = coeffs[o + m * stride]
+                row[o + l] = coeffs[o + m]
             rows.append(row)
     return ExactMatrix.from_rows(v.field, rows)
 
@@ -153,7 +151,7 @@ def triple_kernel_dim(v: Tensor) -> int:
         v = Tensor(
             v.field,
             Shape((d1, d2, r)),
-            [coeffs[o + k] for o in range(0, len(coeffs), d3) for k in slices],
+            [coeffs[o + k] for o in v.shape.offsets((0, 1)) for k in slices],
         )
     return v.shape.size - triple_constraint_matrix(v).rank() + free
 

@@ -223,6 +223,7 @@ def run_suite(
 
     Raises SuiteFlagError for a flag out of range, a flag the suite does
     not read, or a field other than the rationals for a suite without one.
+    A fault or a gap that stops the suite is its one failed check.
     """
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {', '.join(SUITES)}")
@@ -242,7 +243,13 @@ def run_suite(
         raise SuiteFlagError(
             f"suite {name} runs over the rationals only, got --field {field.descriptor}"
         )
-    return SUITES[name](**kwargs)
+    try:
+        return SUITES[name](**kwargs)
+    except (InternalConsistencyError, ClassificationGapError) as exc:
+        report = Report(title=name)
+        gap = isinstance(exc, ClassificationGapError)
+        report.add(f"suite {name} ran to the end", False, detail=str(exc), gap=gap)
+        return report
 
 
 def _child(seed: int, *tags) -> int:

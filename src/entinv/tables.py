@@ -167,12 +167,15 @@ class ClassTable:
     family: str
     shape: Shape
     entries: tuple[ClassEntry, ...]
+    # signature key -> entry; table_for refuses a table with a repeated key
+    by_key: dict = dataclasses.field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        by_key = {e.invariants_at(self.shape): e for e in self.entries}
+        object.__setattr__(self, "by_key", by_key)
 
     def lookup(self, key: tuple[int, ...]) -> Optional[ClassEntry]:
-        for entry in self.entries:
-            if entry.invariants_at(self.shape) == key:
-                return entry
-        return None
+        return self.by_key.get(key)
 
 
 _TRIPARTITE_ENTRIES = {
@@ -227,10 +230,10 @@ def table_for(shape: Shape) -> ClassTable:
             raise InternalConsistencyError(
                 f"{family} at d={shape.dims[2]}: {len(entries)} valid entries, expected {want}"
             )
-    keys = [e.invariants_at(shape) for e in entries]
-    if len(set(keys)) != len(keys):
+    table = ClassTable(family=family, shape=shape, entries=entries)
+    if len(table.by_key) != len(entries):
         raise InternalConsistencyError(f"duplicate signature keys in {family} at {shape.dims}")
-    return ClassTable(family=family, shape=shape, entries=entries)
+    return table
 
 
 def classify(v: Tensor) -> str:

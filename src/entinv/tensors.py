@@ -1,11 +1,14 @@
 """Dense tensors over exact fields, flattenings, and local transformations.
 
 A tensor of shape (d1, ..., dn), n in {2, 3}, stores its coefficients
-row-major (last index fastest).  Flattening against an ordered bipartition
-of the factors produces an :class:`~entinv.linalg.ExactMatrix`; states are
-built either coefficient-by-coefficient or from bracket-notation term
-lists like [1,1,1]+[2,2,1] (1-based indices, converted at the boundary)
-in the standard basis.  `apply_local` is the one local action: it moves
+row-major (last index fastest), and only `Shape` knows that layout: a
+flattening, a fiber of the local action and a block of the k123 system
+each read the coefficient tuple through `Shape.offsets` of some axes.
+Flattening against an ordered bipartition of the factors produces an
+:class:`~entinv.linalg.ExactMatrix`; states are built either
+coefficient-by-coefficient or from bracket-notation term lists like
+[1,1,1]+[2,2,1] (1-based indices, converted at the boundary) in the
+standard basis.  `apply_local` is the one local action: it moves
 a state into other bases or along a local orbit.
 """
 
@@ -61,6 +64,18 @@ class Shape:
                 raise ShapeError(f"index {tuple(index)} out of range for {self.dims}")
             off = off * d + i
         return off
+
+    def offsets(self, axes: Sequence[int]) -> list[int]:
+        """Row-major offsets of the indices running over `axes`, others held at 0.
+
+        Axes are 0-based and the first one is outermost, so the offsets of
+        every axis in some order list the coefficients in that order.
+        """
+        out = [0]
+        for axis in axes:
+            stride = prod(self.dims[axis + 1 :])
+            out = [o + i * stride for o in out for i in range(self.dims[axis])]
+        return out
 
     def indices(self):
         """All 0-based multi-indices in row-major order."""
@@ -166,23 +181,11 @@ def flatten(v: Tensor, spec: FlatteningSpec) -> ExactMatrix:
     """
     if spec.n != v.n:
         raise ShapeError(f"spec for n={spec.n} applied to n={v.n} tensor")
-    dims = v.shape.dims
-    row_pos = [i - 1 for i in spec.row_factors]
-    col_pos = [i - 1 for i in spec.col_factors]
-    row_dims = [dims[i] for i in row_pos]
-    col_dims = [dims[i] for i in col_pos]
-    nrows = prod(row_dims)
-    ncols = prod(col_dims)
-    entries = [v.field.zero] * (nrows * ncols)
-    for full, coeff in zip(v.shape.indices(), v.coeffs):
-        r = 0
-        for pos, d in zip(row_pos, row_dims):
-            r = r * d + full[pos]
-        c = 0
-        for pos, d in zip(col_pos, col_dims):
-            c = c * d + full[pos]
-        entries[r * ncols + c] = coeff
-    return ExactMatrix(v.field, nrows, ncols, entries)
+    nrows = prod(v.shape.dims[i - 1] for i in spec.row_factors)
+    axes = [i - 1 for i in spec.row_factors + spec.col_factors]
+    coeffs = v.coeffs
+    entries = [coeffs[o] for o in v.shape.offsets(axes)]
+    return ExactMatrix(v.field, nrows, v.shape.size // nrows, entries)
 
 
 def from_terms(shape: Shape, terms: Sequence[Sequence[int]], field: Field = QQ) -> Tensor:
@@ -221,29 +224,25 @@ def apply_local(v: Tensor, maps: Sequence[ExactMatrix]) -> Tensor:
         if not a.is_invertible():
             raise BasisError(f"local map for factor {i + 1} is singular")
     coeffs = list(v.coeffs)
-    dims = v.shape.dims
     for axis, a in enumerate(maps):
-        coeffs = _mode_apply(coeffs, dims, axis, a)
+        coeffs = _mode_apply(coeffs, v.shape, axis, a)
     return Tensor(v.field, v.shape, coeffs)
 
 
-def _mode_apply(coeffs: list, dims: tuple[int, ...], axis: int, a: ExactMatrix) -> list:
-    d = dims[axis]
-    inner = prod(dims[axis + 1 :])
-    outer = prod(dims[:axis])
+def _mode_apply(coeffs: list, shape: Shape, axis: int, a: ExactMatrix) -> list:
+    """Apply `a` to every fiber along `axis`: the offsets `step` from each base."""
+    step = shape.offsets([axis])
+    arows = a.row_lists()
     zero = a.field.zero
     out = [zero] * len(coeffs)
-    for o in range(outer):
-        base = o * d * inner
-        for new_i in range(d):
-            arow = a.row(new_i)
-            for inn in range(inner):
-                acc = zero
-                for old_i in range(d):
-                    c = coeffs[base + old_i * inner + inn]
-                    if c:
-                        acc = acc + arow[old_i] * c
-                out[base + new_i * inner + inn] = acc
+    for base in shape.offsets([i for i in range(shape.n) if i != axis]):
+        fiber = [coeffs[base + s] for s in step]
+        for s, arow in zip(step, arows):
+            acc = zero
+            for x, c in zip(arow, fiber):
+                if c:
+                    acc = acc + x * c
+            out[base + s] = acc
     return out
 
 

@@ -6,7 +6,9 @@ calling through it, would silently zero that layer's metrics.  These
 tests load the tracer as a plain file, classify one document through
 `cli.main`, and count the spans of each layer: a (2,3,4) state, a
 (2,3,12) state on each route of `triple_kernel_dim`, and a (2,3,4)
-Gaussian-rational state, whose ranks run on the rational image.
+Gaussian-rational state, whose ranks run on the rational image.  One
+more runs the local-invariance suite, the only path through the
+`suites.*` targets.
 """
 
 import importlib.util
@@ -19,6 +21,7 @@ from entinv.cli import main
 from entinv.documents import emit_document
 from entinv.fields import QQI, GaussianRational
 from entinv.linalg import ExactMatrix
+from entinv.suites import suite_local_invariance
 from entinv.tensors import (
     FlatteningSpec,
     Shape,
@@ -110,3 +113,21 @@ def test_gaussian_234_class_state_ranks_on_both_layers(monkeypatch, capsys):
     assert names["tensors.flatten"] == 6
     assert names["invariants.triple_constraint_matrix"] == 1
     assert _rank_parents(spans) == {"invariants.kernel_dim": 6, "invariants.triple_kernel_dim": 1}
+
+
+def test_local_invariance_suite_records_every_layer():
+    # d <= 2: 96 classes (7 at (2,2,2), 9 at (2,3,2), 80 bipartite), one
+    # draw each; 5 signatures per class plus 2 for each of 180 scaled states
+    tracer = _tracer()
+    tracer.install()
+    try:
+        report = suite_local_invariance(draws=1, d_max=2, seed=0)
+    finally:
+        tracer.restore()
+    assert report.passed
+    assert tracer.missing == []
+    names = Counter(name for name, _, _, _ in tracer.cut()["spans"])
+    assert names["suites.representative"] == 96
+    assert names["tensors.apply_local"] == 96
+    assert names["suites.random_invertible"] == 208
+    assert names["invariants.signature"] == 840

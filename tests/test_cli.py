@@ -6,7 +6,7 @@ from entinv.cli import build_parser, main
 from entinv.documents import parse_document
 from entinv.linalg import ExactMatrix
 from entinv.suites import suite_local_invariance
-from entinv.tables import classify, table_for
+from entinv.tables import ClassTable, classify, table_for
 from entinv.tensors import Shape
 
 
@@ -283,6 +283,36 @@ class TestVerify:
         assert "[PASS] rank duality on (2, 2)" in captured.out
         assert "[FAIL] rank duality on (3, 4) -- sample 0: rank duality violated" in captured.out
         assert "result: 1/5 checks passed" in captured.out
+        assert captured.err == ""
+
+    @pytest.mark.parametrize("flags", [
+        ["--suite", "survey", "--samples", "1"],
+        ["--suite", "local-invariance", "--d-max", "2"],
+        ["--suite", "exhaustive-222"],
+        ["--suite", "tables", "--d-max", "2"],
+    ])
+    def test_rank_fault_stops_a_suite_with_a_fail_line(self, flags, monkeypatch, capsys):
+        # these suites check no duality themselves: signature() raises on
+        # the first state, and the report carries that as its one check
+        rank = ExactMatrix.rank
+        monkeypatch.setattr(
+            ExactMatrix, "rank", lambda m: rank(m) - (m.rows > m.cols)
+        )
+        assert main(["verify", *flags]) == 1
+        captured = capsys.readouterr()
+        assert f"[FAIL] suite {flags[1]} ran to the end -- rank duality violated" in captured.out
+        assert "result: 0/1 checks passed" in captured.out
+        assert captured.err == ""
+
+    def test_gap_stops_the_tables_suite_with_exit_2(self, monkeypatch, capsys):
+        monkeypatch.setattr(ClassTable, "lookup", lambda table, key: None)
+        assert main(["verify", "--suite", "tables", "--d-max", "2", "--format", "json"]) == 2
+        captured = capsys.readouterr()
+        data = json.loads(captured.out)
+        assert data["passed"] is False
+        [check] = data["checks"]
+        assert check["gap"] is True
+        assert "matches no class entry" in check["detail"]
         assert captured.err == ""
 
     def test_unknown_suite_rejected(self, capsys):

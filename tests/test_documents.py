@@ -1,6 +1,7 @@
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from entinv.documents import (
     MAX_COEFFICIENTS,
@@ -10,7 +11,7 @@ from entinv.documents import (
     parse_document,
 )
 from entinv.fields import GF, QQ, QQI
-from entinv.tensors import Shape, from_terms, random_tensor
+from entinv.tensors import Shape, Tensor, from_terms, random_tensor
 
 
 def test_dense_round_trip():
@@ -131,3 +132,49 @@ def test_floats_rejected_everywhere():
     doc = {"field": "rational", "dims": [2, 2], "entries": ["1", "0", "0", "1e-3"]}
     with pytest.raises(DocumentError):
         parse_document(json.dumps(doc))
+
+
+# JSON values whose integers stay small, so that no "dims" they form
+# allocates a large zero state; strings lean towards the format's own words
+_words = st.sampled_from([
+    "field", "dims", "entries", "index", "value", "rational", "gaussian-rational",
+    "gf(2)", "gf(7)", "gf(4)", "1", "-2/3", "0", "1/0", "2+3i", "i", "1e-3", " 1",
+])
+_json = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 6) | st.floats() | st.text(max_size=6) | _words,
+    lambda children: st.lists(children, max_size=5)
+    | st.dictionaries(_words | st.text(max_size=4), children, max_size=4),
+    max_leaves=24,
+)
+# documents close to valid ones, so that most examples reach the entries;
+# a sparse index runs one past each dimension.  In some, one key holds any
+# JSON value instead
+_scalars = st.sampled_from(["1", "-2/3", "0", "5"]) | _words | st.text(max_size=4)
+
+
+def _near_document(dims):
+    index = st.tuples(*(st.integers(0, d) for d in dims)).map(list)
+    return st.fixed_dictionaries({
+        "field": st.sampled_from(["rational", "gaussian-rational", "gf(2)", "gf(7)"]),
+        "dims": st.just(dims),
+        "entries": st.lists(_scalars, max_size=9)
+        | st.lists(st.fixed_dictionaries({"index": index, "value": _scalars | _json}),
+                   max_size=4),
+    })
+
+
+_near_documents = st.lists(st.integers(1, 3), min_size=2, max_size=3).flatmap(_near_document)
+_documents = st.builds(
+    lambda doc, key, value: {**doc, key: value} if key else doc,
+    _near_documents, st.sampled_from([None, None, None, "field", "dims", "entries"]), _json,
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.one_of(st.text(), _json.map(json.dumps), _documents.map(json.dumps)))
+def test_any_input_gives_a_tensor_or_a_document_error(text):
+    try:
+        v = parse_document(text)
+    except DocumentError:
+        return
+    assert isinstance(v, Tensor)

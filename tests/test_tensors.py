@@ -1,4 +1,5 @@
 import random
+from itertools import product
 
 import pytest
 
@@ -40,6 +41,13 @@ class TestShape:
         assert s.offset((1, 0, 0)) == 12
         assert list(s.indices())[1] == (0, 0, 1)
 
+    def test_offsets_run_over_the_given_axes(self):
+        s = Shape((2, 3, 4))
+        assert s.offsets([]) == [0]
+        assert s.offsets([1]) == [0, 4, 8]
+        assert s.offsets([2, 0]) == [0, 12, 1, 13, 2, 14, 3, 15]
+        assert s.offsets([0, 1, 2]) == list(range(24))
+
     @pytest.mark.parametrize("dims", [(2,), (2, 2, 2, 2), (0, 2), (2, -1)])
     def test_rejects_bad_dims(self, dims):
         with pytest.raises(ShapeError):
@@ -79,6 +87,26 @@ class TestFlatten:
                     for r in range(m.rows):
                         for c in range(m.cols):
                             assert m[r, c] == t[c, r]
+
+    @pytest.mark.parametrize("dims", [(2, 2), (4, 3), (2, 3, 4), (3, 2, 5)])
+    def test_entries_are_coefficients_at_the_merged_index(self, dims):
+        # each side's indices enumerated row-major, and v read through the
+        # validated Shape.offset, not through Shape.offsets
+        v = random_tensor(Shape(dims), 9, seed=1)
+        for spec in SPECS[len(dims)]:
+            m = flatten(v, spec)
+            row_side, col_side = (
+                list(product(*(range(dims[f - 1]) for f in factors)))
+                for factors in (spec.row_factors, spec.col_factors)
+            )
+            assert (m.rows, m.cols) == (len(row_side), len(col_side))
+            for (r, row_index), (c, col_index) in product(
+                enumerate(row_side), enumerate(col_side)
+            ):
+                index = [0] * len(dims)
+                for f, i in zip(spec.row_factors + spec.col_factors, row_index + col_index):
+                    index[f - 1] = i
+                assert m[r, c] == v[index]
 
     def test_wrong_arity_rejected(self):
         v = random_tensor(Shape((2, 2)), 2, seed=0)
