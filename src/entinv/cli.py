@@ -159,11 +159,8 @@ def _cmd_table(args) -> int:
     table = table_for(shape)
     rows = []
     for entry in table.entries:
-        values = entry.invariants_at(shape)
-        if table.family == "bipartite":
-            invariants = {"k1": values[0]}
-        else:
-            invariants = dict(zip(("k1", "k2", "k3", "k123"), values))
+        # a bipartite key is (k1,), so the zip stops after k1
+        invariants = dict(zip(("k1", "k2", "k3", "k123"), entry.invariants_at(shape)))
         rows.append({"label": entry.label, "invariants": invariants,
                      "representative": entry.bracket()})
     if args.format == "json":

@@ -64,25 +64,18 @@ def explain_three_qubit(v: Tensor) -> dict:
             coeff_names.append(f"{name}={v.field.format(c)}")
 
     systems = []
-    kernel_names = {
-        (1,): "K1", (2,): "K2", (3,): "K3",
-        (1, 2): "K12", (1, 3): "K13", (2, 3): "K23",
-    }
-    single_dims = dict(zip((1, 2, 3), sig.singles))
-    pair_dims = dict(zip(((1, 2), (1, 3), (2, 3)), sig.pairs))
-    for rows in ((1,), (2,), (3,), (1, 2), (1, 3), (2, 3)):
-        spec = FlatteningSpec(rows, 3)
+    # the six kernels in the order `signature` reports them
+    for rows, dim in zip(((1,), (2,), (3,), (1, 2), (1, 3), (2, 3)), sig.singles + sig.pairs):
         # the constraint system on w in the row-side space is the
         # complementary flattening
-        constraints = flatten(v, spec.complement())
+        constraints = flatten(v, FlatteningSpec(rows, 3).complement())
         variables = _variables(rows)
         equations = [
             _equation(v.field, constraints.row(i), variables) for i in range(constraints.rows)
         ]
-        dim = single_dims[rows[0]] if len(rows) == 1 else pair_dims[rows]
         systems.append(
             {
-                "kernel": kernel_names[rows],
+                "kernel": "K" + "".join(map(str, rows)),
                 "space": "(x)".join(f"V{i}" for i in rows),
                 "variables": variables,
                 "equations": equations,

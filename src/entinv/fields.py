@@ -167,7 +167,11 @@ class GaussianRational:
 
 
 class Field:
-    """Common interface of the three supported exact fields."""
+    """Common interface of the three supported exact fields.
+
+    A field is its descriptor: two fields are equal exactly when their
+    descriptors are, and hash alike.
+    """
 
     descriptor: str
 
@@ -180,7 +184,7 @@ class Field:
         return self.from_int(1)
 
     def from_int(self, n: int):
-        raise NotImplementedError
+        return self.coerce(n)
 
     def coerce(self, value):
         """Accept an element or an int; return an element (strings go through `parse`)."""
@@ -192,15 +196,18 @@ class Field:
     def format(self, value) -> str:
         raise NotImplementedError
 
+    def __eq__(self, other):
+        return isinstance(other, Field) and other.descriptor == self.descriptor
+
+    def __hash__(self):
+        return hash(self.descriptor)
+
     def __repr__(self):
         return f"<field {self.descriptor}>"
 
 
 class RationalField(Field):
     descriptor = "rational"
-
-    def from_int(self, n: int) -> Fraction:
-        return Fraction(n)
 
     def coerce(self, value) -> Fraction:
         if isinstance(value, Fraction):
@@ -215,12 +222,6 @@ class RationalField(Field):
     def format(self, value) -> str:
         return str(value)
 
-    def __eq__(self, other):
-        return isinstance(other, RationalField)
-
-    def __hash__(self):
-        return hash("rational")
-
 
 class PrimeField(Field):
     """GF(p) for a prime p < 2**31 (primality checked by trial division)."""
@@ -234,9 +235,6 @@ class PrimeField(Field):
             raise ValueError(f"{p} is not prime")
         self.p = p
         self.descriptor = f"gf({p})"
-
-    def from_int(self, n: int) -> GFElement:
-        return GFElement(n, self.p)
 
     def coerce(self, value) -> GFElement:
         if isinstance(value, GFElement):
@@ -256,18 +254,9 @@ class PrimeField(Field):
     def format(self, value) -> str:
         return str(value.value)
 
-    def __eq__(self, other):
-        return isinstance(other, PrimeField) and other.p == self.p
-
-    def __hash__(self):
-        return hash(("gf", self.p))
-
 
 class GaussianRationalField(Field):
     descriptor = "gaussian-rational"
-
-    def from_int(self, n: int) -> GaussianRational:
-        return GaussianRational(n)
 
     def coerce(self, value) -> GaussianRational:
         if isinstance(value, GaussianRational):
@@ -300,12 +289,6 @@ class GaussianRationalField(Field):
             return f"{value.im}i"
         sign = "+" if value.im > 0 else "-"
         return f"{value.re}{sign}{abs(value.im)}i"
-
-    def __eq__(self, other):
-        return isinstance(other, GaussianRationalField)
-
-    def __hash__(self):
-        return hash("gaussian-rational")
 
 
 def _is_prime(n: int) -> bool:

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from math import prod
 from typing import Optional
 
 from .linalg import ExactMatrix, InternalConsistencyError
@@ -81,8 +80,8 @@ class InvariantSignature:
 
 def kernel_dim(v: Tensor, spec: FlatteningSpec) -> int:
     """Kernel dimension of the flattening against `spec` (dim W - rank)."""
-    dim_w = prod(v.shape.dims[i - 1] for i in spec.row_factors)
-    return dim_w - flatten(v, spec).rank()
+    m = flatten(v, spec)
+    return m.rows - m.rank()
 
 
 def triple_constraint_matrix(v: Tensor) -> ExactMatrix:

@@ -16,10 +16,12 @@ entry is valid at a shape exactly when its representative fits in it.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import re
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
+from .documents import document_dict
 from .fields import Field, QQ
 from .invariants import InvariantSignature, signature
 from .linalg import ExactMatrix, InternalConsistencyError
@@ -72,11 +74,8 @@ _RAW_23D = (
 # the fixed first two dims of each tripartite family; the third is any d >= 2
 TRIPARTITE_DIMS = {"22d": (2, 2), "23d": (2, 3)}
 
-# valid-entry counts by d (last value holds from there on)
-_EXPECTED_COUNTS = {
-    "22d": {2: 7, 3: 9, 4: 10},
-    "23d": {2: 9, 3: 17, 4: 23, 5: 25, 6: 26},
-}
+# valid-entry counts at d = 2, 3, ... (the last value holds from there on)
+_EXPECTED_COUNTS = {"22d": (7, 9, 10), "23d": (9, 17, 23, 25, 26)}
 
 
 class UnsupportedShapeError(ValueError):
@@ -111,12 +110,7 @@ class ClassificationGapError(RuntimeError):
         )
 
     def payload(self) -> dict:
-        return {
-            "field": self.tensor.field.descriptor,
-            "dims": list(self.tensor.shape.dims),
-            "entries": [self.tensor.field.format(c) for c in self.tensor.coeffs],
-            "signature": self.signature.as_dict(),
-        }
+        return {**document_dict(self.tensor), "signature": self.signature.as_dict()}
 
 
 @dataclass(frozen=True)
@@ -187,13 +181,9 @@ _TRIPARTITE_ENTRIES = {
 def expected_count(family: str, d: int) -> int:
     """Number of valid classes of a tripartite family at a given d."""
     counts = _EXPECTED_COUNTS[family]
-    best = None
-    for floor in sorted(counts):
-        if d >= floor:
-            best = counts[floor]
-    if best is None:
+    if d < 2:
         raise ValueError(f"family {family} starts at d=2, got d={d}")
-    return best
+    return counts[min(d, len(counts) + 1) - 2]
 
 
 def family_of(shape: Shape) -> str:
@@ -210,12 +200,14 @@ def tripartite_shape(family: str, d: int) -> Shape:
     return Shape(TRIPARTITE_DIMS[family] + (d,))
 
 
+@functools.cache
 def table_for(shape: Shape) -> ClassTable:
     """The class table valid at `shape`, with its self-checks applied.
 
     Valid entries must have pairwise distinct signature keys, and for the
     tripartite families the valid-entry count must match the expected
     progression (7, 9, 10 for (2,2,d); 9, 17, 23, 25, 26 for (2,3,d)).
+    A table depends on its shape alone, so each is built and checked once.
     """
     family = family_of(shape)
     if family == "bipartite":

@@ -135,6 +135,11 @@ class TestTable:
         out = capsys.readouterr().out
         for fragment in ("C0", "C1", "C2", "[1,1]+[2,2]"):
             assert fragment in out
+        # a bipartite key is (k1,), so the json lists k1 only
+        assert main(["table", "--family", "bipartite", "--d1", "2", "--d2", "3",
+                     "--format", "json"]) == 0
+        classes = json.loads(capsys.readouterr().out)["classes"]
+        assert [c["invariants"] for c in classes] == [{"k1": 2}, {"k1": 1}, {"k1": 0}]
 
     def test_d_too_small(self, capsys):
         assert main(["table", "--family", "22d", "--d", "1"]) == 1

@@ -4,6 +4,7 @@ import pytest
 
 from entinv.explain import explain_three_qubit, render_explain_text
 from entinv.fields import GF, QQ
+from entinv.invariants import signature
 from entinv.tables import ClassificationGapError, classify
 from entinv.tensors import ArityError, Shape, Tensor, from_terms
 
@@ -44,9 +45,17 @@ def test_case_23_labels():
         ([(1, 1, 1), (2, 1, 2)], "C3"),
         ([(1, 1, 1), (1, 2, 2)], "C4"),
     ]:
-        data = explain_three_qubit(from_terms(S222, terms))
+        v = from_terms(S222, terms)
+        data = explain_three_qubit(v)
         assert data["case"] == "2.3"
         assert data["class"] == case_class
+        # the kernels follow the signature's order; unequal dims make the order visible
+        kernels = [s["kernel"] for s in data["systems"]]
+        assert kernels == ["K1", "K2", "K3", "K12", "K13", "K23"]
+        sig = signature(v)
+        dims = [s["dim"] for s in data["systems"]]
+        assert dims == list(sig.singles + sig.pairs)
+        assert len(set(dims)) > 1
 
 
 def test_equations_substitute_coefficients():

@@ -9,6 +9,7 @@ from entinv.fields import (
     QQI,
     FieldMismatchError,
     GaussianRational,
+    PrimeField,
     field_from_descriptor,
 )
 
@@ -129,6 +130,19 @@ class TestDescriptors:
     def test_round_trip(self):
         for descriptor in ["rational", "gaussian-rational", "gf(7)"]:
             assert field_from_descriptor(descriptor).descriptor == descriptor
+
+    def test_a_field_is_its_descriptor(self):
+        assert GF(7) is not PrimeField(7)
+        assert GF(7) == PrimeField(7)
+        assert hash(GF(7)) == hash(PrimeField(7))
+        assert len({QQ, QQI, GF(7), PrimeField(7), GF(11)}) == 4
+        assert QQ != "rational"
+
+    @pytest.mark.parametrize("field", [QQ, QQI, GF(2), GF(7)], ids=lambda f: f.descriptor)
+    def test_from_int_is_coerce(self, field):
+        for n in (-15, -8, -7, -1, 0, 1, 2, 6, 7, 8, 100):
+            assert field.from_int(n) == field.coerce(n)
+            assert field.from_int(n) == n
 
     def test_rejects_unknown(self):
         for bad in ["real", "gf(4)", "gf(x)", "float"]:

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from entinv.documents import document_dict
 from entinv.invariants import signature
 from entinv.tables import (
     _TRIPARTITE_ENTRIES,
@@ -44,6 +45,14 @@ class TestTableFor:
         for d, want in zip(range(2, 9), (9, 17, 23, 25, 26, 26, 26)):
             assert len(table_for(Shape((2, 3, d))).entries) == want
             assert expected_count("23d", d) == want
+
+    def test_each_shape_is_built_once(self):
+        for dims in ((2, 2, 2), (2, 3, 7), (3, 4)):
+            assert table_for(Shape(dims)) is table_for(Shape(dims))
+        # a refused shape is refused every time, not cached
+        for _ in range(2):
+            with pytest.raises(UnsupportedShapeError):
+                table_for(Shape((3, 3, 3)))
 
     def test_bipartite_entries(self):
         table = table_for(Shape((3, 4)))
@@ -114,6 +123,9 @@ class TestClassify:
         assert payload["entries"][0] == "1"
         assert payload["signature"]["singles"] == [1, 1, 1]
         assert "reportable" in str(err)
+        # the state travels in its document form, the signature after it
+        assert payload == {**document_dict(v), "signature": signature(v).as_dict()}
+        assert list(payload) == ["field", "dims", "entries", "signature"]
 
 
 class TestRepresentative:
