@@ -51,7 +51,6 @@ from .tables import (
     classify_full,
     representative,
     table_for,
-    verify_tables,
 )
 from .documents import DocumentError, document_dict, emit_document, parse_document
 from .explain import explain_three_qubit, render_explain_text
@@ -71,7 +70,7 @@ __all__ = [
     "signature", "triple_constraint_matrix", "triple_kernel_dim",
     "ClassEntry", "ClassificationGapError", "ClassTable", "LabelValidityError",
     "UnsupportedShapeError", "classify", "classify_full", "representative",
-    "table_for", "verify_tables",
+    "table_for",
     "DocumentError", "document_dict", "emit_document", "parse_document",
     "explain_three_qubit", "render_explain_text",
     "run_suite",

@@ -13,7 +13,7 @@ import hashlib
 import json
 import sys
 
-from .documents import DocumentError, emit_document, parse_document
+from .documents import DocumentError, admit, emit_document, parse_document
 from .explain import explain_three_qubit, render_explain_text
 from .fields import FieldMismatchError, field_from_descriptor
 from .suites import SUITES, SuiteFlagError, run_suite
@@ -103,6 +103,10 @@ def _read_input(path: str) -> tuple[str, str]:
 
 
 def _shape_for(args) -> Shape:
+    reads = ("d1", "d2") if args.family == "bipartite" else ("d",)
+    for flag in ("d", "d1", "d2"):
+        if flag not in reads and getattr(args, flag) is not None:
+            raise _UsageError(f"family {args.family} does not take --{flag}")
     if args.family == "bipartite":
         if args.d1 is None or args.d2 is None:
             raise _UsageError("family bipartite needs --d1 and --d2")
@@ -180,6 +184,7 @@ def _cmd_table(args) -> int:
 def _cmd_representative(args) -> int:
     shape = _shape_for(args)
     field = field_from_descriptor(args.field)
+    admit(shape, field, bases=args.generic_seed is not None)
     bases = None
     if args.generic_seed is not None:
         bases = [

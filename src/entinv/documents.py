@@ -10,15 +10,15 @@ A document is a single JSON object with exactly three keys:
 
 Scalars are exact strings ("a", "a/b", "a/b+c/di"); anything that smells
 of floating point is rejected.  Unknown keys are rejected so that typos
-fail loudly instead of being ignored.  A state has at most
-MAX_COEFFICIENTS coefficients, checked before any of them is allocated.
+fail loudly instead of being ignored.  `admit` bounds what a state may
+cost before any of its coefficients is allocated.
 """
 
 from __future__ import annotations
 
 import json
 
-from .fields import field_from_descriptor
+from .fields import QQI, Field, field_from_descriptor
 from .tensors import Shape, ShapeError, Tensor
 
 
@@ -27,9 +27,38 @@ class DocumentError(ValueError):
 
 
 MAX_COEFFICIENTS = 2**20
+# the cap on rows * cols * min(rows, cols) of a matrix to eliminate: exact
+# elimination grows at least that fast, and 2**23 admits a 203 x 203 matrix
+MAX_ELIMINATION = 2**23
 
 _TOP_KEYS = {"field", "dims", "entries"}
 _SPARSE_KEYS = {"index", "value"}
+
+
+def admit(shape: Shape, field: Field, bases: bool = False, where: str = "") -> None:
+    """Refuse a costly state before anything is allocated; `where` prefixes the message.
+
+    A state has at most MAX_COEFFICIENTS coefficients.  A bipartite state's
+    flattening, and with `bases` each factor's d_i x d_i basis, is bounded
+    by MAX_ELIMINATION (over Q(i), its rational image twice as tall and
+    wide).  (2,2,d) and (2,3,d) states eliminate matrices at most 6 wide.
+    """
+    if shape.size > MAX_COEFFICIENTS:
+        raise DocumentError(
+            f"{where}dims {shape.dims} give {shape.size} coefficients, "
+            f"more than the cap of {MAX_COEFFICIENTS}"
+        )
+    image = 2 if field == QQI else 1
+    squares = [(d, d) for d in shape.dims] if bases else []
+    for rows, cols in ([shape.dims] if shape.n == 2 else []) + squares:
+        rows, cols = image * rows, image * cols
+        work = rows * cols * min(rows, cols)
+        if work > MAX_ELIMINATION:
+            raise DocumentError(
+                f"{where}dims {shape.dims} over {field.descriptor} need eliminating a "
+                f"{rows}x{cols} matrix: rows*cols*min(rows, cols) = {work}, "
+                f"more than the cap of {MAX_ELIMINATION}"
+            )
 
 
 def parse_document(text: str, source: str = "<input>") -> Tensor:
@@ -63,11 +92,7 @@ def parse_document(text: str, source: str = "<input>") -> Tensor:
         shape = Shape(dims)
     except ShapeError as exc:
         raise DocumentError(f"{source}: {exc}") from exc
-    if shape.size > MAX_COEFFICIENTS:
-        raise DocumentError(
-            f"{source}: dims {shape.dims} give {shape.size} coefficients, "
-            f"more than the cap of {MAX_COEFFICIENTS}"
-        )
+    admit(shape, field, where=f"{source}: ")
 
     entries = data["entries"]
     if not isinstance(entries, list):

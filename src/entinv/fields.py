@@ -177,14 +177,11 @@ class Field:
 
     @property
     def zero(self):
-        return self.from_int(0)
+        return self.coerce(0)
 
     @property
     def one(self):
-        return self.from_int(1)
-
-    def from_int(self, n: int):
-        return self.coerce(n)
+        return self.coerce(1)
 
     def coerce(self, value):
         """Accept an element or an int; return an element (strings go through `parse`)."""

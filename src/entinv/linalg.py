@@ -1,4 +1,4 @@
-"""Exact matrices with reduced row echelon form, rank, and kernel bases.
+"""Exact matrices with reduced row echelon form, pivots, and rank.
 
 All arithmetic is exact field arithmetic; there are no tolerances and no
 pivoting heuristics (the first nonzero entry in column order is the pivot).
@@ -131,25 +131,6 @@ class ExactMatrix:
     def rank(self) -> int:
         """Number of pivot columns of the reduced row echelon form."""
         return len(self.pivots())
-
-    def kernel_basis(self) -> list[list]:
-        """Deterministic basis of the right null space.
-
-        One basis vector per free column, in increasing column order, with
-        the free coordinate set to 1.
-        """
-        reduced, pivots = self.rref()
-        pivot_set = set(pivots)
-        free_cols = [c for c in range(self.cols) if c not in pivot_set]
-        zero, one = self.field.zero, self.field.one
-        basis = []
-        for f in free_cols:
-            vec = [zero] * self.cols
-            vec[f] = one
-            for r, p in enumerate(pivots):
-                vec[p] = -reduced.entries[r * self.cols + f]
-            basis.append(vec)
-        return basis
 
     def is_invertible(self) -> bool:
         return self.rows == self.cols and self.rank() == self.rows

@@ -35,10 +35,6 @@ class Report:
     def note(self, text: str):
         self.notes.append(text)
 
-    def extend(self, other: "Report"):
-        self.checks.extend(other.checks)
-        self.notes.extend(other.notes)
-
     def render_text(self) -> str:
         lines = [f"== {self.title} =="]
         for note in self.notes:

@@ -19,10 +19,10 @@ from .tables import (
     ClassificationGapError,
     classify,
     classify_full,
+    expected_count,
     representative,
     table_for,
     tripartite_shape,
-    verify_tables,
 )
 from .linalg import InternalConsistencyError
 from .tensors import Shape, Tensor, apply_local, random_invertible, random_tensor
@@ -50,21 +50,45 @@ class SuiteFlagError(ValueError):
     """A `verify` flag is out of range, or the suite does not read it."""
 
 
-def _tripartite_shapes(d_max: int):
-    for family in TRIPARTITE_DIMS:
-        for d in range(2, d_max + 1):
-            yield tripartite_shape(family, d)
+def _checked_shapes(d_max: int) -> list[Shape]:
+    """(2,2,d) then (2,3,d) for 2 <= d <= d_max, then every (d1,d2) with d1, d2 <= 5."""
+    shapes = [tripartite_shape(f, d) for f in TRIPARTITE_DIMS for d in range(2, d_max + 1)]
+    return shapes + [Shape((d1, d2)) for d1 in range(1, 6) for d2 in range(1, 6)]
 
 
 def suite_tables(d_max: int = 8) -> Report:
-    """Reproduce every class table entry, plus the three-qubit reference dims."""
+    """Reproduce every class table entry, plus the three-qubit reference dims.
+
+    Each valid representative must give its entry's key and classify back to
+    its label; each tripartite table must hold the expected class count.
+    """
     report = Report(title=f"tables (d up to {d_max})")
-    report.extend(verify_tables("22d", range(2, d_max + 1)))
-    report.extend(verify_tables("23d", range(2, d_max + 1)))
-    report.extend(verify_tables("bipartite", range(1, 6)))
-    shape = Shape((2, 2, 2))
+    for shape in _checked_shapes(d_max):
+        table = table_for(shape)
+        family = table.family
+        if family == "bipartite":
+            where, flags = "({},{})".format(*shape.dims), "--d1 {} --d2 {}".format(*shape.dims)
+        else:
+            d = shape.dims[2]
+            where, flags = f"{family} d={d}", f"--d {d}"
+            have, expect = len(table.entries), expected_count(family, d)
+            report.add(f"{where} class count", have == expect,
+                       detail=f"{have} valid entries, expected {expect}")
+        for entry in table.entries:
+            want = entry.invariants_at(shape)
+            label, sig = classify_full(representative(entry.label, shape))
+            got = sig.key()
+            detail = (f"k1={got[0]} expected {want[0]}" if family == "bipartite"
+                      else f"signature key {got}, expected {want}")
+            report.add(
+                f"{where} {entry.label}",
+                got == want and label == entry.label,
+                detail=f"{detail}, classified {label}",
+                repro=f"entinv representative --family {family} {flags} "
+                f"--label {entry.label} | entinv classify -",
+            )
     for label, (singles, pairs, triple) in THREE_QUBIT_REFERENCE.items():
-        sig = signature(representative(label, shape))
+        sig = signature(representative(label, Shape((2, 2, 2))))
         report.add(
             f"(2,2,2) {label} full kernel dims",
             (sig.singles, sig.pairs, sig.triple) == (singles, pairs, triple),
@@ -101,10 +125,8 @@ def suite_local_invariance(draws: int = 100, d_max: int = 5, seed: int = 0) -> R
     """Invertible local maps and nonzero scalings must not move signatures (d_max <= 5)."""
     d_max = min(d_max, 5)
     report = Report(title=f"local invariance ({draws} draws per class, d up to {d_max})")
-    shapes = list(_tripartite_shapes(d_max))
-    shapes.extend(Shape((d1, d2)) for d1 in range(1, 6) for d2 in range(1, 6))
     scale_fail = ""
-    for shape in shapes:
+    for shape in _checked_shapes(d_max):
         for entry in table_for(shape).entries:
             v = representative(entry.label, shape)
             base_sig = signature(v)
@@ -149,7 +171,7 @@ def suite_exhaustive_222(field: Field = QQ) -> Report:
     gaps = []
     for mask in range(256):
         bits = [(mask >> (7 - i)) & 1 for i in range(8)]
-        v = Tensor(field, shape, [field.from_int(b) for b in bits])
+        v = Tensor(field, shape, [field.coerce(b) for b in bits])
         try:
             label = classify(v)
         except ClassificationGapError as exc:

@@ -25,7 +25,6 @@ from .documents import document_dict
 from .fields import Field, QQ
 from .invariants import InvariantSignature, signature
 from .linalg import ExactMatrix, InternalConsistencyError
-from .reporting import Report
 from .tensors import Shape, Tensor, apply_local, from_terms
 
 # label, (k1, k2, k123) at d = r, representative terms
@@ -284,52 +283,3 @@ def _discarded(label: str, shape: Shape, values: tuple[int, ...]) -> LabelValidi
         f"include negative value(s) {negative}"
     )
 
-
-def verify_tables(family: str, d_values: Sequence[int]) -> Report:
-    """Re-derive every table entry and compare against the key it predicts.
-
-    For the tripartite families each valid representative's computed
-    (k1, k2, k3, k123) must equal its entry's key at every d in
-    `d_values`, and the valid-entry count must match the expected
-    progression.  For the bipartite family `d_values` ranges over both
-    factors and each representative [1,1]+...+[l,l] must give k1 = d1 - l.
-    Every entry must also classify back to its own label.
-    """
-    report = Report(title=f"class-table verification: {family}")
-    # (shape, check-name prefix, representative flags) per shape checked
-    if family == "bipartite":
-        cases = [
-            (Shape((d1, d2)), f"({d1},{d2})", f"--d1 {d1} --d2 {d2}")
-            for d1 in d_values
-            for d2 in d_values
-        ]
-    elif family in TRIPARTITE_DIMS:
-        cases = [(tripartite_shape(family, d), f"{family} d={d}", f"--d {d}") for d in d_values]
-    else:
-        raise ValueError(f"unknown family {family!r}; expected bipartite, 22d, or 23d")
-    for shape, where, flags in cases:
-        table = table_for(shape)
-        if family != "bipartite":
-            want_count = expected_count(family, shape.dims[2])
-            report.add(
-                f"{where} class count",
-                len(table.entries) == want_count,
-                detail=f"{len(table.entries)} valid entries, expected {want_count}",
-            )
-        for entry in table.entries:
-            v = from_terms(shape, entry.terms)
-            want = entry.invariants_at(shape)
-            label, sig = classify_full(v)
-            got = sig.key()
-            if family == "bipartite":
-                detail = f"k1={got[0]} expected {want[0]}"
-            else:
-                detail = f"signature key {got}, expected {want}"
-            report.add(
-                f"{where} {entry.label}",
-                got == want and label == entry.label,
-                detail=f"{detail}, classified {label}",
-                repro=f"entinv representative --family {family} {flags} "
-                f"--label {entry.label} | entinv classify -",
-            )
-    return report

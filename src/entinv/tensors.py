@@ -251,7 +251,7 @@ def _draw(rng: random.Random, bound: int, field: Field):
     n = rng.randint(-bound, bound)
     if field == QQI:
         return GaussianRational(n, rng.randint(-bound, bound))
-    return field.from_int(n)
+    return field.coerce(n)
 
 
 def random_tensor(shape: Shape, bound: int, seed: int, field: Field = QQ) -> Tensor:

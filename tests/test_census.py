@@ -70,7 +70,7 @@ def burnside_count(b: int, d: int) -> int:
 
 def _state(shape: Shape, ms: tuple[int, ...]) -> Tensor:
     _, b, d = shape.dims
-    coeffs = [QQ.from_int(ms[k] >> c & 1) for c in range(2 * b) for k in range(d)]
+    coeffs = [QQ.coerce(ms[k] >> c & 1) for c in range(2 * b) for k in range(d)]
     return Tensor(QQ, shape, coeffs)
 
 

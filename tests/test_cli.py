@@ -16,6 +16,16 @@ GHZ_DOC = json.dumps(
 )
 
 
+def _main_peak(argv):
+    """Exit code of main(argv) and the peak bytes traced while it ran."""
+    import tracemalloc
+    tracemalloc.start()
+    try:
+        return main(argv), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 @pytest.fixture
 def ghz_path(tmp_path):
     path = tmp_path / "ghz.json"
@@ -99,20 +109,26 @@ class TestClassify:
 
     def test_huge_dims_refused_before_allocation(self, monkeypatch, capsys):
         import io
-        import tracemalloc
         doc = json.dumps({"field": "rational", "dims": [2, 3, 10**9],
                           "entries": [{"index": [0, 0, 0], "value": "1"}]})
         monkeypatch.setattr("sys.stdin", io.StringIO(doc))
-        tracemalloc.start()
-        try:
-            code = main(["classify", "-"])
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        code, peak = _main_peak(["classify", "-"])
         assert code == 1
         assert capsys.readouterr().err == (
             "error: <stdin>: dims (2, 3, 1000000000) give 6000000000 coefficients, "
             "more than the cap of 1048576\n"
+        )
+        assert peak < 2**20
+
+    def test_square_document_past_the_elimination_cap_refused(self, monkeypatch, capsys):
+        import io
+        doc = json.dumps({"field": "rational", "dims": [204, 204], "entries": []})
+        monkeypatch.setattr("sys.stdin", io.StringIO(doc))
+        code, peak = _main_peak(["classify", "-"])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: <stdin>: dims (204, 204) over rational need eliminating a 204x204 matrix: "
+            "rows*cols*min(rows, cols) = 8489664, more than the cap of 8388608\n"
         )
         assert peak < 2**20
 
@@ -147,6 +163,22 @@ class TestTable:
 
     def test_missing_d(self, capsys):
         assert main(["table", "--family", "22d"]) == 1
+
+    @pytest.mark.parametrize("command", ["table", "representative"])
+    @pytest.mark.parametrize("family,flags,unread", [
+        ("22d", ["--d", "2", "--d1", "7"], "--d1"),
+        ("23d", ["--d", "2", "--d2", "3"], "--d2"),
+        ("bipartite", ["--d1", "2", "--d2", "2", "--d", "9"], "--d"),
+    ])
+    def test_flags_the_family_does_not_read_rejected(self, command, family, flags, unread,
+                                                     capsys):
+        args = [command, "--family", family, *flags]
+        if command == "representative":
+            args += ["--label", "C1"]
+        assert main(args) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"usage error: family {family} does not take {unread}\n"
 
 
 class TestRepresentative:
@@ -213,6 +245,36 @@ class TestRepresentative:
         monkeypatch.setattr("sys.stdin", io.StringIO(doc))
         assert main(["classify", "-"]) == 0
         assert "class: C0" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("flags,message", [
+        (["--family", "22d", "--d", "262145", "--sparse"],
+         "dims (2, 2, 262145) give 1048580 coefficients, more than the cap of 1048576"),
+        (["--family", "bipartite", "--d1", "64", "--d2", "2049", "--sparse"],
+         "dims (64, 2049) over rational need eliminating a 64x2049 matrix: "
+         "rows*cols*min(rows, cols) = 8392704, more than the cap of 8388608"),
+        (["--family", "22d", "--d", "204", "--generic-seed", "1"],
+         "dims (2, 2, 204) over rational need eliminating a 204x204 matrix: "
+         "rows*cols*min(rows, cols) = 8489664, more than the cap of 8388608"),
+        (["--family", "22d", "--d", "102", "--generic-seed", "1", "--field", "gaussian-rational"],
+         "dims (2, 2, 102) over gaussian-rational need eliminating a 204x204 matrix: "
+         "rows*cols*min(rows, cols) = 8489664, more than the cap of 8388608"),
+    ])
+    def test_costly_state_refused_before_allocation(self, flags, message, capsys):
+        code, peak = _main_peak(["representative", *flags, "--label", "C1"])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"error: {message}\n")
+        assert peak < 2**20
+
+    def test_long_thin_state_at_the_elimination_cap(self, monkeypatch, capsys):
+        import io
+        # 64 * 2048 * 64 is the cap itself; the short side keeps the work low
+        args = ["representative", "--family", "bipartite", "--d1", "64", "--d2", "2048",
+                "--label", "C3", "--sparse"]
+        assert main(args) == 0
+        monkeypatch.setattr("sys.stdin", io.StringIO(capsys.readouterr().out))
+        assert main(["classify", "-"]) == 0
+        assert "class: C3" in capsys.readouterr().out
 
     def test_gf_field_emission(self, capsys):
         args = ["representative", "--family", "22d", "--d", "2", "--label", "C6",

@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from entinv.documents import (
     MAX_COEFFICIENTS,
+    MAX_ELIMINATION,
     DocumentError,
     document_dict,
     emit_document,
@@ -120,6 +121,24 @@ def test_coefficient_cap_is_inclusive():
     doc["dims"][2] += 1
     with pytest.raises(DocumentError, match="more than the cap of 1048576"):
         parse_document(json.dumps(doc))
+
+
+def test_elimination_cap_is_inclusive():
+    # a bipartite (d1, d2) state eliminates its d1 x d2 flattening
+    assert 64 * 2048 * 64 == MAX_ELIMINATION
+    doc = {"field": "rational", "dims": [64, 2048], "entries": []}
+    assert parse_document(json.dumps(doc)).shape.dims == (64, 2048)
+    for dims in ([64, 2049], [2049, 64], [204, 204]):
+        with pytest.raises(DocumentError, match="more than the cap of 8388608"):
+            parse_document(json.dumps({**doc, "dims": dims}))
+    # over Q(i) the 2 d1 x 2 d2 rational image is eliminated
+    doc = {"field": "gaussian-rational", "dims": [101, 101], "entries": []}
+    assert parse_document(json.dumps(doc)).shape.dims == (101, 101)
+    with pytest.raises(DocumentError, match="a 204x204 matrix"):
+        parse_document(json.dumps({**doc, "dims": [102, 102]}))
+    # a (2,3,d) state faces the coefficient cap alone
+    doc = {"field": "rational", "dims": [2, 3, MAX_COEFFICIENTS // 6], "entries": []}
+    assert parse_document(json.dumps(doc)).shape.size <= MAX_COEFFICIENTS
 
 
 def test_invalid_json_reports_source():

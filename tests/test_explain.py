@@ -95,7 +95,7 @@ def test_class_agrees_with_classify_on_binary_states(field, gaps):
     # exactly the states classify reports as gaps come out unmatched
     unmatched = 0
     for mask in range(256):
-        v = Tensor(field, S222, [field.from_int(mask >> (7 - i) & 1) for i in range(8)])
+        v = Tensor(field, S222, [field.coerce(mask >> (7 - i) & 1) for i in range(8)])
         data = explain_three_qubit(v)
         try:
             label = classify(v)

@@ -51,26 +51,26 @@ class TestPrimeField:
     def test_matches_integer_arithmetic_mod_p(self, a, b):
         p = 13
         F = GF(p)
-        assert (F.from_int(a) + F.from_int(b)).value == (a + b) % p
-        assert (F.from_int(a) - F.from_int(b)).value == (a - b) % p
-        assert (F.from_int(a) * F.from_int(b)).value == (a * b) % p
+        assert (F.coerce(a) + F.coerce(b)).value == (a + b) % p
+        assert (F.coerce(a) - F.coerce(b)).value == (a - b) % p
+        assert (F.coerce(a) * F.coerce(b)).value == (a * b) % p
 
     @given(st.integers(1, 12))
     def test_inverse(self, a):
         F = GF(13)
-        x = F.from_int(a)
+        x = F.coerce(a)
         assert (x * (F.one / x)).value == 1
 
     def test_additive_inverse(self):
         F = GF(7)
         for a in range(7):
-            assert (F.from_int(a) + (-F.from_int(a))).value == 0
+            assert (F.coerce(a) + (-F.coerce(a))).value == 0
 
     def test_field_mismatch(self):
         with pytest.raises(FieldMismatchError):
-            GF(5).from_int(1) + GF(7).from_int(1)
+            GF(5).coerce(1) + GF(7).coerce(1)
         with pytest.raises(FieldMismatchError):
-            GF(5).coerce(GF(7).from_int(1))
+            GF(5).coerce(GF(7).coerce(1))
 
     def test_parse_reduces_fractions(self):
         F = GF(7)
@@ -114,7 +114,7 @@ class TestGaussianRational:
 
     def test_i_squared(self):
         i = QQI.parse("1i")
-        assert i * i == QQI.from_int(-1)
+        assert i * i == QQI.coerce(-1)
 
     @given(small_rationals, small_rationals)
     def test_format_parse_round_trip(self, a, b):
@@ -123,7 +123,7 @@ class TestGaussianRational:
 
     def test_mismatch_with_gf(self):
         with pytest.raises(FieldMismatchError):
-            QQI.from_int(1) + GF(5).from_int(1)
+            QQI.coerce(1) + GF(5).coerce(1)
 
 
 class TestDescriptors:
@@ -141,8 +141,7 @@ class TestDescriptors:
     @pytest.mark.parametrize("field", [QQ, QQI, GF(2), GF(7)], ids=lambda f: f.descriptor)
     def test_from_int_is_coerce(self, field):
         for n in (-15, -8, -7, -1, 0, 1, 2, 6, 7, 8, 100):
-            assert field.from_int(n) == field.coerce(n)
-            assert field.from_int(n) == n
+            assert field.coerce(n) == n
 
     def test_rejects_unknown(self):
         for bad in ["real", "gf(4)", "gf(x)", "float"]:

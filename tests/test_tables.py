@@ -1,9 +1,11 @@
+import re
 from fractions import Fraction
 
 import pytest
 
 from entinv.documents import document_dict
 from entinv.invariants import signature
+from entinv.suites import suite_tables
 from entinv.tables import (
     _TRIPARTITE_ENTRIES,
     TRIPARTITE_DIMS,
@@ -16,7 +18,6 @@ from entinv.tables import (
     representative,
     table_for,
     tripartite_shape,
-    verify_tables,
 )
 from entinv.tensors import (
     FlatteningSpec,
@@ -271,33 +272,39 @@ class TestThreeQubitPairKernels:
 
 
 class TestVerifyTables:
+    """The table checks of the tables suite: a count per tripartite shape, a check per entry."""
+
     def test_tripartite_families_pass(self):
-        for family in ("22d", "23d"):
-            report = verify_tables(family, range(2, 9))
-            assert report.passed, [c.name for c in report.checks if not c.passed]
+        report = suite_tables(d_max=8)
+        assert report.passed, [c.name for c in report.checks if not c.passed]
 
     def test_bipartite_law(self):
-        report = verify_tables("bipartite", range(1, 6))
-        assert report.passed
+        checks = [c for c in suite_tables(d_max=2).checks if re.match(r"\(\d,\d\) ", c.name)]
+        assert all(c.passed for c in checks)
+        # C0..C_min(d1,d2) at each (d1,d2) with d1, d2 <= 5
+        assert len(checks) == 80
 
     def test_check_strings_are_pinned(self):
-        # one check per family, at its position in the report
-        bipartite = verify_tables("bipartite", range(1, 4)).checks
-        assert [c.name for c in bipartite[:4]] == ["(1,1) C0", "(1,1) C1", "(1,2) C0", "(1,2) C1"]
-        c = bipartite[13]
-        assert (c.name, c.detail, c.repro) == (
-            "(2,3) C2",
+        checks = suite_tables(d_max=4).checks
+        names = [c.name for c in checks]
+        # the order: 22d by d, 23d by d, bipartite by (d1, d2), the (2,2,2) references
+        assert names[:2] == ["22d d=2 class count", "22d d=2 C0"]
+        assert names.index("23d d=2 class count") == 3 + 7 + 9 + 10
+        first = names.index("(1,1) C0")
+        assert names[first:first + 4] == ["(1,1) C0", "(1,1) C1", "(1,2) C0", "(1,2) C1"]
+        assert first == 3 + 26 + 3 + 49
+        assert names[-1] == "(2,2,2) C6 full kernel dims"
+        by_name = {c.name: c for c in checks}
+        c = by_name["(2,3) C2"]
+        assert (c.detail, c.repro) == (
             "k1=0 expected 0, classified C2",
             "entinv representative --family bipartite --d1 2 --d2 3 --label C2"
             " | entinv classify -",
         )
-        c = verify_tables("22d", range(2, 4)).checks[8]
-        assert (c.name, c.detail, c.repro) == (
-            "22d d=3 class count", "9 valid entries, expected 9", ""
-        )
-        c = verify_tables("23d", [4]).checks[18]
-        assert (c.name, c.detail, c.repro) == (
-            "23d d=4 C17",
+        c = by_name["22d d=3 class count"]
+        assert (c.detail, c.repro) == ("9 valid entries, expected 9", "")
+        c = by_name["23d d=4 C17"]
+        assert (c.detail, c.repro) == (
             "signature key (0, 1, 0, 6), expected (0, 1, 0, 6), classified C17",
             "entinv representative --family 23d --d 4 --label C17 | entinv classify -",
         )
@@ -310,13 +317,10 @@ class TestVerifyTables:
             return signature(v)
 
         monkeypatch.setattr("entinv.tables.signature", counted)
-        report = verify_tables("23d", range(2, 5))
+        report = suite_tables(d_max=4)
         assert report.passed
-        assert len(calls) == 9 + 17 + 23
-
-    def test_unknown_family(self):
-        with pytest.raises(ValueError):
-            verify_tables("33d", [3])
+        # 22d, 23d and bipartite entries; the references go through suites.signature
+        assert len(calls) == (7 + 9 + 10) + (9 + 17 + 23) + 80
 
     def test_classify_full_returns_signature(self):
         label, sig = classify_full(from_terms(Shape((2, 2, 2)), [(1, 1, 1), (2, 2, 2)]))

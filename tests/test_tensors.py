@@ -271,4 +271,4 @@ def test_scale_preserves_flattening_kernels():
     v = random_tensor(Shape((2, 3, 4)), 3, seed=4)
     w = v.scale(QQ.parse("-5/3"))
     for spec in SPECS[3]:
-        assert flatten(v, spec).kernel_basis() == flatten(w, spec).kernel_basis()
+        assert flatten(v, spec).rref() == flatten(w, spec).rref()
