@@ -4,15 +4,17 @@ For each bipartition of the factors, the flattening of a state has a
 kernel whose dimension is invariant under invertible local maps.  For
 three factors there is one more invariant: the dimension of the joint
 kernel cut out by applying each pair flattening alongside the identity on
-the remaining factor.  The full signature collects all of these; the rank
-dualities between complementary bipartitions are re-checked on every
-computation rather than assumed.
+the remaining factor.  The full signature collects all of these.  A
+flattening and its complement are transposes of one rank, so the
+signature derives complementary kernels by rank duality, which `verify
+--suite duality` checks with two separate eliminations.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
+from math import prod
 from typing import Optional
 
 from .linalg import ExactMatrix, InternalConsistencyError
@@ -33,25 +35,11 @@ class InvariantSignature:
     triple: Optional[int] = None
 
     def __post_init__(self):
-        d = self.dims
-        n = len(d)
-        for k_i, d_i in zip(self.singles, d):
+        for k_i, d_i in zip(self.singles, self.dims):
             if not 0 <= k_i <= d_i:
                 raise InternalConsistencyError(f"single kernel dim {k_i} out of [0, {d_i}]")
-        if n == 2:
-            if d[0] - self.singles[0] != d[1] - self.singles[1]:
-                raise InternalConsistencyError(f"rank duality violated: {self}")
-        else:
-            k12, k13, k23 = self.pairs
-            full = d[0] * d[1] * d[2]
-            if not (
-                d[0] - self.singles[0] == d[1] * d[2] - k23
-                and d[1] - self.singles[1] == d[0] * d[2] - k13
-                and d[2] - self.singles[2] == d[0] * d[1] - k12
-            ):
-                raise InternalConsistencyError(f"rank duality violated: {self}")
-            if not 0 <= self.triple <= full:
-                raise InternalConsistencyError(f"triple kernel dim {self.triple} out of range")
+        if self.triple is not None and not 0 <= self.triple <= prod(self.dims):
+            raise InternalConsistencyError(f"triple kernel dim {self.triple} out of range")
 
     @property
     def n(self) -> int:
@@ -116,13 +104,13 @@ def triple_constraint_matrix(v: Tensor) -> ExactMatrix:
     return ExactMatrix.from_rows(v.field, rows)
 
 
-def triple_kernel_dim(v: Tensor) -> int:
+def triple_kernel_dim(v: Tensor, slices: list[int]) -> int:
     """Dimension of the joint kernel of the three extended pair maps.
 
-    Computed on the concise slice subtensor.  Let r be the rank of the
-    (1,2) flattening, whose columns are the slices v[:,:,k], let S be its
-    pivot columns (the first r independent slices) and v|S the
-    (d1, d2, r) subtensor keeping only those slices.  Then
+    Computed on the concise slice subtensor.  `slices` are the pivot
+    columns S of the (1,2) flattening, whose columns are the slices
+    v[:,:,k]: the first r independent slices, r its rank.  With v|S the
+    (d1, d2, r) subtensor keeping only those slices,
 
         k123(v) = k123(v|S) + (d3 - r) (d1 d2 - r),
 
@@ -140,7 +128,6 @@ def triple_kernel_dim(v: Tensor) -> int:
         raise ArityError(f"triple intersection needs 3 factors, got {v.n}")
     d1, d2, d3 = v.shape.dims
     d12 = d1 * d2
-    slices = ExactMatrix(v.field, d12, d3, v.coeffs).pivots()
     r = len(slices)
     free = (d3 - r) * (d12 - r)
     if r in (0, d12):
@@ -158,19 +145,20 @@ def triple_kernel_dim(v: Tensor) -> int:
 def signature(v: Tensor) -> InvariantSignature:
     """Complete invariant signature of a 2- or 3-factor state.
 
-    Pair kernel dimensions are computed from their own flattenings, not
-    inferred from the singles; the dualities between the two routes are
-    asserted when the signature is assembled.
+    Each distinct matrix is eliminated once; a flattening's complement is
+    its transpose, whose kernel follows by rank duality.  Tripartite, the
+    pivots of the (1,2) flattening give k3 and k12 and are the concise
+    slices of `triple_kernel_dim`.
     """
-    n = v.n
-    singles = tuple(kernel_dim(v, FlatteningSpec((i,), n)) for i in range(1, n + 1))
-    if n == 2:
-        return InvariantSignature(dims=v.shape.dims, singles=singles)
-    pairs = tuple(
-        kernel_dim(v, FlatteningSpec(rows, 3)) for rows in ((1, 2), (1, 3), (2, 3))
-    )
-    triple = triple_kernel_dim(v)
-    return InvariantSignature(dims=v.shape.dims, singles=singles, pairs=pairs, triple=triple)
+    d = v.shape.dims
+    k1 = kernel_dim(v, FlatteningSpec((1,), v.n))
+    if v.n == 2:
+        return InvariantSignature(d, (k1, d[1] - d[0] + k1))
+    k2 = kernel_dim(v, FlatteningSpec((2,), 3))
+    slices = flatten(v, FlatteningSpec((1, 2), 3)).pivots()
+    r = len(slices)
+    pairs = (d[0] * d[1] - r, d[0] * d[2] - d[1] + k2, d[1] * d[2] - d[0] + k1)
+    return InvariantSignature(d, (k1, k2, d[2] - r), pairs, triple_kernel_dim(v, slices))
 
 
 def general_form_decomposition(

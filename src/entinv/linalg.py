@@ -23,7 +23,7 @@ class InternalConsistencyError(RuntimeError):
 class ExactMatrix:
     """A rows x cols matrix of scalars drawn from one exact field."""
 
-    __slots__ = ("field", "rows", "cols", "entries")
+    __slots__ = ("field", "rows", "cols", "entries", "_pivots")
 
     def __init__(self, field: Field, rows: int, cols: int, entries: Sequence):
         if rows < 0 or cols < 0:
@@ -36,6 +36,7 @@ class ExactMatrix:
         self.rows = rows
         self.cols = cols
         self.entries = [field.coerce(x) for x in entries]
+        self._pivots = None
 
     @classmethod
     def from_rows(cls, field: Field, rows: Sequence[Sequence]) -> "ExactMatrix":
@@ -108,35 +109,39 @@ class ExactMatrix:
         return ExactMatrix(self.field, self.rows, self.cols, flat), pivots
 
     def pivots(self) -> list[int]:
-        """The pivot columns of `rref()`, by integer elimination.
+        """The pivot columns of `rref()`, by integer elimination on the first call.
+
+        Entries are never mutated, so the pivot list is kept for later calls.
 
         Over Q(i), a + bi acts on Q^2 as [[a, -b], [b, a]]; column c is a
         pivot exactly when columns 2c and 2c + 1 of that rational image are.
         """
-        rows = self.row_lists()
-        if isinstance(self.field, PrimeField):
-            return _pivots_prime(rows, self.cols, self.field.p)
-        if isinstance(self.field, RationalField):
-            return _pivots_bareiss(_integer_rows(rows), self.cols)
-        image = []
-        for ab in _integer_rows([[t for x in row for t in (x.re, x.im)] for row in rows]):
-            image.append([-t if k % 2 else t for k, t in enumerate(ab)])
-            image.append([ab[k ^ 1] for k in range(len(ab))])
-        paired = _pivots_bareiss(image, 2 * self.cols)
-        pivots = [c // 2 for c in paired[::2]]
-        if paired != [2 * c + j for c in pivots for j in (0, 1)]:
-            raise InternalConsistencyError("pivots of the rational image are not paired")
-        return pivots
+        if self._pivots is None:
+            self._pivots = _eliminate(self.field, self.row_lists(), self.cols)
+        return list(self._pivots)
 
     def rank(self) -> int:
         """Number of pivot columns of the reduced row echelon form."""
         return len(self.pivots())
 
-    def is_invertible(self) -> bool:
-        return self.rows == self.cols and self.rank() == self.rows
-
 
 # -- fraction-free fast paths ------------------------------------------
+
+
+def _eliminate(field: Field, rows: list[list], cols: int) -> list[int]:
+    if isinstance(field, PrimeField):
+        return _pivots_prime(rows, cols, field.p)
+    if isinstance(field, RationalField):
+        return _pivots_bareiss(_integer_rows(rows), cols)
+    image = []
+    for ab in _integer_rows([[t for x in row for t in (x.re, x.im)] for row in rows]):
+        image.append([-t if k % 2 else t for k, t in enumerate(ab)])
+        image.append([ab[k ^ 1] for k in range(len(ab))])
+    paired = _pivots_bareiss(image, 2 * cols)
+    pivots = [c // 2 for c in paired[::2]]
+    if paired != [2 * c + j for c in pivots for j in (0, 1)]:
+        raise InternalConsistencyError("pivots of the rational image are not paired")
+    return pivots
 
 
 def _integer_rows(rows: list[list[Fraction]]) -> list[list[int]]:

@@ -221,7 +221,7 @@ def apply_local(v: Tensor, maps: Sequence[ExactMatrix]) -> Tensor:
             raise ShapeError(f"local map for factor {i + 1} must be {d}x{d}")
         if a.field != v.field:
             raise ShapeError(f"local map for factor {i + 1} is over the wrong field")
-        if not a.is_invertible():
+        if a.rank() < d:
             raise BasisError(f"local map for factor {i + 1} is singular")
     coeffs = list(v.coeffs)
     for axis, a in enumerate(maps):

@@ -6,7 +6,9 @@ calling through it, would silently zero that layer's metrics.  These
 tests load the tracer as a plain file, classify one document through
 `cli.main`, and count the spans of each layer: a (2,3,4) state, a
 (2,3,12) state on each route of `triple_kernel_dim`, and a (2,3,4)
-Gaussian-rational state, whose ranks run on the rational image.  One
+Gaussian-rational state, whose ranks run on the rational image.  A
+tripartite signature flattens three times: it ranks the (1) and (2)
+flattenings and takes the pivots, not the rank, of the (1,2) one.  One
 more runs the local-invariance suite, the only path through the
 `suites.*` targets.
 """
@@ -65,18 +67,18 @@ def test_classify_234_records_every_layer(monkeypatch, capsys):
     v = random_tensor(Shape((2, 3, 4)), 3, seed=0)
     spans = _classify_traced(v, monkeypatch, capsys)["spans"]
     names = Counter(name for name, _, _, _ in spans)
-    assert names["tensors.flatten"] == 6
+    assert names["tensors.flatten"] == 3
     assert names["invariants.triple_constraint_matrix"] == 1
-    assert _rank_parents(spans) == {"invariants.kernel_dim": 6, "invariants.triple_kernel_dim": 1}
+    assert _rank_parents(spans) == {"invariants.kernel_dim": 2, "invariants.triple_kernel_dim": 1}
 
 
 def test_generic_2312_state_builds_no_k123_system(monkeypatch, capsys):
     # its (1,2) flattening has full rank 6, so K12 = 0 and k123 = 0 directly
     cut = _classify_traced(random_tensor(Shape((2, 3, 12)), 3, seed=0), monkeypatch, capsys)
     names = Counter(name for name, _, _, _ in cut["spans"])
-    assert names["tensors.flatten"] == 6
+    assert names["tensors.flatten"] == 3
     assert names["invariants.triple_constraint_matrix"] == 0
-    assert _rank_parents(cut["spans"]) == {"invariants.kernel_dim": 6}
+    assert _rank_parents(cut["spans"]) == {"invariants.kernel_dim": 2}
     assert cut["cells"] == 0
 
 
@@ -89,11 +91,11 @@ def test_class_2312_state_ranks_its_concise_slices(monkeypatch, capsys):
     assert r == 2
     cut = _classify_traced(v, monkeypatch, capsys)
     names = Counter(name for name, _, _, _ in cut["spans"])
-    assert names["tensors.flatten"] == 6
+    assert names["tensors.flatten"] == 3
     assert names["invariants.triple_constraint_matrix"] == 1
     assert cut["cells"] == (r * r + 9 + 4) * (6 * r)
     assert _rank_parents(cut["spans"]) == {
-        "invariants.kernel_dim": 6, "invariants.triple_kernel_dim": 1
+        "invariants.kernel_dim": 2, "invariants.triple_kernel_dim": 1
     }
 
 
@@ -110,9 +112,9 @@ def test_gaussian_234_class_state_ranks_on_both_layers(monkeypatch, capsys):
     assert any(c.im for c in v.coeffs)
     spans = _classify_traced(v, monkeypatch, capsys)["spans"]
     names = Counter(name for name, _, _, _ in spans)
-    assert names["tensors.flatten"] == 6
+    assert names["tensors.flatten"] == 3
     assert names["invariants.triple_constraint_matrix"] == 1
-    assert _rank_parents(spans) == {"invariants.kernel_dim": 6, "invariants.triple_kernel_dim": 1}
+    assert _rank_parents(spans) == {"invariants.kernel_dim": 2, "invariants.triple_kernel_dim": 1}
 
 
 def test_local_invariance_suite_records_every_layer():

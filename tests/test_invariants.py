@@ -11,7 +11,7 @@ from entinv.invariants import (
     triple_constraint_matrix,
     triple_kernel_dim,
 )
-from entinv.linalg import ExactMatrix, InternalConsistencyError
+from entinv.linalg import ExactMatrix
 from entinv.tables import table_for
 from entinv.tensors import (
     ArityError,
@@ -19,6 +19,7 @@ from entinv.tensors import (
     Shape,
     Tensor,
     apply_local,
+    flatten,
     from_terms,
     random_invertible,
     random_tensor,
@@ -61,7 +62,7 @@ class TestTripleConstraintMatrix:
         v = from_terms(S222, [], field=QQ)
         m = triple_constraint_matrix(v)
         assert all(x == QQ.zero for x in m.entries)
-        assert triple_kernel_dim(v) == 8
+        assert triple_kernel_dim(v, _slices(v)) == 8
 
     def test_product_state_forces_four_coordinates(self):
         # for the state with a single unit coefficient at (1,1,1) the
@@ -102,15 +103,15 @@ class TestTripleConstraintMatrix:
 
 class TestTripleKernelDim:
     def test_ghz(self):
-        assert triple_kernel_dim(GHZ) == 0
+        assert triple_kernel_dim(GHZ, _slices(GHZ)) == 0
 
     def test_three_term_state(self):
         v = from_terms(S222, [(1, 1, 1), (1, 2, 2), (2, 1, 2)])
-        assert triple_kernel_dim(v) == 1
+        assert triple_kernel_dim(v, _slices(v)) == 1
 
     def test_on_taller_third_factor(self):
         v = from_terms(Shape((2, 2, 3)), [(1, 1, 1), (2, 2, 1)])
-        assert triple_kernel_dim(v) == 6
+        assert triple_kernel_dim(v, _slices(v)) == 6
 
     # the stacked system stays the reference for the concise-slice route
     @pytest.mark.parametrize("descriptor,d_max", [
@@ -127,7 +128,8 @@ class TestTripleKernelDim:
                         for axis, dim in enumerate(shape.dims)
                     ]
                     v = apply_local(from_terms(shape, entry.terms, field=field), bases)
-                    assert triple_kernel_dim(v) == _stacked_k123(v), (shape.dims, entry.label)
+                    got = triple_kernel_dim(v, _slices(v))
+                    assert got == _stacked_k123(v), (shape.dims, entry.label)
 
     @pytest.mark.parametrize("descriptor", ["gf(2)", "gf(3)"])
     @pytest.mark.parametrize("dims", [(3, 3, 3), (1, 3, 4), (2, 2, 1), (3, 3, 10), (2, 4, 5)])
@@ -140,11 +142,16 @@ class TestTripleKernelDim:
             _few_slices(shape, t, seed, field) for t in range(1, 4) for seed in range(6)
         ]
         for v in states:
-            assert triple_kernel_dim(v) == _stacked_k123(v), v
+            assert triple_kernel_dim(v, _slices(v)) == _stacked_k123(v), v
 
     def test_rejects_bipartite_input(self):
         with pytest.raises(ArityError):
-            triple_kernel_dim(random_tensor(Shape((2, 2)), 2, seed=1))
+            triple_kernel_dim(random_tensor(Shape((2, 2)), 2, seed=1), [])
+
+
+def _slices(v):
+    """Pivot columns of the (1,2) flattening: the concise slices of `v`."""
+    return flatten(v, FlatteningSpec((1, 2), 3)).pivots()
 
 
 def _stacked_k123(v):
@@ -233,11 +240,43 @@ class TestSignature:
         v = from_terms(S222, [(1, 1, 1), (2, 2, 2)], field=GF(5))
         assert signature(v).key() == (0, 0, 0, 0)
 
-    def test_duality_violation_raises(self):
-        with pytest.raises(InternalConsistencyError):
-            InvariantSignature(dims=(2, 2), singles=(1, 0))
-        with pytest.raises(InternalConsistencyError):
-            InvariantSignature(dims=(2, 2, 2), singles=(0, 0, 0), pairs=(2, 2, 3), triple=0)
+    # six separate flattening ranks plus the stacked k123 system stay the
+    # oracle for the signature that derives three kernels by rank duality
+    @pytest.mark.parametrize("descriptor,d_max", [
+        ("rational", 5), ("gf(101)", 5), ("gaussian-rational", 3),
+    ])
+    def test_matches_six_ranks_on_class_states(self, descriptor, d_max):
+        field = field_from_descriptor(descriptor)
+        for base in (2, 3):
+            for d in range(2, d_max + 1):
+                shape = Shape((2, base, d))
+                for n, entry in enumerate(table_for(shape).entries):
+                    bases = [
+                        _random_basis(dim, (100 * base + d) * 100 + 3 * n + axis + 7, field)
+                        for axis, dim in enumerate(shape.dims)
+                    ]
+                    v = apply_local(from_terms(shape, entry.terms, field=field), bases)
+                    assert signature(v) == _six_rank_signature(v), (shape.dims, entry.label)
+
+    @pytest.mark.parametrize("descriptor", ["rational", "gf(101)", "gaussian-rational"])
+    def test_matches_six_ranks_on_random_states(self, descriptor):
+        field = field_from_descriptor(descriptor)
+        shapes = [(d1, d2) for d1 in range(1, 5) for d2 in range(1, 5)]
+        shapes += [(3, 3, 3), (1, 3, 4), (2, 4, 5)]
+        for dims in shapes:
+            for seed in range(8):
+                # entries in [-1, 1] leave small shapes a fair share of kernels
+                v = random_tensor(Shape(dims), 1, seed=seed, field=field)
+                assert signature(v) == _six_rank_signature(v), (dims, seed)
+
+
+def _six_rank_signature(v):
+    """Every kernel from its own flattening, k123 from the stacked system."""
+    ks = tuple(kernel_dim(v, spec) for spec in SPECS[v.n])
+    if v.n == 2:
+        return InvariantSignature(dims=v.shape.dims, singles=ks)
+    k123 = v.shape.size - triple_constraint_matrix(v).rank()
+    return InvariantSignature(dims=v.shape.dims, singles=ks[:3], pairs=ks[3:], triple=k123)
 
 
 def _expand(pairs, nrows, ncols):
