@@ -2,7 +2,8 @@
 
 Subcommands: classify | table | representative | verify | explain3.
 Machine output goes to stdout, diagnostics to stderr.  Exit codes:
-0 success, 1 usage or input error, 2 classification gap.
+0 success, 1 usage or input error or an internal error (a failed
+self-check, which means a bug), 2 classification gap.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import sys
 from .documents import DocumentError, admit, emit_document, parse_document
 from .explain import explain_three_qubit, render_explain_text
 from .fields import FieldMismatchError, field_from_descriptor
+from .linalg import InternalConsistencyError
 from .suites import SUITES, SuiteFlagError, run_suite
 from .tables import (
     TRIPARTITE_DIMS,
@@ -235,6 +237,9 @@ def main(argv=None) -> int:
         return 1
     except (ValueError, FieldMismatchError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except InternalConsistencyError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
         return 1
 
 

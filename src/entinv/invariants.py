@@ -161,6 +161,18 @@ def signature(v: Tensor) -> InvariantSignature:
     return InvariantSignature(d, (k1, k2, d[2] - r), pairs, triple_kernel_dim(v, slices))
 
 
+def duality_fault(v: Tensor) -> str:
+    """The first single factor whose flattening and its complement, each
+    ranked on its own, differ in rank; "" when every such pair agrees."""
+    for axis in range(1, 2 if v.n == 2 else 4):
+        spec = FlatteningSpec((axis,), v.n)
+        rank, dual = flatten(v, spec).rank(), flatten(v, spec.complement()).rank()
+        if rank != dual:
+            return (f"rank duality violated: factor {axis} "
+                    f"flattening has rank {rank}, its complement {dual}")
+    return ""
+
+
 def general_form_decomposition(
     v: Tensor, spec: FlatteningSpec
 ) -> list[tuple[list, list]]:

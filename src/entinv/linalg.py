@@ -160,8 +160,17 @@ def _pivots_bareiss(rows: list[list[int]], cols: int) -> list[int]:
     Entries stay exact minors of the input, so intermediate growth is
     polynomial and every division below is exact; a nonzero remainder
     would mean a bug, not a data issue.
+
+    A row whose entry in the pivot column is 0 is left alone: a Bareiss
+    step would only scale it by p / prev, and those factors telescope.
+    So a row last written at the step whose pivot was den[i] holds its
+    Bareiss value times den[i] / prev.  Its next write divides by den[i]
+    instead of prev, and a row that becomes the pivot row is first scaled
+    by prev / den[i]; both results are the Bareiss values themselves, so
+    both divisions are exact and the pivots are those of the full loop.
     """
     nr = len(rows)
+    den = [1] * nr
     pivots = []
     prev = 1
     for c in range(cols):
@@ -174,19 +183,29 @@ def _pivots_bareiss(rows: list[list[int]], cols: int) -> list[int]:
         if piv is None:
             continue
         rows[rank], rows[piv] = rows[piv], rows[rank]
-        p = rows[rank][c]
+        den[rank], den[piv] = den[piv], den[rank]
+        rp = rows[rank]
+        d = den[rank]
+        if d != prev:
+            for j in range(c, cols):
+                q, rem = divmod(prev * rp[j], d)
+                if rem:
+                    raise InternalConsistencyError("inexact division in Bareiss step")
+                rp[j] = q
+        p = rp[c]
         for i in range(rank + 1, nr):
             ri = rows[i]
             f = ri[c]
-            if f == 0 and p == prev:
+            if f == 0:
                 continue
-            rp = rows[rank]
+            d = den[i]
             for j in range(c + 1, cols):
-                q, rem = divmod(p * ri[j] - f * rp[j], prev)
+                q, rem = divmod(p * ri[j] - f * rp[j], d)
                 if rem:
                     raise InternalConsistencyError("inexact division in Bareiss step")
                 ri[j] = q
             ri[c] = 0
+            den[i] = p
         prev = p
         pivots.append(c)
     return pivots

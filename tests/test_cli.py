@@ -132,6 +132,25 @@ class TestClassify:
         )
         assert peak < 2**20
 
+    # a rank fault is a bug in the program: one line, exit 1, no traceback
+    @pytest.mark.parametrize("command,entries,fault,message", [
+        ("classify", ["1", "0", "0", "0", "0", "0", "0", "0"], "tall",
+         "rank duality violated: factor 1 flattening has rank 1, its complement 0"),
+        ("classify", ["0"] * 8, "all", "single kernel dim 3 out of [0, 2]"),
+        ("explain3", ["0"] * 8, "all", "single kernel dim 3 out of [0, 2]"),
+    ])
+    def test_internal_error_is_one_line(self, command, entries, fault, message, monkeypatch,
+                                        capsys):
+        import io
+        rank = ExactMatrix.rank
+        short = {"tall": lambda m: rank(m) - (m.rows > m.cols), "all": lambda m: rank(m) - 1}
+        monkeypatch.setattr(ExactMatrix, "rank", short[fault])
+        doc = json.dumps({"field": "rational", "dims": [2, 2, 2], "entries": entries})
+        monkeypatch.setattr("sys.stdin", io.StringIO(doc))
+        assert main([command, "-"]) == 1
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"internal error: {message}\n")
+
 
 class TestTable:
     def test_22d_at_2_has_seven_rows(self, capsys):
@@ -359,14 +378,14 @@ class TestVerify:
         ["--suite", "tables", "--d-max", "2"],
     ])
     def test_rank_fault_stops_a_suite_with_a_fail_line(self, flags, monkeypatch, capsys):
-        # these suites check no duality themselves: the fault shows as a
-        # kernel dim out of range (exit 1) or as a wrong class (exit 2),
-        # and either way the report carries it as a failed check
+        # the fault shows as a kernel dim out of range, or as a signature
+        # outside the tables whose ranks break duality; either way the
+        # report carries it as a failed check, not as a gap
         rank = ExactMatrix.rank
         monkeypatch.setattr(
             ExactMatrix, "rank", lambda m: rank(m) - (m.rows > m.cols)
         )
-        assert main(["verify", *flags]) in (1, 2)
+        assert main(["verify", *flags]) == 1
         captured = capsys.readouterr()
         assert "[FAIL] " in captured.out
         assert captured.err == ""

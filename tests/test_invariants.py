@@ -131,6 +131,30 @@ class TestTripleKernelDim:
                     got = triple_kernel_dim(v, _slices(v))
                     assert got == _stacked_k123(v), (shape.dims, entry.label)
 
+    # the concise systems are the sparse ones that `rank()` eliminates for
+    # k123; their pivots are checked against plain elimination, which does
+    # not share the Bareiss loop
+    @pytest.mark.parametrize("descriptor,d_max", [("rational", 6), ("gaussian-rational", 3)])
+    def test_concise_systems_pivot_like_rref(self, descriptor, d_max):
+        field = field_from_descriptor(descriptor)
+        for base in (2, 3):
+            for d in range(2, d_max + 1):
+                shape = Shape((2, base, d))
+                for n, entry in enumerate(table_for(shape).entries):
+                    bases = [
+                        _random_basis(dim, (100 * base + d) * 100 + 3 * n + axis + 11, field)
+                        for axis, dim in enumerate(shape.dims)
+                    ]
+                    v = apply_local(from_terms(shape, entry.terms, field=field), bases)
+                    slices = flatten(v, FlatteningSpec((1, 2), 3)).rref()[1]
+                    if not 0 < len(slices) < 2 * base:
+                        continue
+                    concise = Tensor(field, Shape((2, base, len(slices))), [
+                        v.coeffs[o + k] for o in shape.offsets((0, 1)) for k in slices
+                    ])
+                    m = triple_constraint_matrix(concise)
+                    assert m.pivots() == m.rref()[1], (shape.dims, entry.label)
+
     @pytest.mark.parametrize("descriptor", ["gf(2)", "gf(3)"])
     @pytest.mark.parametrize("dims", [(3, 3, 3), (1, 3, 4), (2, 2, 1), (3, 3, 10), (2, 4, 5)])
     def test_matches_stacked_system_off_the_tables(self, dims, descriptor):

@@ -2,10 +2,10 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from entinv.fields import GF, QQ, QQI, FieldMismatchError, GaussianRational
-from entinv.linalg import ExactMatrix
+from entinv.linalg import ExactMatrix, _pivots_bareiss
 from entinv.tensors import FlatteningSpec, Shape, Tensor, apply_local, flatten, from_terms
 
 FIELDS = [QQ, GF(7), QQI]
@@ -64,6 +64,36 @@ def _matrices(draw, field):
         c = draw(scalars)
         rows.insert(draw(st.integers(0, len(rows))), [c * x for x in rows[j]])
     return ExactMatrix(field, len(rows), cols, [x for row in rows for x in row])
+
+
+@st.composite
+def _sparse_matrices(draw, field):
+    """Matrices up to 8 x 8 with at most a third of the entries nonzero, so
+    that elimination leaves rows alone and stale rows become pivot rows."""
+    rows, cols = draw(st.integers(0, 8)), draw(st.integers(0, 8))
+    entries = [field.zero] * (rows * cols)
+    at = st.integers(0, max(rows * cols - 1, 0))
+    for k, x in draw(st.dictionaries(at, _SCALARS[field], max_size=rows * cols // 3)).items():
+        entries[k] = x
+    return ExactMatrix(field, rows, cols, entries)
+
+
+def _det(rows):
+    """Determinant of a square list of rows, by plain elimination over Q."""
+    m = [[Fraction(x) for x in row] for row in rows]
+    det = Fraction(1)
+    for c in range(len(m)):
+        piv = next((i for i in range(c, len(m)) if m[i][c]), None)
+        if piv is None:
+            return 0
+        if piv != c:
+            m[c], m[piv] = m[piv], m[c]
+            det = -det
+        det *= m[c][c]
+        for i in range(c + 1, len(m)):
+            f = m[i][c] / m[c][c]
+            m[i] = [a - f * b for a, b in zip(m[i], m[c])]
+    return det
 
 
 def _zeros(field, rows, cols):
@@ -128,6 +158,45 @@ class TestPivots:
         pivots = m.rref()[1]
         assert m.pivots() == pivots
         assert m.rank() == len(pivots)
+
+    @pytest.mark.parametrize("field", [QQ, QQI], ids=lambda f: f.descriptor)
+    @settings(deadline=None)
+    @given(data=st.data())
+    def test_sparse_elimination_matches_rref(self, field, data):
+        m = data.draw(_sparse_matrices(field))
+        assert m.pivots() == m.rref()[1]
+
+    # Each matrix reaches a branch of the elimination that skips rows:
+    # - row 1 is left alone at step 0 and becomes the pivot row at step 1
+    #   with its den still 1 while prev is 2, so it is scaled by 2 first;
+    # - the same, where an unscaled pivot row would also make the next
+    #   division inexact;
+    # - row 2 is left alone at step 0 and written at step 1, so its write
+    #   divides by its own den 1, not by prev = 2;
+    # - row 3 is left alone at step 0 and swapped into the pivot row at
+    #   step 1, so its den must move with it;
+    # - column 1 holds no pivot, row 2 is twice row 0 and vanishes, and row 1
+    #   is a stale pivot row at column 2.
+    @pytest.mark.parametrize("rows,pivots", [
+        ([[2, 1, 0], [0, 3, 1], [4, 5, 7]], [0, 1, 2]),
+        ([[2, 1, 0], [0, 1, 1], [1, 0, 0]], [0, 1, 2]),
+        ([[2, 0, 1], [1, 1, 0], [0, 1, 0]], [0, 1, 2]),
+        ([[2, 0, 1, 0], [1, 0, 0, 0], [1, 0, 1, 1], [0, 1, 0, 0]], [0, 1, 2, 3]),
+        ([[2, 0, 2, 1], [0, 0, 1, 1], [4, 0, 4, 2]], [0, 2]),
+    ])
+    def test_skipped_rows_keep_bareiss_pivots(self, rows, pivots):
+        m = ExactMatrix.from_rows(QQ, rows)
+        assert m.pivots() == m.rref()[1] == pivots
+        # each pivot is the minor on the rows chosen so far, in their order,
+        # and the pivot columns: a row scaled by the wrong factor shows here
+        work = [list(row) for row in rows]
+        start = {id(row): i for i, row in enumerate(work)}
+        assert _pivots_bareiss(work, len(rows[0])) == pivots
+        # rows are swapped as list objects, so each still names its input row
+        chosen = [rows[start[id(row)]] for row in work]
+        for k, c in enumerate(pivots):
+            minor = [[row[j] for j in pivots[: k + 1]] for row in chosen[: k + 1]]
+            assert work[k][c] == _det(minor)
 
     def test_rows_dependent_only_through_i(self):
         # each row pair (u, i u) is independent over Q but not over Q(i)
