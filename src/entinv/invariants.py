@@ -15,9 +15,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 from math import prod
+from operator import mul
 from typing import Optional
 
-from .linalg import ExactMatrix, InternalConsistencyError
+from .linalg import ExactMatrix, InternalConsistencyError, eliminate, image_kernel, integer_image
 from .tensors import ArityError, FlatteningSpec, Shape, Tensor, flatten
 
 
@@ -121,8 +122,19 @@ def triple_kernel_dim(v: Tensor, slices: list[int]) -> int:
     d3 - r zero slices.  There block 1 puts every slice w[:,:,l] in K12,
     of dimension d1 d2 - r; slices l >= r appear in no row of blocks 2
     and 3, which only see third indices < r, and the remaining rows are
-    exactly the system of v|S.  `triple_constraint_matrix(v)` stays the
-    full stacked system; tests compare the two routes.
+    exactly the system of v|S.
+
+    The system of v|S is not stacked either.  Its block 1 says that each
+    slice w[:,:,l] lies in K = ker S^T, S^T the r x d1 d2 matrix of the
+    slices, which has rank r.  With a basis of K from `image_kernel`,
+    w[q, l] = sum_f K[q, f] y[f, l], and k123(v|S) is (d1 d2 - r) r minus
+    the rank of blocks 2 and 3 in the unknowns y: a (d1^2 + d2^2) x
+    (d1 d2 - r) r system, at most 13 x 9 for (2, 3, d).  With the identity
+    on factor 2, its row (m, n) holds sum_i v[i, m, l] K[(i, n), f] at
+    (l, f); with the identity on factor 1, sum_j v[m, j, l] K[(n, j), f].
+    All of it is computed in the integer image of the field.
+    `triple_constraint_matrix(v)` stays the full stacked system; tests
+    compare the two routes.
     """
     if v.n != 3:
         raise ArityError(f"triple intersection needs 3 factors, got {v.n}")
@@ -132,14 +144,28 @@ def triple_kernel_dim(v: Tensor, slices: list[int]) -> int:
     free = (d3 - r) * (d12 - r)
     if r in (0, d12):
         return free
-    if r < d3:
-        coeffs = v.coeffs
-        v = Tensor(
-            v.field,
-            Shape((d1, d2, r)),
-            [coeffs[o + k] for o in v.shape.offsets((0, 1)) for k in slices],
-        )
-    return v.shape.size - triple_constraint_matrix(v).rank() + free
+    field = v.field
+    coeffs = v.coeffs
+    qoff = v.shape.offsets((0, 1))  # v[q, k] is coeffs[qoff[q] + k], q = (i, j)
+    # each matrix row is brought to its integer image on its own, as in
+    # `ExactMatrix`: the slices here, the coefficients of a block row below
+    slice_rows = [[coeffs[o + k] for o in qoff] for k in slices]
+    kernel = image_kernel(field, integer_image(field, slice_rows), d12)
+    e = len(kernel) // d12  # image rows per coordinate: 2 over Q(i), else 1
+    pairs = Shape((d1, d2))
+    rows = []
+    for axis in (1, 0):
+        base = pairs.offsets([1 - axis])
+        step = pairs.offsets([axis])
+        for m in step:
+            # v[o + m, l] for each slice l and each o in base
+            image = integer_image(field, [[coeffs[qoff[o + m] + k] for k in slices for o in base]])
+            w = e * len(base)
+            xs = [[x[w * l : w * (l + 1)] for l in range(r)] for x in image]
+            for n in step:
+                ks = list(zip(*[kernel[e * (o + n) + u] for o in base for u in range(e)]))
+                rows += [[sum(map(mul, xl, k)) for xl in xls for k in ks] for xls in xs]
+    return (d12 - r) * r - len(eliminate(field, rows, (d12 - r) * r)) + free
 
 
 def signature(v: Tensor) -> InvariantSignature:

@@ -4,7 +4,9 @@ All arithmetic is exact field arithmetic; there are no tolerances and no
 pivoting heuristics (the first nonzero entry in column order is the pivot).
 `pivots` and `rank` eliminate integers only (Bareiss over Q and over the
 rational image of Q(i), residues over GF(p)); their agreement with the
-pivots of `rref` is a tested invariant, not an assumption.
+pivots of `rref` is a tested invariant, not an assumption.  The k123 route
+of `invariants` works in the same integer image: `image_kernel` and
+`eliminate`.
 """
 
 from __future__ import annotations
@@ -117,7 +119,8 @@ class ExactMatrix:
         pivot exactly when columns 2c and 2c + 1 of that rational image are.
         """
         if self._pivots is None:
-            self._pivots = _eliminate(self.field, self.row_lists(), self.cols)
+            image = integer_image(self.field, self.row_lists())
+            self._pivots = eliminate(self.field, image, self.cols)
         return list(self._pivots)
 
     def rank(self) -> int:
@@ -125,23 +128,67 @@ class ExactMatrix:
         return len(self.pivots())
 
 
-# -- fraction-free fast paths ------------------------------------------
+# -- integer elimination -----------------------------------------------
 
 
-def _eliminate(field: Field, rows: list[list], cols: int) -> list[int]:
+def integer_image(field: Field, rows: list[list]) -> list[list[int]]:
+    """Integer rows whose elimination gives the pivots of `rows`.
+
+    Cleared denominators over Q and residues over GF(p), row for row.  Over
+    Q(i) the rational image: a + bi becomes the block [[a, -b], [b, a]],
+    so a row of n entries gives e = 2 image rows x of 2n integers, and
+    entry k is the block [[x[e k + u] for u in range(e)] for x in them].
+    The block map is a ring homomorphism, so the image of a product is
+    the product of the images.
+    """
     if isinstance(field, PrimeField):
-        return _pivots_prime(rows, cols, field.p)
+        return [[x.value for x in row] for row in rows]
     if isinstance(field, RationalField):
-        return _pivots_bareiss(_integer_rows(rows), cols)
+        return _integer_rows(rows)
     image = []
     for ab in _integer_rows([[t for x in row for t in (x.re, x.im)] for row in rows]):
         image.append([-t if k % 2 else t for k, t in enumerate(ab)])
         image.append([ab[k ^ 1] for k in range(len(ab))])
-    paired = _pivots_bareiss(image, 2 * cols)
+    return image
+
+
+def eliminate(field: Field, image: list[list[int]], cols: int, jordan: bool = False) -> list[int]:
+    """Pivot columns of a matrix with `cols` columns, eliminating its image.
+
+    Over Q(i), column c is a pivot when image columns 2c and 2c + 1 are;
+    unpaired image pivots are a bug.  The image is overwritten; with
+    `jordan`, it is left in Gauss-Jordan form: D times its reduced row
+    echelon form, where D is the last Bareiss pivot, or 1 over GF(p).
+    """
+    if isinstance(field, PrimeField):
+        return _pivots_prime(image, cols, field.p, jordan)
+    if isinstance(field, RationalField):
+        return _pivots_bareiss(image, cols, jordan)
+    paired = _pivots_bareiss(image, 2 * cols, jordan)
     pivots = [c // 2 for c in paired[::2]]
     if paired != [2 * c + j for c in pivots for j in (0, 1)]:
         raise InternalConsistencyError("pivots of the rational image are not paired")
     return pivots
+
+
+def image_kernel(field: Field, image: list[list[int]], cols: int) -> list[list[int]]:
+    """A kernel basis of a full-row-rank matrix with `cols` columns, from its image.
+
+    One Gauss-Jordan elimination of the image gives its pivot columns P,
+    the common pivot D and the reduced rows Y.  Basis vector f has D on
+    the free column f, -Y[m][f] on P_m and 0 elsewhere.  The result has
+    one row per image column and one column per basis vector, all in the
+    image's integers.  Over Q(i) it is the image of a kernel basis over
+    Q(i), as the reduced form of an image is the image of the reduced form.
+    """
+    e = len(image[0]) // cols  # image columns per column: 2 over Q(i), else 1
+    pivots = [e * c + u for c in eliminate(field, image, cols, jordan=True) for u in range(e)]
+    d = image[0][pivots[0]]
+    free = [q for q in range(e * cols) if q not in pivots]
+    basis = [[d if q == f else 0 for f in free] for q in range(e * cols)]
+    for row, p in zip(image, pivots):
+        basis[p] = [-row[f] for f in free]
+    return basis
 
 
 def _integer_rows(rows: list[list[Fraction]]) -> list[list[int]]:
@@ -154,7 +201,7 @@ def _integer_rows(rows: list[list[Fraction]]) -> list[list[int]]:
     return int_rows
 
 
-def _pivots_bareiss(rows: list[list[int]], cols: int) -> list[int]:
+def _pivots_bareiss(rows: list[list[int]], cols: int, jordan: bool = False) -> list[int]:
     """Pivot columns of an integer matrix by fraction-free (Bareiss) elimination.
 
     Entries stay exact minors of the input, so intermediate growth is
@@ -168,6 +215,11 @@ def _pivots_bareiss(rows: list[list[int]], cols: int) -> list[int]:
     instead of prev, and a row that becomes the pivot row is first scaled
     by prev / den[i]; both results are the Bareiss values themselves, so
     both divisions are exact and the pivots are those of the full loop.
+
+    With `jordan`, each step also clears the pivot column above the pivot
+    row (Gauss-Jordan), by the same rule, and the pivot rows are finally
+    scaled to the last pivot D: the rows become D times the reduced row
+    echelon form, whose entries are again minors of the input.
     """
     nr = len(rows)
     den = [1] * nr
@@ -185,21 +237,20 @@ def _pivots_bareiss(rows: list[list[int]], cols: int) -> list[int]:
         rows[rank], rows[piv] = rows[piv], rows[rank]
         den[rank], den[piv] = den[piv], den[rank]
         rp = rows[rank]
-        d = den[rank]
-        if d != prev:
-            for j in range(c, cols):
-                q, rem = divmod(prev * rp[j], d)
-                if rem:
-                    raise InternalConsistencyError("inexact division in Bareiss step")
-                rp[j] = q
+        if den[rank] != prev:
+            _scale(rp, prev, den[rank], c)
         p = rp[c]
-        for i in range(rank + 1, nr):
+        # a pivot row is not written at its own step: its Bareiss value
+        # at this step is its value now
+        den[rank] = p
+        for i in range(0 if jordan else rank + 1, nr):
             ri = rows[i]
             f = ri[c]
-            if f == 0:
+            if f == 0 or i == rank:
                 continue
             d = den[i]
-            for j in range(c + 1, cols):
+            # a row below the pivot row is 0 left of column c
+            for j in range(0 if i < rank else c + 1, cols):
                 q, rem = divmod(p * ri[j] - f * rp[j], d)
                 if rem:
                     raise InternalConsistencyError("inexact division in Bareiss step")
@@ -208,29 +259,42 @@ def _pivots_bareiss(rows: list[list[int]], cols: int) -> list[int]:
             den[i] = p
         prev = p
         pivots.append(c)
+    if jordan:
+        for i in range(len(pivots)):
+            if den[i] != prev:
+                _scale(rows[i], prev, den[i], 0)
     return pivots
 
 
-def _pivots_prime(rows: list[list], cols: int, p: int) -> list[int]:
-    m = [[x.value for x in row] for row in rows]
-    nr = len(m)
+def _scale(row: list[int], num: int, den: int, start: int) -> None:
+    """Multiply row[start:] by num / den in place, checking exactness."""
+    for j in range(start, len(row)):
+        q, rem = divmod(num * row[j], den)
+        if rem:
+            raise InternalConsistencyError("inexact division in Bareiss step")
+        row[j] = q
+
+
+def _pivots_prime(rows: list[list[int]], cols: int, p: int, jordan: bool = False) -> list[int]:
+    """Pivot columns of a matrix of residues mod p; with `jordan`, the rows
+    are left in reduced row echelon form mod p (pivots 1)."""
+    nr = len(rows)
     pivots = []
     for c in range(cols):
         rank = len(pivots)
         piv = None
         for i in range(rank, nr):
-            if m[i][c] % p:
+            if rows[i][c] % p:
                 piv = i
                 break
         if piv is None:
             continue
-        m[rank], m[piv] = m[piv], m[rank]
-        inv = pow(m[rank][c], -1, p)
-        m[rank] = [x * inv % p for x in m[rank]]
-        for i in range(rank + 1, nr):
-            f = m[i][c]
-            if f:
-                mr = m[rank]
-                m[i] = [(a - f * b) % p for a, b in zip(m[i], mr)]
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        inv = pow(rows[rank][c], -1, p)
+        rp = rows[rank] = [x * inv % p for x in rows[rank]]
+        for i in range(0 if jordan else rank + 1, nr):
+            f = rows[i][c] % p
+            if f and i != rank:
+                rows[i] = [(a - f * b) % p for a, b in zip(rows[i], rp)]
         pivots.append(c)
     return pivots

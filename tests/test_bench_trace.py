@@ -8,8 +8,10 @@ tests load the tracer as a plain file, classify one document through
 (2,3,12) state on each route of `triple_kernel_dim`, and a (2,3,4)
 Gaussian-rational state, whose ranks run on the rational image.  A
 tripartite signature flattens three times: it ranks the (1) and (2)
-flattenings and takes the pivots, not the rank, of the (1,2) one.  One
-more runs the local-invariance suite, the only path through the
+flattenings and takes the pivots, not the rank, of the (1,2) one.  The
+k123 rank works on the integer image inside `triple_kernel_dim`, so it
+builds no `triple_constraint_matrix` and calls no `ExactMatrix.rank`.
+One more runs the local-invariance suite, the only path through the
 `suites.*` targets.
 """
 
@@ -68,8 +70,9 @@ def test_classify_234_records_every_layer(monkeypatch, capsys):
     spans = _classify_traced(v, monkeypatch, capsys)["spans"]
     names = Counter(name for name, _, _, _ in spans)
     assert names["tensors.flatten"] == 3
-    assert names["invariants.triple_constraint_matrix"] == 1
-    assert _rank_parents(spans) == {"invariants.kernel_dim": 2, "invariants.triple_kernel_dim": 1}
+    assert names["invariants.triple_kernel_dim"] == 1
+    assert names["invariants.triple_constraint_matrix"] == 0
+    assert _rank_parents(spans) == {"invariants.kernel_dim": 2}
 
 
 def test_generic_2312_state_builds_no_k123_system(monkeypatch, capsys):
@@ -92,11 +95,10 @@ def test_class_2312_state_ranks_its_concise_slices(monkeypatch, capsys):
     cut = _classify_traced(v, monkeypatch, capsys)
     names = Counter(name for name, _, _, _ in cut["spans"])
     assert names["tensors.flatten"] == 3
-    assert names["invariants.triple_constraint_matrix"] == 1
-    assert cut["cells"] == (r * r + 9 + 4) * (6 * r)
-    assert _rank_parents(cut["spans"]) == {
-        "invariants.kernel_dim": 2, "invariants.triple_kernel_dim": 1
-    }
+    assert names["invariants.triple_kernel_dim"] == 1
+    assert names["invariants.triple_constraint_matrix"] == 0
+    assert cut["cells"] == 0
+    assert _rank_parents(cut["spans"]) == {"invariants.kernel_dim": 2}
 
 
 def test_gaussian_234_class_state_ranks_on_both_layers(monkeypatch, capsys):
@@ -113,8 +115,9 @@ def test_gaussian_234_class_state_ranks_on_both_layers(monkeypatch, capsys):
     spans = _classify_traced(v, monkeypatch, capsys)["spans"]
     names = Counter(name for name, _, _, _ in spans)
     assert names["tensors.flatten"] == 3
-    assert names["invariants.triple_constraint_matrix"] == 1
-    assert _rank_parents(spans) == {"invariants.kernel_dim": 2, "invariants.triple_kernel_dim": 1}
+    assert names["invariants.triple_kernel_dim"] == 1
+    assert names["invariants.triple_constraint_matrix"] == 0
+    assert _rank_parents(spans) == {"invariants.kernel_dim": 2}
 
 
 def test_local_invariance_suite_records_every_layer():

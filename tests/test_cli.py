@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from entinv import linalg
 from entinv.cli import build_parser, main
 from entinv.documents import parse_document
 from entinv.linalg import ExactMatrix
@@ -24,6 +25,17 @@ def _main_peak(argv):
         return main(argv), tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def _rank_short_on_tall(monkeypatch):
+    """Make the rank of every tall rational matrix one short, in the Bareiss
+    routine that both the flattening ranks and the k123 rank call."""
+    pivots = linalg._pivots_bareiss
+
+    def short(rows, cols, jordan=False):
+        return pivots(rows, cols, jordan)[: -1 if len(rows) > cols else None]
+
+    monkeypatch.setattr(linalg, "_pivots_bareiss", short)
 
 
 @pytest.fixture
@@ -142,9 +154,11 @@ class TestClassify:
     def test_internal_error_is_one_line(self, command, entries, fault, message, monkeypatch,
                                         capsys):
         import io
-        rank = ExactMatrix.rank
-        short = {"tall": lambda m: rank(m) - (m.rows > m.cols), "all": lambda m: rank(m) - 1}
-        monkeypatch.setattr(ExactMatrix, "rank", short[fault])
+        if fault == "tall":
+            _rank_short_on_tall(monkeypatch)
+        else:
+            rank = ExactMatrix.rank
+            monkeypatch.setattr(ExactMatrix, "rank", lambda m: rank(m) - 1)
         doc = json.dumps({"field": "rational", "dims": [2, 2, 2], "entries": entries})
         monkeypatch.setattr("sys.stdin", io.StringIO(doc))
         assert main([command, "-"]) == 1
@@ -381,10 +395,7 @@ class TestVerify:
         # the fault shows as a kernel dim out of range, or as a signature
         # outside the tables whose ranks break duality; either way the
         # report carries it as a failed check, not as a gap
-        rank = ExactMatrix.rank
-        monkeypatch.setattr(
-            ExactMatrix, "rank", lambda m: rank(m) - (m.rows > m.cols)
-        )
+        _rank_short_on_tall(monkeypatch)
         assert main(["verify", *flags]) == 1
         captured = capsys.readouterr()
         assert "[FAIL] " in captured.out

@@ -155,7 +155,10 @@ class TestTripleKernelDim:
                     m = triple_constraint_matrix(concise)
                     assert m.pivots() == m.rref()[1], (shape.dims, entry.label)
 
-    @pytest.mark.parametrize("descriptor", ["gf(2)", "gf(3)"])
+    # over Q(i) the oracle ranks the stacked system by its integer image,
+    # whose pivots are checked against plain elimination above and in
+    # test_linalg; plain elimination here would take about 90 s
+    @pytest.mark.parametrize("descriptor", ["gf(2)", "gf(3)", "rational", "gaussian-rational"])
     @pytest.mark.parametrize("dims", [(3, 3, 3), (1, 3, 4), (2, 2, 1), (3, 3, 10), (2, 4, 5)])
     def test_matches_stacked_system_off_the_tables(self, dims, descriptor):
         field = field_from_descriptor(descriptor)
@@ -166,7 +169,50 @@ class TestTripleKernelDim:
             _few_slices(shape, t, seed, field) for t in range(1, 4) for seed in range(6)
         ]
         for v in states:
-            assert triple_kernel_dim(v, _slices(v)) == _stacked_k123(v), v
+            if field == QQI:
+                want = shape.size - triple_constraint_matrix(v).rank()
+            else:
+                want = _stacked_k123(v)
+            assert triple_kernel_dim(v, _slices(v)) == want, v
+
+    # Concise states, one slice per row of the slice matrix S^T, made to
+    # reach each branch of its Gauss-Jordan elimination.  The first, third
+    # and fourth, like the Q(i) ones, have k123 > 0, which a kernel basis
+    # off by the factor D or by the sign of Y changes.  D is given over Q.
+    # - r = 1: pivot column 1, D = 2;
+    # - r = 3 = d1 d2 - 1: a row above the pivot is left alone at step 1
+    #   and written at step 2; another is left alone at step 2 and scaled
+    #   from 2 to D = 6 at the end;
+    # - r = 5 = d1 d2 - 1: pivot columns 0, 1, 2, 3, 5 and D = 21;
+    # - r = 2: pivot columns 0 and 2, D = 3;
+    # - r = 2 with denominators: pivot columns 1 and 2.
+    # The Q(i) states have r = 1, 2 and 3 = d1 d2 - 1, with complex entries;
+    # their images pivot in pairs with D = 2, -16 and 32.
+    @pytest.mark.parametrize("descriptor,dims,slices", [
+        *((descriptor, dims, slices) for descriptor in ("rational", "gf(101)", "gaussian-rational")
+          for dims, slices in [
+              ((2, 3), [["0", "2", "3", "0", "2", "3"]]),
+              ((2, 2), [["1", "0", "1", "1"], ["0", "2", "0", "1"], ["0", "0", "3", "1"]]),
+              ((2, 3), [["0", "0", "0", "0", "0", "-1"], ["-1", "-1", "-1", "2", "2", "1"],
+                        ["2", "2", "3", "3", "3", "0"], ["-1", "2", "0", "3", "0", "0"],
+                        ["2", "0", "1", "0", "2", "0"]]),
+              ((2, 3), [["0", "0", "3", "1", "2", "0"], ["1", "2", "2", "0", "0", "-1"]]),
+              ((2, 3), [["0", "1/2", "1", "0", "0", "1"], ["0", "1", "0", "3", "1/3", "0"]]),
+          ]),
+        ("gaussian-rational", (2, 2), [["1+1i", "-2i", "1i", "1-1i"]]),
+        ("gaussian-rational", (2, 3), [["2", "0", "0", "2", "0", "0"],
+                                       ["0", "-2i", "1i", "-2i", "-2i", "1i"]]),
+        ("gaussian-rational", (2, 2), [["2", "1-1i", "0", "1+1i"], ["-2i", "1-1i", "2", "1-1i"],
+                                       ["1-1i", "1", "0", "1+1i"]]),
+    ])
+    def test_hand_made_concise_states_match_stacked_system(self, descriptor, dims, slices):
+        field = field_from_descriptor(descriptor)
+        d12, r = dims[0] * dims[1], len(slices)
+        v = Tensor(field, Shape((*dims, r)), [
+            field.parse(slices[m][q]) for q in range(d12) for m in range(r)
+        ])
+        assert _slices(v) == list(range(r))
+        assert triple_kernel_dim(v, _slices(v)) == _stacked_k123(v)
 
     def test_rejects_bipartite_input(self):
         with pytest.raises(ArityError):

@@ -5,7 +5,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from entinv.fields import GF, QQ, QQI, FieldMismatchError, GaussianRational
-from entinv.linalg import ExactMatrix, _pivots_bareiss
+from entinv.linalg import (
+    ExactMatrix,
+    InternalConsistencyError,
+    _pivots_bareiss,
+    eliminate,
+    image_kernel,
+    integer_image,
+)
 from entinv.tensors import FlatteningSpec, Shape, Tensor, apply_local, flatten, from_terms
 
 FIELDS = [QQ, GF(7), QQI]
@@ -212,6 +219,52 @@ class TestPivots:
         # column 1 is i times column 0, so column 2 is the second pivot
         m = ExactMatrix.from_rows(QQI, [[1, I, 0], [I, -1, 1]])
         assert m.pivots() == m.rref()[1] == [0, 2]
+
+
+class TestImageKernel:
+    @pytest.mark.parametrize("field", [QQ, GF(7)], ids=lambda f: f.descriptor)
+    @settings(deadline=None)
+    @given(data=st.data())
+    def test_jordan_form_is_d_times_rref(self, field, data):
+        m = data.draw(st.one_of(_matrices(field), _sparse_matrices(field)))
+        reduced, pivots = m.rref()
+        image = integer_image(field, m.row_lists())
+        assert eliminate(field, image, m.cols, jordan=True) == pivots
+        d = field.coerce(image[0][pivots[0]]) if pivots else field.one
+        for i in range(m.rows):
+            assert [field.coerce(x) / d for x in image[i]] == reduced.row(i)
+
+    @pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.descriptor)
+    def test_basis_spans_the_kernel(self, field):
+        rng = random.Random(29)
+        for _ in range(60):
+            cols = rng.randint(2, 6)
+            m = _random_matrix(field, rng.randint(1, cols - 1), cols, rng)
+            if len(m.rref()[1]) < m.rows:
+                continue
+            image = integer_image(field, m.row_lists())
+            basis = image_kernel(field, [list(row) for row in image], cols)
+            e = len(image[0]) // cols
+            # the basis is an integer matrix in the image's own field
+            assert ExactMatrix.from_rows(QQ if field == QQI else field, basis).rank() == (
+                e * (cols - m.rows)
+            )
+            for row in image:
+                for col in zip(*basis):
+                    assert field.coerce(sum(a * b for a, b in zip(row, col))) == field.zero
+            # over Q(i), column 2f + 1 is i times column 2f, block by block
+            if e == 2:
+                for q in range(0, 2 * cols, 2):
+                    for f in range(0, len(basis[0]), 2):
+                        assert basis[q][f + 1] == -basis[q + 1][f]
+                        assert basis[q + 1][f + 1] == basis[q][f]
+
+    @pytest.mark.parametrize("jordan", [False, True])
+    def test_unpaired_image_pivots_are_a_fault(self, jordan):
+        # these rows are no rational image of Q(i) rows: their pivots are
+        # columns 0 and 2, which belong to two different columns over Q(i)
+        with pytest.raises(InternalConsistencyError, match="not paired"):
+            eliminate(QQI, [[1, 0, 0, 0], [0, 0, 1, 0]], 2, jordan=jordan)
 
 
 class TestRank:
