@@ -7,7 +7,8 @@ kernel cut out by applying each pair flattening alongside the identity on
 the remaining factor.  The full signature collects all of these.  A
 flattening and its complement are transposes of one rank, so the
 signature derives complementary kernels by rank duality, which `verify
---suite duality` checks with two separate eliminations.
+--suite duality` checks with two separate eliminations.  A tripartite
+signature computes them all on the first r independent slices v[:,:,k].
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from operator import mul
 from typing import Optional
 
 from .linalg import ExactMatrix, InternalConsistencyError, eliminate, image_kernel, integer_image
-from .tensors import ArityError, FlatteningSpec, Shape, Tensor, flatten
+from .tensors import ArityError, FlatteningSpec, Tensor, flatten
 
 
 @dataclass(frozen=True)
@@ -105,97 +106,94 @@ def triple_constraint_matrix(v: Tensor) -> ExactMatrix:
     return ExactMatrix.from_rows(v.field, rows)
 
 
-def triple_kernel_dim(v: Tensor, slices: list[int]) -> int:
+def triple_kernel_dim(v: Tensor, rows: list[list[int]]) -> int:
     """Dimension of the joint kernel of the three extended pair maps.
 
-    Computed on the concise slice subtensor.  `slices` are the pivot
-    columns S of the (1,2) flattening, whose columns are the slices
-    v[:,:,k]: the first r independent slices, r its rank.  With v|S the
-    (d1, d2, r) subtensor keeping only those slices,
-
-        k123(v) = k123(v|S) + (d3 - r) (d1 d2 - r),
-
-    with k123(v|S) = 0 when r = 0 (no slices) or r = d1 d2 (block 1 of
-    `triple_constraint_matrix` then forces w = 0).  Why: v = sum over k in S
-    of v_k x f_k with the f_k independent, and k123 is invariant under
-    invertible local maps, so a map on V3 turns v into v|S padded with
-    d3 - r zero slices.  There block 1 puts every slice w[:,:,l] in K12,
-    of dimension d1 d2 - r; slices l >= r appear in no row of blocks 2
-    and 3, which only see third indices < r, and the remaining rows are
-    exactly the system of v|S.
-
-    The system of v|S is not stacked either.  Its block 1 says that each
-    slice w[:,:,l] lies in K = ker S^T, S^T the r x d1 d2 matrix of the
-    slices, which has rank r.  With a basis of K from `image_kernel`,
-    w[q, l] = sum_f K[q, f] y[f, l], and k123(v|S) is (d1 d2 - r) r minus
-    the rank of blocks 2 and 3 in the unknowns y: a (d1^2 + d2^2) x
-    (d1 d2 - r) r system, at most 13 x 9 for (2, 3, d).  With the identity
-    on factor 2, its row (m, n) holds sum_i v[i, m, l] K[(i, n), f] at
-    (l, f); with the identity on factor 1, sum_j v[m, j, l] K[(n, j), f].
-    All of it is computed in the integer image of the field.
-    `triple_constraint_matrix(v)` stays the full stacked system; tests
-    compare the two routes.
+    `rows` are the integer images of the concise slices v[:,:,k], k in S,
+    the first r independent slices, as `signature` reads them (e rows of
+    e d1 d2 integers each, e = 2 over Q(i), else 1).  A map on V3 turns v
+    into v|S, its (d1, d2, r) subtensor on S, padded with zero slices.
+    Block 1 of `triple_constraint_matrix` puts each slice of w in
+    K = ker S^T, of dimension d1 d2 - r, and blocks 2 and 3 never see a
+    padded one, so k123(v) = k123(v|S) + (d3 - r)(d1 d2 - r), and
+    k123(v|S) = 0 when r is 0 or d1 d2.  Otherwise, with w[:,:,l] =
+    sum_f y[f, l] K_f over a basis K_f of K from `image_kernel` (as d1 x d2
+    matrices), k123(v|S) is (d1 d2 - r) r minus the rank of blocks 2 and 3
+    in y: a (d1^2 + d2^2) x (d1 d2 - r) r system R, at most 13 x 9 for
+    (2, 3, d).  Its column (l, f) holds v_l^T K_f and v_l K_f^T, v_l the
+    slice as a d1 x d2 matrix; a slice's scale in the image scales it.
     """
     if v.n != 3:
         raise ArityError(f"triple intersection needs 3 factors, got {v.n}")
     d1, d2, d3 = v.shape.dims
     d12 = d1 * d2
-    r = len(slices)
+    e = len(rows[0]) // d12 if rows else 1
+    r = len(rows) // e
     free = (d3 - r) * (d12 - r)
     if r in (0, d12):
         return free
-    field = v.field
-    coeffs = v.coeffs
-    qoff = v.shape.offsets((0, 1))  # v[q, k] is coeffs[qoff[q] + k], q = (i, j)
-    # each matrix row is brought to its integer image on its own, as in
-    # `ExactMatrix`: the slices here, the coefficients of a block row below
-    slice_rows = [[coeffs[o + k] for o in qoff] for k in slices]
-    kernel = image_kernel(field, integer_image(field, slice_rows), d12)
-    e = len(kernel) // d12  # image rows per coordinate: 2 over Q(i), else 1
-    pairs = Shape((d1, d2))
-    rows = []
-    for axis in (1, 0):
-        base = pairs.offsets([1 - axis])
-        step = pairs.offsets([axis])
-        for m in step:
-            # v[o + m, l] for each slice l and each o in base
-            image = integer_image(field, [[coeffs[qoff[o + m] + k] for k in slices for o in base]])
-            w = e * len(base)
-            xs = [[x[w * l : w * (l + 1)] for l in range(r)] for x in image]
-            for n in step:
-                ks = list(zip(*[kernel[e * (o + n) + u] for o in base for u in range(e)]))
-                rows += [[sum(map(mul, xl, k)) for xl in xls for k in ks] for xls in xs]
-    return (d12 - r) * r - len(eliminate(field, rows, (d12 - r) * r)) + free
+    kernel = image_kernel(v.field, [list(x) for x in rows], d12)
+    # the image coordinates (i, j, u) of a d1 x d2 matrix, read as (j, i, u)
+    swap = [e * (d2 * i + j) + u for j in range(d2) for i in range(d1) for u in range(e)]
+    R = []
+    transposed = ([[x[p] for p in swap] for x in rows], [kernel[p] for p in swap], d2, d1)
+    for xs, ks, da, db in (transposed, (rows, kernel, d1, d2)):
+        w = e * db  # a row of a da x db matrix in the image
+        kn = [list(zip(*ks[w * n : w * (n + 1)])) for n in range(da)]
+        for m in range(da):
+            xm = [[x[w * m : w * (m + 1)] for x in xs[u::e]] for u in range(e)]
+            for k in kn:
+                R += [[sum(map(mul, xl, c)) for xl in xls for c in k] for xls in xm]
+    return (d12 - r) * r - len(eliminate(v.field, R, (d12 - r) * r)) + free
 
 
 def signature(v: Tensor) -> InvariantSignature:
     """Complete invariant signature of a 2- or 3-factor state.
 
-    Each distinct matrix is eliminated once; a flattening's complement is
-    its transpose, whose kernel follows by rank duality.  Tripartite, the
-    pivots of the (1,2) flattening give k3 and k12 and are the concise
-    slices of `triple_kernel_dim`.
+    A flattening's complement is its transpose, whose kernel follows by
+    rank duality.  Tripartite, the slices v[:,:,k] are imaged once; their
+    transpose pivots like the (1,2) flattening (over Q(i) it is the image
+    of the conjugate) on the concise slices S, which give r, k3 and k12.
+    k1 and k2 are ranked on [v_1 | ... | v_r] and [v_1; ...; v_r], v_l in S.
     """
     d = v.shape.dims
-    k1 = kernel_dim(v, FlatteningSpec((1,), v.n))
     if v.n == 2:
+        k1 = kernel_dim(v, FlatteningSpec((1,), 2))
         return InvariantSignature(d, (k1, d[1] - d[0] + k1))
-    k2 = kernel_dim(v, FlatteningSpec((2,), 3))
-    slices = flatten(v, FlatteningSpec((1, 2), 3)).pivots()
-    r = len(slices)
-    pairs = (d[0] * d[1] - r, d[0] * d[2] - d[1] + k2, d[1] * d[2] - d[0] + k1)
-    return InvariantSignature(d, (k1, k2, d[2] - r), pairs, triple_kernel_dim(v, slices))
+    d1, d2, d3 = d
+    field, qoff = v.field, v.shape.offsets((0, 1))
+    image = integer_image(field, [[v.coeffs[o + k] for o in qoff] for k in range(d3)])
+    e = len(image) // d3
+    slices = eliminate(field, [list(col) for col in zip(*image)], d3)
+    r, rows = len(slices), [image[e * k + u] for k in slices for u in range(e)]
+    w = e * d2  # a row of a slice in the image
+    k1 = d1 - len(eliminate(field, [[t for x in rows[u::e] for t in x[w * i : w * (i + 1)]]
+                                    for i in range(d1) for u in range(e)], d2 * r))
+    k2 = d2 - len(eliminate(field, [x[w * i : w * (i + 1)] for x in rows for i in range(d1)], d2))
+    pairs = (d1 * d2 - r, d1 * d3 - d2 + k2, d2 * d3 - d1 + k1)
+    return InvariantSignature(d, (k1, k2, d3 - r), pairs, triple_kernel_dim(v, rows))
 
 
-def duality_fault(v: Tensor) -> str:
-    """The first single factor whose flattening and its complement, each
-    ranked on its own, differ in rank; "" when every such pair agrees."""
-    for axis in range(1, 2 if v.n == 2 else 4):
-        spec = FlatteningSpec((axis,), v.n)
-        rank, dual = flatten(v, spec).rank(), flatten(v, spec.complement()).rank()
+def slow_route_fault(v: Tensor, sig: Optional[InvariantSignature] = None) -> str:
+    """What ranking every flattening through its own `ExactMatrix` finds
+    wrong, or "": first a single factor whose flattening and complement
+    differ in rank, then, given `sig`, the first of its kernels that
+    differs, with k123 from `triple_constraint_matrix`."""
+    names = [(1,), (2,), (3,), (1, 2), (1, 3), (2, 3)][: 2 if v.n == 2 else 6]
+    ranks = [flatten(v, FlatteningSpec(rows, v.n)).rank() for rows in names]
+    for axis, rank, dual in zip(range(1, len(names) // 2 + 1), ranks, ranks[::-1]):
         if rank != dual:
             return (f"rank duality violated: factor {axis} "
                     f"flattening has rank {rank}, its complement {dual}")
+    if sig is None:
+        return ""
+    slow = [prod(v.shape.dims[i - 1] for i in rows) - rank for rows, rank in zip(names, ranks)]
+    if v.n == 3:
+        names.append((1, 2, 3))
+        slow.append(v.shape.size - triple_constraint_matrix(v).rank())
+    for rows, k, s in zip(names, [*sig.singles, *(sig.pairs or ()), sig.triple], slow):
+        if k != s:
+            return f"signature gives k{''.join(map(str, rows))} = {k}, its recomputation {s}"
     return ""
 
 

@@ -4,9 +4,9 @@ All arithmetic is exact field arithmetic; there are no tolerances and no
 pivoting heuristics (the first nonzero entry in column order is the pivot).
 `pivots` and `rank` eliminate integers only (Bareiss over Q and over the
 rational image of Q(i), residues over GF(p)); their agreement with the
-pivots of `rref` is a tested invariant, not an assumption.  The k123 route
-of `invariants` works in the same integer image: `image_kernel` and
-`eliminate`.
+pivots of `rref` is a tested invariant, not an assumption.  The tripartite
+signature of `invariants` works in the same integer image: `integer_image`,
+`image_kernel` and `eliminate`.
 """
 
 from __future__ import annotations
@@ -183,6 +183,8 @@ def image_kernel(field: Field, image: list[list[int]], cols: int) -> list[list[i
     """
     e = len(image[0]) // cols  # image columns per column: 2 over Q(i), else 1
     pivots = [e * c + u for c in eliminate(field, image, cols, jordan=True) for u in range(e)]
+    if len(pivots) < len(image):
+        raise InternalConsistencyError(f"rank {len(image)} matrix has {len(pivots)} pivots")
     d = image[0][pivots[0]]
     free = [q for q in range(e * cols) if q not in pivots]
     basis = [[d if q == f else 0 for f in free] for q in range(e * cols)]

@@ -12,7 +12,7 @@ import inspect
 from fractions import Fraction
 
 from .fields import Field, QQ
-from .invariants import duality_fault, signature
+from .invariants import slow_route_fault, signature
 from .reporting import Report
 from .tables import (
     TRIPARTITE_DIMS,
@@ -107,7 +107,7 @@ def suite_duality(samples: int = 200, seed: int = 0, field: Field = QQ) -> Repor
         first_fail = ""
         for i in range(samples):
             v = random_tensor(shape, 5, seed=_child(seed, "duality", dims, i), field=field)
-            fault = duality_fault(v)
+            fault = slow_route_fault(v)
             if fault and not first_fail:
                 first_fail = f"sample {i}: {fault}"
         report.add(

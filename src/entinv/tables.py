@@ -23,7 +23,7 @@ from typing import Optional, Sequence
 
 from .documents import document_dict
 from .fields import Field, QQ
-from .invariants import InvariantSignature, duality_fault, signature
+from .invariants import InvariantSignature, slow_route_fault, signature
 from .linalg import ExactMatrix, InternalConsistencyError
 from .tensors import Shape, Tensor, apply_local, from_terms
 
@@ -235,15 +235,15 @@ def classify(v: Tensor) -> str:
 def classify_full(v: Tensor) -> tuple[str, InvariantSignature]:
     """Label plus the computed signature (one signature evaluation).
 
-    A signature that matches no entry is a gap only if the ranks behind it
-    keep rank duality; otherwise the fault is the program's, and it raises
-    InternalConsistencyError.
+    A signature that matches no entry is a gap only if `slow_route_fault`
+    finds nothing wrong with it; otherwise the fault is the program's, and
+    it raises InternalConsistencyError.
     """
     table = table_for(v.shape)
     sig = signature(v)
     entry = table.lookup(sig.key())
     if entry is None:
-        fault = duality_fault(v)
+        fault = slow_route_fault(v, sig)
         if fault:
             raise InternalConsistencyError(fault)
         raise ClassificationGapError(v, sig)

@@ -7,10 +7,9 @@ tests load the tracer as a plain file, classify one document through
 `cli.main`, and count the spans of each layer: a (2,3,4) state, a
 (2,3,12) state on each route of `triple_kernel_dim`, and a (2,3,4)
 Gaussian-rational state, whose ranks run on the rational image.  A
-tripartite signature flattens three times: it ranks the (1) and (2)
-flattenings and takes the pivots, not the rank, of the (1,2) one.  The
-k123 rank works on the integer image inside `triple_kernel_dim`, so it
-builds no `triple_constraint_matrix` and calls no `ExactMatrix.rank`.
+tripartite signature reads its slices into the integer image once and
+ranks everything there: it calls no `flatten` and no `ExactMatrix.rank`,
+builds no `triple_constraint_matrix`, and calls `triple_kernel_dim` once.
 One more runs the local-invariance suite, the only path through the
 `suites.*` targets.
 """
@@ -69,19 +68,20 @@ def test_classify_234_records_every_layer(monkeypatch, capsys):
     v = random_tensor(Shape((2, 3, 4)), 3, seed=0)
     spans = _classify_traced(v, monkeypatch, capsys)["spans"]
     names = Counter(name for name, _, _, _ in spans)
-    assert names["tensors.flatten"] == 3
+    assert names["tensors.flatten"] == 0
     assert names["invariants.triple_kernel_dim"] == 1
     assert names["invariants.triple_constraint_matrix"] == 0
-    assert _rank_parents(spans) == {"invariants.kernel_dim": 2}
+    assert _rank_parents(spans) == {}
 
 
 def test_generic_2312_state_builds_no_k123_system(monkeypatch, capsys):
     # its (1,2) flattening has full rank 6, so K12 = 0 and k123 = 0 directly
     cut = _classify_traced(random_tensor(Shape((2, 3, 12)), 3, seed=0), monkeypatch, capsys)
     names = Counter(name for name, _, _, _ in cut["spans"])
-    assert names["tensors.flatten"] == 3
+    assert names["tensors.flatten"] == 0
+    assert names["invariants.triple_kernel_dim"] == 1
     assert names["invariants.triple_constraint_matrix"] == 0
-    assert _rank_parents(cut["spans"]) == {"invariants.kernel_dim": 2}
+    assert _rank_parents(cut["spans"]) == {}
     assert cut["cells"] == 0
 
 
@@ -94,11 +94,11 @@ def test_class_2312_state_ranks_its_concise_slices(monkeypatch, capsys):
     assert r == 2
     cut = _classify_traced(v, monkeypatch, capsys)
     names = Counter(name for name, _, _, _ in cut["spans"])
-    assert names["tensors.flatten"] == 3
+    assert names["tensors.flatten"] == 0
     assert names["invariants.triple_kernel_dim"] == 1
     assert names["invariants.triple_constraint_matrix"] == 0
     assert cut["cells"] == 0
-    assert _rank_parents(cut["spans"]) == {"invariants.kernel_dim": 2}
+    assert _rank_parents(cut["spans"]) == {}
 
 
 def test_gaussian_234_class_state_ranks_on_both_layers(monkeypatch, capsys):
@@ -114,10 +114,10 @@ def test_gaussian_234_class_state_ranks_on_both_layers(monkeypatch, capsys):
     assert any(c.im for c in v.coeffs)
     spans = _classify_traced(v, monkeypatch, capsys)["spans"]
     names = Counter(name for name, _, _, _ in spans)
-    assert names["tensors.flatten"] == 3
+    assert names["tensors.flatten"] == 0
     assert names["invariants.triple_kernel_dim"] == 1
     assert names["invariants.triple_constraint_matrix"] == 0
-    assert _rank_parents(spans) == {"invariants.kernel_dim": 2}
+    assert _rank_parents(spans) == {}
 
 
 def test_local_invariance_suite_records_every_layer():

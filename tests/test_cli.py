@@ -1,8 +1,9 @@
 import json
+import sys
 
 import pytest
 
-from entinv import linalg
+from entinv import invariants, linalg
 from entinv.cli import build_parser, main
 from entinv.documents import parse_document
 from entinv.linalg import ExactMatrix
@@ -36,6 +37,18 @@ def _rank_short_on_tall(monkeypatch):
         return pivots(rows, cols, jordan)[: -1 if len(rows) > cols else None]
 
     monkeypatch.setattr(linalg, "_pivots_bareiss", short)
+
+
+def _k123_rank_short(monkeypatch):
+    """Drop the last pivot of the k123 rank alone: the elimination of R,
+    the one `invariants.eliminate` call that `triple_kernel_dim` makes."""
+    eliminate = invariants.eliminate
+
+    def short(field, rows, cols, jordan=False):
+        pivots = eliminate(field, rows, cols, jordan)
+        return pivots[:-1] if sys._getframe(1).f_code.co_name == "triple_kernel_dim" else pivots
+
+    monkeypatch.setattr(invariants, "eliminate", short)
 
 
 @pytest.fixture
@@ -144,12 +157,17 @@ class TestClassify:
         )
         assert peak < 2**20
 
-    # a rank fault is a bug in the program: one line, exit 1, no traceback
+    # a rank fault is a bug in the program: one line, exit 1, no traceback.
+    # [1,1,1]+[1,2,2] with tall ranks short keeps 1 of its 2 slices, and
+    # lands on no key; GHZ with every rank short keeps 1 slice, then finds
+    # no pivot in it
     @pytest.mark.parametrize("command,entries,fault,message", [
-        ("classify", ["1", "0", "0", "0", "0", "0", "0", "0"], "tall",
+        ("classify", ["1", "0", "0", "1", "0", "0", "0", "0"], "tall",
          "rank duality violated: factor 1 flattening has rank 1, its complement 0"),
-        ("classify", ["0"] * 8, "all", "single kernel dim 3 out of [0, 2]"),
-        ("explain3", ["0"] * 8, "all", "single kernel dim 3 out of [0, 2]"),
+        ("classify", ["1", "0", "0", "0", "0", "0", "0", "1"], "all",
+         "rank 1 matrix has 0 pivots"),
+        ("explain3", ["1", "0", "0", "0", "0", "0", "0", "1"], "all",
+         "rank 1 matrix has 0 pivots"),
     ])
     def test_internal_error_is_one_line(self, command, entries, fault, message, monkeypatch,
                                         capsys):
@@ -157,13 +175,25 @@ class TestClassify:
         if fault == "tall":
             _rank_short_on_tall(monkeypatch)
         else:
-            rank = ExactMatrix.rank
-            monkeypatch.setattr(ExactMatrix, "rank", lambda m: rank(m) - 1)
+            pivots = linalg._pivots_bareiss
+            monkeypatch.setattr(linalg, "_pivots_bareiss",
+                                lambda rows, cols, jordan=False: pivots(rows, cols, jordan)[:-1])
         doc = json.dumps({"field": "rational", "dims": [2, 2, 2], "entries": entries})
         monkeypatch.setattr("sys.stdin", io.StringIO(doc))
         assert main([command, "-"]) == 1
         captured = capsys.readouterr()
         assert (captured.out, captured.err) == ("", f"internal error: {message}\n")
+
+    def test_k123_fault_alone_is_an_internal_error(self, monkeypatch, capsys):
+        # the flattening ranks keep duality; the miss check recomputes k123
+        import io
+        _k123_rank_short(monkeypatch)
+        doc = json.dumps({"field": "rational", "dims": [2, 2, 2], "entries": ["1"] + ["0"] * 7})
+        monkeypatch.setattr("sys.stdin", io.StringIO(doc))
+        assert main(["classify", "-"]) == 1
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == (
+            "", "internal error: signature gives k123 = 5, its recomputation 4\n")
 
 
 class TestTable:
@@ -399,6 +429,21 @@ class TestVerify:
         assert main(["verify", *flags]) == 1
         captured = capsys.readouterr()
         assert "[FAIL] " in captured.out
+        assert captured.err == ""
+
+    def test_k123_fault_alone_stops_a_suite_with_a_fail_line(self, monkeypatch, capsys):
+        _k123_rank_short(monkeypatch)
+        assert main(["verify", "--suite", "exhaustive-222"]) == 1
+        captured = capsys.readouterr()
+        assert ("[FAIL] suite exhaustive-222 ran to the end -- "
+                "signature gives k123 = 5, its recomputation 4") in captured.out
+        assert captured.err == ""
+
+    def test_binary_states_over_gf2_are_real_gaps(self, capsys):
+        # each of them passes the miss check: the slow route gives the same signature
+        assert main(["verify", "--suite", "exhaustive-222", "--field", "gf(2)"]) == 2
+        captured = capsys.readouterr()
+        assert "[FAIL] zero classification gaps over 256 binary states -- 54 gaps" in captured.out
         assert captured.err == ""
 
     def test_gap_stops_the_tables_suite_with_exit_2(self, monkeypatch, capsys):

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from entinv import invariants
 from entinv.fields import GF, QQ, QQI, GaussianRational, field_from_descriptor
 from entinv.invariants import (
     InvariantSignature,
@@ -11,7 +12,7 @@ from entinv.invariants import (
     triple_constraint_matrix,
     triple_kernel_dim,
 )
-from entinv.linalg import ExactMatrix
+from entinv.linalg import ExactMatrix, integer_image
 from entinv.tables import table_for
 from entinv.tensors import (
     ArityError,
@@ -62,7 +63,7 @@ class TestTripleConstraintMatrix:
         v = from_terms(S222, [], field=QQ)
         m = triple_constraint_matrix(v)
         assert all(x == QQ.zero for x in m.entries)
-        assert triple_kernel_dim(v, _slices(v)) == 8
+        assert triple_kernel_dim(v, _concise_rows(v)) == 8
 
     def test_product_state_forces_four_coordinates(self):
         # for the state with a single unit coefficient at (1,1,1) the
@@ -103,15 +104,15 @@ class TestTripleConstraintMatrix:
 
 class TestTripleKernelDim:
     def test_ghz(self):
-        assert triple_kernel_dim(GHZ, _slices(GHZ)) == 0
+        assert triple_kernel_dim(GHZ, _concise_rows(GHZ)) == 0
 
     def test_three_term_state(self):
         v = from_terms(S222, [(1, 1, 1), (1, 2, 2), (2, 1, 2)])
-        assert triple_kernel_dim(v, _slices(v)) == 1
+        assert triple_kernel_dim(v, _concise_rows(v)) == 1
 
     def test_on_taller_third_factor(self):
         v = from_terms(Shape((2, 2, 3)), [(1, 1, 1), (2, 2, 1)])
-        assert triple_kernel_dim(v, _slices(v)) == 6
+        assert triple_kernel_dim(v, _concise_rows(v)) == 6
 
     # the stacked system stays the reference for the concise-slice route
     @pytest.mark.parametrize("descriptor,d_max", [
@@ -128,7 +129,7 @@ class TestTripleKernelDim:
                         for axis, dim in enumerate(shape.dims)
                     ]
                     v = apply_local(from_terms(shape, entry.terms, field=field), bases)
-                    got = triple_kernel_dim(v, _slices(v))
+                    got = triple_kernel_dim(v, _concise_rows(v))
                     assert got == _stacked_k123(v), (shape.dims, entry.label)
 
     # the concise systems are the sparse ones that `rank()` eliminates for
@@ -173,7 +174,7 @@ class TestTripleKernelDim:
                 want = shape.size - triple_constraint_matrix(v).rank()
             else:
                 want = _stacked_k123(v)
-            assert triple_kernel_dim(v, _slices(v)) == want, v
+            assert triple_kernel_dim(v, _concise_rows(v)) == want, v
 
     # Concise states, one slice per row of the slice matrix S^T, made to
     # reach each branch of its Gauss-Jordan elimination.  The first, third
@@ -212,7 +213,7 @@ class TestTripleKernelDim:
             field.parse(slices[m][q]) for q in range(d12) for m in range(r)
         ])
         assert _slices(v) == list(range(r))
-        assert triple_kernel_dim(v, _slices(v)) == _stacked_k123(v)
+        assert triple_kernel_dim(v, _concise_rows(v)) == _stacked_k123(v)
 
     def test_rejects_bipartite_input(self):
         with pytest.raises(ArityError):
@@ -222,6 +223,12 @@ class TestTripleKernelDim:
 def _slices(v):
     """Pivot columns of the (1,2) flattening: the concise slices of `v`."""
     return flatten(v, FlatteningSpec((1, 2), 3)).pivots()
+
+
+def _concise_rows(v):
+    """Integer images of the concise slices of `v`, one row per slice (two over Q(i))."""
+    qoff = v.shape.offsets((0, 1))
+    return integer_image(v.field, [[v.coeffs[o + k] for o in qoff] for k in _slices(v)])
 
 
 def _stacked_k123(v):
@@ -311,9 +318,11 @@ class TestSignature:
         assert signature(v).key() == (0, 0, 0, 0)
 
     # six separate flattening ranks plus the stacked k123 system stay the
-    # oracle for the signature that derives three kernels by rank duality
+    # oracle for the signature that derives three kernels by rank duality;
+    # no class has more than 6 independent slices, so from d = 7 on k1 and
+    # k2 are ranked on fewer slices than every state has
     @pytest.mark.parametrize("descriptor,d_max", [
-        ("rational", 5), ("gf(101)", 5), ("gaussian-rational", 3),
+        ("rational", 8), ("gf(101)", 8), ("gaussian-rational", 4),
     ])
     def test_matches_six_ranks_on_class_states(self, descriptor, d_max):
         field = field_from_descriptor(descriptor)
@@ -328,16 +337,59 @@ class TestSignature:
                     v = apply_local(from_terms(shape, entry.terms, field=field), bases)
                     assert signature(v) == _six_rank_signature(v), (shape.dims, entry.label)
 
-    @pytest.mark.parametrize("descriptor", ["rational", "gf(101)", "gaussian-rational"])
+    # random states, plus the edges of the concise-slice route: the zero
+    # state (r = 0), states with r = d1 d2 or with few slices, small prime
+    # fields, and d1 != d2, where a swapped (1) and (2) flattening shows
+    @pytest.mark.parametrize("descriptor", [
+        "rational", "gf(101)", "gaussian-rational", "gf(2)", "gf(3)",
+    ])
     def test_matches_six_ranks_on_random_states(self, descriptor):
         field = field_from_descriptor(descriptor)
         shapes = [(d1, d2) for d1 in range(1, 5) for d2 in range(1, 5)]
-        shapes += [(3, 3, 3), (1, 3, 4), (2, 4, 5)]
+        shapes += [(3, 3, 3), (1, 3, 4), (2, 4, 5), (3, 2, 4), (2, 2, 5), (2, 3, 7)]
+        full = 0
         for dims in shapes:
-            for seed in range(8):
-                # entries in [-1, 1] leave small shapes a fair share of kernels
-                v = random_tensor(Shape(dims), 1, seed=seed, field=field)
-                assert signature(v) == _six_rank_signature(v), (dims, seed)
+            shape = Shape(dims)
+            # entries in [-1, 1] leave small shapes a fair share of kernels
+            states = [random_tensor(shape, 1, seed=seed, field=field) for seed in range(8)]
+            if shape.n == 3:
+                d12 = dims[0] * dims[1]
+                states.append(from_terms(shape, [], field=field))
+                states += [_few_slices(shape, t, seed, field) for t in (1, 2) for seed in range(3)]
+                if dims[2] >= d12:
+                    states.append(from_terms(shape, [
+                        (i + 1, j + 1, i * dims[1] + j + 1) for i in range(dims[0])
+                        for j in range(dims[1])
+                    ], field=field))
+                full += sum(len(_slices(v)) == d12 for v in states)
+            for v in states:
+                assert signature(v) == _six_rank_signature(v), v
+        assert full >= 2
+
+    # the rows `signature` hands to `triple_kernel_dim` are the images of
+    # the pivot slices of the (1,2) flattening: the pivots of the transposed
+    # image are those of the flattening, here on states with complex entries
+    def test_concise_rows_are_the_flattening_pivots(self, monkeypatch):
+        passed = []
+        triple = invariants.triple_kernel_dim
+        monkeypatch.setattr(invariants, "triple_kernel_dim",
+                            lambda v, rows: passed.append(rows) or triple(v, rows))
+        i = GaussianRational(0, 1)
+        states = []
+        for dims in [(2, 2, 3), (2, 3, 5), (3, 2, 4), (1, 3, 4)]:
+            shape = Shape(dims)
+            states += [_few_slices(shape, t, seed, QQI) for t in (1, 2, 3) for seed in range(3)]
+            states += [random_tensor(shape, 1, seed=seed, field=QQI) for seed in range(2)]
+        states += [
+            from_terms(Shape((2, 3, 4)), [(1, 1, 2), (1, 2, 2), (2, 3, 4)], field=QQI).scale(i),
+            Tensor(QQI, Shape((2, 2, 3)), [i, 1 + i, 0, -i, 1 - i, 0, 1, 1, 0, 0, 0, 2 * i]),
+        ]
+        for v in states:
+            passed.clear()
+            signature(v)
+            assert passed == [_concise_rows(v)], v
+        assert any(_slices(v) != list(range(len(_slices(v)))) for v in states)
+        assert all(any(c.im for c in v.coeffs) for v in states[-2:])
 
 
 def _six_rank_signature(v):
