@@ -40,8 +40,10 @@ def admit(shape: Shape, field: Field, bases: bool = False, where: str = "") -> N
 
     A state has at most MAX_COEFFICIENTS coefficients.  A bipartite state's
     flattening, and with `bases` each factor's d_i x d_i basis, is bounded
-    by MAX_ELIMINATION (over Q(i), its rational image twice as tall and
-    wide).  (2,2,d) and (2,3,d) states eliminate matrices at most 6 wide.
+    by MAX_ELIMINATION.  Over Q(i) a matrix is eliminated over the Gaussian
+    integers, two integers an entry and several integer products a
+    Gaussian one, so the cap counts it as twice as tall and wide.  (2,2,d)
+    and (2,3,d) states eliminate matrices at most 6 wide.
     """
     if shape.size > MAX_COEFFICIENTS:
         raise DocumentError(

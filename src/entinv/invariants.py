@@ -110,9 +110,10 @@ def triple_kernel_dim(v: Tensor, rows: list[list[int]]) -> int:
     """Dimension of the joint kernel of the three extended pair maps.
 
     `rows` are the integer images of the concise slices v[:,:,k], k in S,
-    the first r independent slices, as `signature` reads them (e rows of
-    e d1 d2 integers each, e = 2 over Q(i), else 1).  A map on V3 turns v
-    into v|S, its (d1, d2, r) subtensor on S, padded with zero slices.
+    the first r independent slices, as `signature` reads them: one row of
+    e d1 d2 integers each, e = 2 over Q(i) (Gaussian integers), else 1.
+    A map on V3 turns v into v|S, its (d1, d2, r) subtensor on S, padded
+    with zero slices.
     Block 1 of `triple_constraint_matrix` puts each slice of w in
     K = ker S^T, of dimension d1 d2 - r, and blocks 2 and 3 never see a
     padded one, so k123(v) = k123(v|S) + (d3 - r)(d1 d2 - r), and
@@ -122,28 +123,36 @@ def triple_kernel_dim(v: Tensor, rows: list[list[int]]) -> int:
     in y: a (d1^2 + d2^2) x (d1 d2 - r) r system R, at most 13 x 9 for
     (2, 3, d).  Its column (l, f) holds v_l^T K_f and v_l K_f^T, v_l the
     slice as a d1 x d2 matrix; a slice's scale in the image scales it.
+    Over Q(i) an entry of R is two dot products of slice integers, with
+    (p, -q) and (q, p) interleaved for the kernel entries p + qi: its real
+    and imaginary parts.
     """
     if v.n != 3:
         raise ArityError(f"triple intersection needs 3 factors, got {v.n}")
     d1, d2, d3 = v.shape.dims
     d12 = d1 * d2
-    e = len(rows[0]) // d12 if rows else 1
-    r = len(rows) // e
+    r = len(rows)
     free = (d3 - r) * (d12 - r)
     if r in (0, d12):
         return free
+    e = len(rows[0]) // d12
     kernel = image_kernel(v.field, [list(x) for x in rows], d12)
-    # the image coordinates (i, j, u) of a d1 x d2 matrix, read as (j, i, u)
-    swap = [e * (d2 * i + j) + u for j in range(d2) for i in range(d1) for u in range(e)]
+    # the coordinates (i, j) of a d1 x d2 matrix, read as (j, i), and the
+    # same for its e integers an entry
+    swap = [d2 * i + j for j in range(d2) for i in range(d1)]
+    spread = [e * p + u for p in swap for u in range(e)]
     R = []
-    transposed = ([[x[p] for p in swap] for x in rows], [kernel[p] for p in swap], d2, d1)
+    transposed = ([[x[q] for q in spread] for x in rows], [kernel[p] for p in swap], d2, d1)
     for xs, ks, da, db in (transposed, (rows, kernel, d1, d2)):
         w = e * db  # a row of a da x db matrix in the image
-        kn = [list(zip(*ks[w * n : w * (n + 1)])) for n in range(da)]
+        kn = [list(zip(*ks[db * n : db * (n + 1)])) for n in range(da)]
+        if e == 2:  # the columns p and q of kernel entries p + qi
+            kn = [[c for p, q in zip(k[::2], k[1::2])
+                   for c in ([t for a, b in zip(p, q) for t in (a, -b)],
+                             [t for a, b in zip(p, q) for t in (b, a)])] for k in kn]
         for m in range(da):
-            xm = [[x[w * m : w * (m + 1)] for x in xs[u::e]] for u in range(e)]
-            for k in kn:
-                R += [[sum(map(mul, xl, c)) for xl in xls for c in k] for xls in xm]
+            xm = [x[w * m : w * (m + 1)] for x in xs]
+            R += [[sum(map(mul, xl, c)) for xl in xm for c in k] for k in kn]
     return (d12 - r) * r - len(eliminate(v.field, R, (d12 - r) * r)) + free
 
 
@@ -152,9 +161,10 @@ def signature(v: Tensor) -> InvariantSignature:
 
     A flattening's complement is its transpose, whose kernel follows by
     rank duality.  Tripartite, the slices v[:,:,k] are imaged once; their
-    transpose pivots like the (1,2) flattening (over Q(i) it is the image
-    of the conjugate) on the concise slices S, which give r, k3 and k12.
-    k1 and k2 are ranked on [v_1 | ... | v_r] and [v_1; ...; v_r], v_l in S.
+    transpose pivots like the (1,2) flattening on the concise slices S,
+    which give r, k3 and k12.  k1 and k2 are ranked on [v_1 | ... | v_r]
+    and [v_1; ...; v_r], v_l in S.  Over Q(i) a slice is one row of
+    Gaussian integers, and its transpose keeps each entry's two together.
     """
     d = v.shape.dims
     if v.n == 2:
@@ -163,12 +173,15 @@ def signature(v: Tensor) -> InvariantSignature:
     d1, d2, d3 = d
     field, qoff = v.field, v.shape.offsets((0, 1))
     image = integer_image(field, [[v.coeffs[o + k] for o in qoff] for k in range(d3)])
-    e = len(image) // d3
-    slices = eliminate(field, [list(col) for col in zip(*image)], d3)
-    r, rows = len(slices), [image[e * k + u] for k in slices for u in range(e)]
+    e = len(image[0]) // (d1 * d2)
+    cols = [list(col) for col in zip(*image)]
+    if e == 2:  # the real and imaginary columns of an entry make one row
+        cols = [[t for ab in zip(a, b) for t in ab] for a, b in zip(cols[::2], cols[1::2])]
+    slices = eliminate(field, cols, d3)
+    r, rows = len(slices), [image[k] for k in slices]
     w = e * d2  # a row of a slice in the image
-    k1 = d1 - len(eliminate(field, [[t for x in rows[u::e] for t in x[w * i : w * (i + 1)]]
-                                    for i in range(d1) for u in range(e)], d2 * r))
+    k1 = d1 - len(eliminate(field, [[t for x in rows for t in x[w * i : w * (i + 1)]]
+                                    for i in range(d1)], d2 * r))
     k2 = d2 - len(eliminate(field, [x[w * i : w * (i + 1)] for x in rows for i in range(d1)], d2))
     pairs = (d1 * d2 - r, d1 * d3 - d2 + k2, d2 * d3 - d1 + k1)
     return InvariantSignature(d, (k1, k2, d3 - r), pairs, triple_kernel_dim(v, rows))

@@ -2,11 +2,11 @@
 
 All arithmetic is exact field arithmetic; there are no tolerances and no
 pivoting heuristics (the first nonzero entry in column order is the pivot).
-`pivots` and `rank` eliminate integers only (Bareiss over Q and over the
-rational image of Q(i), residues over GF(p)); their agreement with the
-pivots of `rref` is a tested invariant, not an assumption.  The tripartite
-signature of `invariants` works in the same integer image: `integer_image`,
-`image_kernel` and `eliminate`.
+`pivots` and `rank` eliminate integers only: fraction-free Bareiss over
+Z for Q and over the Gaussian integers Z[i] for Q(i), residues over
+GF(p).  Their agreement with the pivots of `rref` is a tested invariant,
+not an assumption.  The tripartite signature of `invariants` works in the
+same integer image: `integer_image`, `image_kernel` and `eliminate`.
 """
 
 from __future__ import annotations
@@ -114,9 +114,6 @@ class ExactMatrix:
         """The pivot columns of `rref()`, by integer elimination on the first call.
 
         Entries are never mutated, so the pivot list is kept for later calls.
-
-        Over Q(i), a + bi acts on Q^2 as [[a, -b], [b, a]]; column c is a
-        pivot exactly when columns 2c and 2c + 1 of that rational image are.
         """
         if self._pivots is None:
             image = integer_image(self.field, self.row_lists())
@@ -132,43 +129,33 @@ class ExactMatrix:
 
 
 def integer_image(field: Field, rows: list[list]) -> list[list[int]]:
-    """Integer rows whose elimination gives the pivots of `rows`.
+    """Integer rows whose elimination gives the pivots of `rows`, row for row.
 
-    Cleared denominators over Q and residues over GF(p), row for row.  Over
-    Q(i) the rational image: a + bi becomes the block [[a, -b], [b, a]],
-    so a row of n entries gives e = 2 image rows x of 2n integers, and
-    entry k is the block [[x[e k + u] for u in range(e)] for x in them].
-    The block map is a ring homomorphism, so the image of a product is
-    the product of the images.
+    Cleared denominators over Q and residues over GF(p).  Over Q(i) each
+    row is a row of Gaussian integers over one cleared denominator, the
+    entry a + bi stored as the e = 2 integers a, b: entry k of a row x is
+    x[2k] + x[2k + 1] i.
     """
     if isinstance(field, PrimeField):
         return [[x.value for x in row] for row in rows]
     if isinstance(field, RationalField):
         return _integer_rows(rows)
-    image = []
-    for ab in _integer_rows([[t for x in row for t in (x.re, x.im)] for row in rows]):
-        image.append([-t if k % 2 else t for k, t in enumerate(ab)])
-        image.append([ab[k ^ 1] for k in range(len(ab))])
-    return image
+    return _integer_rows([[t for x in row for t in (x.re, x.im)] for row in rows])
 
 
 def eliminate(field: Field, image: list[list[int]], cols: int, jordan: bool = False) -> list[int]:
     """Pivot columns of a matrix with `cols` columns, eliminating its image.
 
-    Over Q(i), column c is a pivot when image columns 2c and 2c + 1 are;
-    unpaired image pivots are a bug.  The image is overwritten; with
-    `jordan`, it is left in Gauss-Jordan form: D times its reduced row
-    echelon form, where D is the last Bareiss pivot, or 1 over GF(p).
+    Bareiss over Z or, over Q(i), over Z[i]; residues over GF(p).  The
+    image is overwritten; with `jordan`, it is left in Gauss-Jordan form:
+    D times its reduced row echelon form, where D is the last Bareiss
+    pivot (a Gaussian integer over Q(i)), or 1 over GF(p).
     """
     if isinstance(field, PrimeField):
         return _pivots_prime(image, cols, field.p, jordan)
     if isinstance(field, RationalField):
         return _pivots_bareiss(image, cols, jordan)
-    paired = _pivots_bareiss(image, 2 * cols, jordan)
-    pivots = [c // 2 for c in paired[::2]]
-    if paired != [2 * c + j for c in pivots for j in (0, 1)]:
-        raise InternalConsistencyError("pivots of the rational image are not paired")
-    return pivots
+    return _pivots_gauss(image, cols, jordan)
 
 
 def image_kernel(field: Field, image: list[list[int]], cols: int) -> list[list[int]]:
@@ -177,19 +164,19 @@ def image_kernel(field: Field, image: list[list[int]], cols: int) -> list[list[i
     One Gauss-Jordan elimination of the image gives its pivot columns P,
     the common pivot D and the reduced rows Y.  Basis vector f has D on
     the free column f, -Y[m][f] on P_m and 0 elsewhere.  The result has
-    one row per image column and one column per basis vector, all in the
-    image's integers.  Over Q(i) it is the image of a kernel basis over
-    Q(i), as the reduced form of an image is the image of the reduced form.
+    one row per column and, for each basis vector, the e integers of one
+    entry in the image's own layout: over Q(i), D and -Y[m][f] are
+    Gaussian integers, two integers each.
     """
-    e = len(image[0]) // cols  # image columns per column: 2 over Q(i), else 1
-    pivots = [e * c + u for c in eliminate(field, image, cols, jordan=True) for u in range(e)]
+    e = len(image[0]) // cols  # integers per entry: 2 over Q(i), else 1
+    pivots = eliminate(field, image, cols, jordan=True)
     if len(pivots) < len(image):
         raise InternalConsistencyError(f"rank {len(image)} matrix has {len(pivots)} pivots")
-    d = image[0][pivots[0]]
-    free = [q for q in range(e * cols) if q not in pivots]
-    basis = [[d if q == f else 0 for f in free] for q in range(e * cols)]
+    d, zero = image[0][e * pivots[0] : e * pivots[0] + e], [0] * e
+    free = [q for q in range(cols) if q not in pivots]
+    basis = [[t for f in free for t in (d if q == f else zero)] for q in range(cols)]
     for row, p in zip(image, pivots):
-        basis[p] = [-row[f] for f in free]
+        basis[p] = [-row[e * f + u] for f in free for u in range(e)]
     return basis
 
 
@@ -275,6 +262,84 @@ def _scale(row: list[int], num: int, den: int, start: int) -> None:
         if rem:
             raise InternalConsistencyError("inexact division in Bareiss step")
         row[j] = q
+
+
+def _pivots_gauss(rows: list[list[int]], cols: int, jordan: bool = False) -> list[int]:
+    """`_pivots_bareiss` over the Gaussian integers, for `integer_image` rows over Q(i).
+
+    Bareiss's elimination is fraction-free over any integral domain, and
+    Z[i] is one: entries stay minors of the input, now Gaussian, and the
+    pivot rule, the rows left alone, their den, the Gauss-Jordan clearing
+    and the final scaling to D are those of `_pivots_bareiss`.  Entry c of
+    a row x is x[2c] + x[2c + 1] i.  A division x / d is x conj(d) / |d|^2
+    in integers, and both remainders are checked.
+    """
+    nr = len(rows)
+    den = [(1, 0)] * nr
+    pivots = []
+    prev = (1, 0)
+    for c in range(cols):
+        rank = len(pivots)
+        k = 2 * c
+        piv = None
+        for i in range(rank, nr):
+            if rows[i][k] or rows[i][k + 1]:
+                piv = i
+                break
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        den[rank], den[piv] = den[piv], den[rank]
+        rp = rows[rank]
+        if den[rank] != prev:
+            _scale_gauss(rp, prev, den[rank], k)
+        p = pr, pi = rp[k], rp[k + 1]
+        den[rank] = p
+        for i in range(0 if jordan else rank + 1, nr):
+            ri = rows[i]
+            fr, fi = ri[k], ri[k + 1]
+            if not (fr or fi) or i == rank:
+                continue
+            # (p x - f y) / d is (a x - b y) / n for x and y the entries of
+            # ri and rp, a = p conj(d), b = f conj(d) and n = |d|^2
+            dr, di = den[i]
+            n = dr * dr + di * di
+            ar, ai = pr * dr + pi * di, pi * dr - pr * di
+            br, bi = fr * dr + fi * di, fi * dr - fr * di
+            for j in range(0 if i < rank else k + 2, 2 * cols, 2):
+                xr, xi, yr, yi = ri[j], ri[j + 1], rp[j], rp[j + 1]
+                qr, er = divmod(ar * xr - ai * xi - br * yr + bi * yi, n)
+                qi, ei = divmod(ar * xi + ai * xr - br * yi - bi * yr, n)
+                if er or ei:
+                    raise InternalConsistencyError("inexact division in Bareiss step")
+                ri[j] = qr
+                ri[j + 1] = qi
+            ri[k] = ri[k + 1] = 0
+            den[i] = p
+        prev = p
+        pivots.append(c)
+    if jordan:
+        for i in range(len(pivots)):
+            if den[i] != prev:
+                _scale_gauss(rows[i], prev, den[i], 0)
+    return pivots
+
+
+def _scale_gauss(row: list[int], num: tuple[int, int], den: tuple[int, int], start: int) -> None:
+    """Multiply the Gaussian entries of row[start:] by num / den in place,
+    checking exactness; num and den are (re, im) pairs."""
+    (ur, ui), (dr, di) = num, den
+    n = dr * dr + di * di
+    # num conj(den) / n, in integers
+    ur, ui = ur * dr + ui * di, ui * dr - ur * di
+    for j in range(start, len(row), 2):
+        xr, xi = row[j], row[j + 1]
+        qr, er = divmod(xr * ur - xi * ui, n)
+        qi, ei = divmod(xr * ui + xi * ur, n)
+        if er or ei:
+            raise InternalConsistencyError("inexact division in Bareiss step")
+        row[j] = qr
+        row[j + 1] = qi
 
 
 def _pivots_prime(rows: list[list[int]], cols: int, p: int, jordan: bool = False) -> list[int]:

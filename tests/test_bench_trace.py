@@ -6,7 +6,7 @@ calling through it, would silently zero that layer's metrics.  These
 tests load the tracer as a plain file, classify one document through
 `cli.main`, and count the spans of each layer: a (2,3,4) state, a
 (2,3,12) state on each route of `triple_kernel_dim`, and a (2,3,4)
-Gaussian-rational state, whose ranks run on the rational image.  A
+Gaussian-rational state, whose ranks run over the Gaussian integers.  A
 tripartite signature reads its slices into the integer image once and
 ranks everything there: it calls no `flatten` and no `ExactMatrix.rank`,
 builds no `triple_constraint_matrix`, and calls `triple_kernel_dim` once.

@@ -131,7 +131,7 @@ def test_elimination_cap_is_inclusive():
     for dims in ([64, 2049], [2049, 64], [204, 204]):
         with pytest.raises(DocumentError, match="more than the cap of 8388608"):
             parse_document(json.dumps({**doc, "dims": dims}))
-    # over Q(i) the 2 d1 x 2 d2 rational image is eliminated
+    # over Q(i) the cap counts a d1 x d2 matrix as 2 d1 x 2 d2
     doc = {"field": "gaussian-rational", "dims": [101, 101], "entries": []}
     assert parse_document(json.dumps(doc)).shape.dims == (101, 101)
     with pytest.raises(DocumentError, match="a 204x204 matrix"):

@@ -190,6 +190,93 @@ GOLDEN = {
         "85cd3dca64fe2500fd921689f7374e45ee634cd35a0eac5ae8fbcdcea398815f",
     "verify --suite survey --samples 20 --format json":
         "90bf499164085dae8ecef1169db369ebd31b7ca1cce5ba9c3a1bc36bcd690a81",
+    "representative --family 23d --d 4 --label C0 --field gaussian-rational --generic-seed 3"
+    " | classify --format json -":
+        "51c8ca379e124389cf0de68b26152da7f44a73bb367e815ac7cf9eafbb24f2a2",
+    "representative --family 23d --d 4 --label C1 --field gaussian-rational --generic-seed 3"
+    " | classify --format json -":
+        "5f3e9921ea106c26dc6637111cca240680cf95b12c9a4237d4ebae686c7c276e",
+    "representative --family 23d --d 4 --label C2 --field gaussian-rational --generic-seed 3"
+    " | classify --format json -":
+        "a058fb3841b5c1c3eb46a3da7b7353924751a33001859d16b24a5e0955aff86e",
+    "representative --family 23d --d 4 --label C3 --field gaussian-rational --generic-seed 3"
+    " | classify --format json -":
+        "03c8280b9b4ae838d72ec252c4d1d7178952a5d36811deb2aa4169093f8289e4",
+    "representative --family 23d --d 4 --label C4 --field gaussian-rational --generic-seed 3"
+    " | classify --format json -":
+        "18fa8d898f074a881944a615cabe8bef7f4770428a0e9e51b3386319ad1ee6e1",
+    "representative --family 23d --d 4 --label C5 --field gaussian-rational --generic-seed 3"
+    " | classify --format json -":
+        "e5dc70eaf8da7a42ca1241212351c6dc21bb9bdb24e866b92c9d7d644754b12a",
+    "representative --family 23d --d 4 --label C6 --field gaussian-rational --generic-seed 3"
+    " | classify --format json -":
+        "20001b777d9195977f05541e9230e4548dea3cee241c6a736d0a8e4317f72c31",
+    "representative --family 23d --d 4 --label C7 --field gaussian-rational --generic-seed 3"
+    " | classify --format json -":
+        "b58592f6797f6561a2bdedea5c70f3222cba0ff713bf20b9e1469d7fd2b01f25",
+    "representative --family 23d --d 4 --label C8 --field gaussian-rational --generic-seed 3"
+    " | classify --format json -":
+        "6fa3083cc89d384490311da64e0d0d119b494080c94d822265e1c9311c9de23c",
+    "representative --family 23d --d 4 --label C9 --field gaussian-rational --generic-seed 3"
+    " | classify --format json -":
+        "f70dde18127e9bfd7e8d09da8ddfe868eff70bc617897dfd95750ba70e1835cd",
+    "representative --family 23d --d 4 --label C10 --field gaussian-rational --generic-seed 3"
+    " | classify --format json -":
+        "7757310133e59d2b3bd3f1560716a34fd715fb6dbb36100c484ab7846577b340",
+    "representative --family 23d --d 4 --label C11 --field gaussian-rational --generic-seed 3"
+    " | classify --format json -":
+        "0c512b188008df40336ad49677250e1ac187f09d411b549b0dd5ca4f6018c47e",
+    "representative --family 23d --d 4 --label C12 --field gaussian-rational --generic-seed 3"
+    " | classify --format json -":
+        "7c8146b8747fa711a220592ec33717bf4fa6f5fc40f013b32fa7c038396677bc",
+    "representative --family 23d --d 4 --label C13 --field gaussian-rational --generic-seed 3"
+    " | classify --format json -":
+        "7aa12836eb3ff38442ce1511d9d9f3cdcd86b2e3fed8f7f2ef1c8461d20a2fa3",
+    "representative --family 23d --d 4 --label C14 --field gaussian-rational --generic-seed 3"
+    " | classify --format json -":
+        "d7ea25a70596cee6a05f5e6dd9348d4fd6b5bdb9f3a650eb3c226b1ae94e8c39",
+    "representative --family 23d --d 4 --label C15 --field gaussian-rational --generic-seed 3"
+    " | classify --format json -":
+        "ca5eecae5e8b73ae4c13572ccef19e252807b9486b38e6e359183baf862f0f12",
+    "representative --family 23d --d 4 --label C16 --field gaussian-rational --generic-seed 3"
+    " | classify --format json -":
+        "58fe2f5435a30ed9628bc7b2c57b8b6df50636810c4c18d830b5d9568734bf4c",
+    "representative --family 23d --d 4 --label C17 --field gaussian-rational --generic-seed 3"
+    " | classify --format json -":
+        "f2c159e4829359155c27f196f32636b73e10cd82a8e1799eeccc81245cb985b7",
+    "representative --family 23d --d 4 --label C18 --field gaussian-rational --generic-seed 3"
+    " | classify --format json -":
+        "754757d71d473417d6492dc445ad9cedd463607449b08de833009ed9a93c0098",
+    "representative --family 23d --d 4 --label C19 --field gaussian-rational --generic-seed 3"
+    " | classify --format json -":
+        "097150d28f12931d68982eafe25af4f4b1fa00769ae20e8af0d36d104e9b3a80",
+    "representative --family 23d --d 4 --label C20 --field gaussian-rational --generic-seed 3"
+    " | classify --format json -":
+        "6b0af3542d1d69428acc8fdb2c4c670aec4c5bc1e6fef3649a76dbda832a140b",
+    "representative --family 23d --d 4 --label C21 --field gaussian-rational --generic-seed 3"
+    " | classify --format json -":
+        "908d330cd16368258cf04180aa3ba6ebb9291487523ec5d3c3c13772c0d10a8a",
+    "representative --family 23d --d 4 --label C22 --field gaussian-rational --generic-seed 3"
+    " | classify --format json -":
+        "84f91d14371407cefff6de8fb11acc956d85ff1c95298ff505c3b2ce17ec1fcf",
+    "representative --family 23d --d 4 --label C23 --field gaussian-rational --generic-seed 3"
+    " | classify --format json -":
+        "524ceff5a38c81d6895e776154521b2ea91522f39e5cff50d123f602c5ff332d",
+    "representative --family 23d --d 4 --label C24 --field gaussian-rational --generic-seed 3"
+    " | classify --format json -":
+        "76d14acf89b7c7bd95f4305b3685932a38e07297cbb967f577de7adf2a5862a2",
+    "representative --family 23d --d 4 --label C25 --field gaussian-rational --generic-seed 3"
+    " | classify --format json -":
+        "fcea9904a78fab98dd1e6177dfd2cd7a63fe10ec5bce75b0a334ce23516c43c9",
+    "representative --family 22d --d 2 --label C5 --field gaussian-rational --generic-seed 3"
+    " | explain3 - --format json":
+        "7306d4db0c304ba281d90597ecabb7e1ad7e24f8d98957e6231d9ada3075299f",
+    "verify --suite duality --samples 10 --field gaussian-rational":
+        "8e76aa3fd5ecbc491f2b07ae51d67c796bb337719dc0aaee127b7d253cb448fd",
+    "verify --suite survey --samples 20 --field gaussian-rational --format json":
+        "b797fa60f31f4c16cbd032b7d2451523fd03f9078ec3346d5ef24ee9937c60e7",
+    "verify --suite exhaustive-222 --field gaussian-rational":
+        "5a6aad93fa590bb8097566ba2605db6a89fdfd30e62591669058599303d19926",
     "suite_local_invariance(draws=2, d_max=2).to_dict()":
         "21f069a1f77d6ae469fa96eae29cee2198ee48d4f37faef0d741df6bb7a4e4a1",
 }

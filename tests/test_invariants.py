@@ -156,9 +156,9 @@ class TestTripleKernelDim:
                     m = triple_constraint_matrix(concise)
                     assert m.pivots() == m.rref()[1], (shape.dims, entry.label)
 
-    # over Q(i) the oracle ranks the stacked system by its integer image,
-    # whose pivots are checked against plain elimination above and in
-    # test_linalg; plain elimination here would take about 90 s
+    # over Q(i) the oracle ranks the stacked system over the Gaussian
+    # integers, whose pivots are checked against plain elimination above
+    # and in test_linalg; plain elimination here would take about 90 s
     @pytest.mark.parametrize("descriptor", ["gf(2)", "gf(3)", "rational", "gaussian-rational"])
     @pytest.mark.parametrize("dims", [(3, 3, 3), (1, 3, 4), (2, 2, 1), (3, 3, 10), (2, 4, 5)])
     def test_matches_stacked_system_off_the_tables(self, dims, descriptor):
@@ -188,7 +188,8 @@ class TestTripleKernelDim:
     # - r = 2: pivot columns 0 and 2, D = 3;
     # - r = 2 with denominators: pivot columns 1 and 2.
     # The Q(i) states have r = 1, 2 and 3 = d1 d2 - 1, with complex entries;
-    # their images pivot in pairs with D = 2, -16 and 32.
+    # over Z[i] their pivot columns are the first r, with D = 1 + i, -4i
+    # and -4 - 4i.
     @pytest.mark.parametrize("descriptor,dims,slices", [
         *((descriptor, dims, slices) for descriptor in ("rational", "gf(101)", "gaussian-rational")
           for dims, slices in [
@@ -226,13 +227,13 @@ def _slices(v):
 
 
 def _concise_rows(v):
-    """Integer images of the concise slices of `v`, one row per slice (two over Q(i))."""
+    """Integer images of the concise slices of `v`, one row per slice."""
     qoff = v.shape.offsets((0, 1))
     return integer_image(v.field, [[v.coeffs[o + k] for o in qoff] for k in _slices(v)])
 
 
 def _stacked_k123(v):
-    # Q(i) ranks through its rational image; plain elimination stays its oracle
+    # Q(i) ranks over the Gaussian integers; plain elimination stays its oracle
     m = triple_constraint_matrix(v)
     return v.shape.size - (len(m.rref()[1]) if v.field == QQI else m.rank())
 
@@ -368,7 +369,8 @@ class TestSignature:
 
     # the rows `signature` hands to `triple_kernel_dim` are the images of
     # the pivot slices of the (1,2) flattening: the pivots of the transposed
-    # image are those of the flattening, here on states with complex entries
+    # slice matrix are those of the flattening, here on states with complex
+    # entries
     def test_concise_rows_are_the_flattening_pivots(self, monkeypatch):
         passed = []
         triple = invariants.triple_kernel_dim

@@ -4,11 +4,15 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from entinv import linalg
 from entinv.fields import GF, QQ, QQI, FieldMismatchError, GaussianRational
 from entinv.linalg import (
     ExactMatrix,
     InternalConsistencyError,
     _pivots_bareiss,
+    _pivots_gauss,
+    _scale,
+    _scale_gauss,
     eliminate,
     image_kernel,
     integer_image,
@@ -85,10 +89,10 @@ def _sparse_matrices(draw, field):
     return ExactMatrix(field, rows, cols, entries)
 
 
-def _det(rows):
-    """Determinant of a square list of rows, by plain elimination over Q."""
-    m = [[Fraction(x) for x in row] for row in rows]
-    det = Fraction(1)
+def _det(rows, field=QQ):
+    """Determinant of a square list of rows, by plain elimination over `field`."""
+    m = [[field.coerce(x) for x in row] for row in rows]
+    det = field.one
     for c in range(len(m)):
         piv = next((i for i in range(c, len(m)) if m[i][c]), None)
         if piv is None:
@@ -101,6 +105,13 @@ def _det(rows):
             f = m[i][c] / m[c][c]
             m[i] = [a - f * b for a, b in zip(m[i], m[c])]
     return det
+
+
+def _entries(field, row):
+    """The field elements of an `integer_image` row: over Q(i), two integers each."""
+    if field == QQI:
+        return [GaussianRational(a, b) for a, b in zip(row[::2], row[1::2])]
+    return [field.coerce(x) for x in row]
 
 
 def _zeros(field, rows, cols):
@@ -205,6 +216,64 @@ class TestPivots:
             minor = [[row[j] for j in pivots[: k + 1]] for row in chosen[: k + 1]]
             assert work[k][c] == _det(minor)
 
+    # the matrices above with complex entries and the same zeros, so each
+    # reaches the same branch of the elimination over Z[i]; every pivot
+    # other than the last is not 1, so a stale pivot row needs scaling
+    @pytest.mark.parametrize("rows,pivots", [
+        ([[1 + 1j, 1, 0], [0, 3j, 1], [4, 5, 7j]], [0, 1, 2]),
+        ([[1 + 1j, 1, 0], [0, 1, 1j], [1, 0, 0]], [0, 1, 2]),
+        ([[1 + 1j, 0, 1], [1, 1, 0], [0, 1j, 0]], [0, 1, 2]),
+        ([[2j, 0, 1, 0], [1, 0, 0, 0], [1, 0, 1, 1], [0, 1 + 1j, 0, 0]], [0, 1, 2, 3]),
+        ([[1 + 1j, 0, 2, 1], [0, 0, 1j, 1], [2j, 0, 2 + 2j, 1 + 1j]], [0, 2]),
+    ])
+    def test_skipped_rows_keep_gaussian_bareiss_pivots(self, rows, pivots):
+        rows = [[GaussianRational(int(z.real), int(z.imag)) for z in map(complex, row)]
+                for row in rows]
+        m = ExactMatrix.from_rows(QQI, rows)
+        assert m.pivots() == m.rref()[1] == pivots
+        # each pivot is the Gaussian minor on the rows chosen so far
+        work = integer_image(QQI, rows)
+        start = {id(row): i for i, row in enumerate(work)}
+        assert _pivots_gauss(work, len(rows[0])) == pivots
+        chosen = [rows[start[id(row)]] for row in work]
+        for k, c in enumerate(pivots):
+            minor = [[row[j] for j in pivots[: k + 1]] for row in chosen[: k + 1]]
+            assert GaussianRational(work[k][2 * c], work[k][2 * c + 1]) == _det(minor, QQI)
+
+    # A pivot row left stale must be scaled before it is used: without the
+    # scaling, the next write of a row divides inexactly, and the guard in
+    # the inner loop fires.  Unscaled inputs reach it in both routines.  The
+    # first Gaussian rows are [0, 1, i], [1 + 3i, i, 2i] and [1 + 2i, 0, 0];
+    # unscaled, the next two leave a remainder in the imaginary part alone
+    # and in the real part alone.
+    @pytest.mark.parametrize("routine,scale,rows,cols,pivots", [
+        (_pivots_bareiss, "_scale", [[2, 1, 0, 3], [0, -1, 0, 2], [1, 0, 0, 0]], 4, [0, 1, 3]),
+        (_pivots_gauss, "_scale_gauss",
+         [[0, 0, 1, 0, 0, 1], [1, 3, 0, 1, 0, 2], [1, 2, 0, 0, 0, 0]], 3, [0, 1, 2]),
+        (_pivots_gauss, "_scale_gauss",
+         [[0, 0, 3, 0, 2, 2], [3, 3, 0, -1, 3, 0], [2, 0, -1, 0, 2, 0]], 3, [0, 1, 2]),
+        (_pivots_gauss, "_scale_gauss",
+         [[0, 0, 3, 3, 0, -1], [0, 3, -1, 1, 3, 2], [-1, -1, 0, 2, -1, 0]], 3, [0, 1, 2]),
+    ])
+    def test_unscaled_pivot_row_is_an_inexact_division(self, routine, scale, rows, cols, pivots,
+                                                       monkeypatch):
+        assert routine([list(row) for row in rows], cols) == pivots
+        monkeypatch.setattr(linalg, scale, lambda *args: None)
+        with pytest.raises(InternalConsistencyError, match="inexact division in Bareiss step"):
+            routine([list(row) for row in rows], cols)
+
+    def test_scaling_by_a_non_divisor_is_a_fault(self):
+        with pytest.raises(InternalConsistencyError, match="inexact division"):
+            _scale([1, 3], 1, 2, 0)
+        # (1 + 3i) / (1 + i) = 2 + i, but (1 + 2i) / 2 and (2 + i) / 2 are
+        # not in Z[i]: one has a real remainder, the other an imaginary one
+        row = [1, 3]
+        _scale_gauss(row, (1, 0), (1, 1), 0)
+        assert row == [2, 1]
+        for row in ([1, 2], [2, 1]):
+            with pytest.raises(InternalConsistencyError, match="inexact division"):
+                _scale_gauss(row, (1, 0), (2, 0), 0)
+
     def test_rows_dependent_only_through_i(self):
         # each row pair (u, i u) is independent over Q but not over Q(i)
         rng = random.Random(3)
@@ -222,17 +291,18 @@ class TestPivots:
 
 
 class TestImageKernel:
-    @pytest.mark.parametrize("field", [QQ, GF(7)], ids=lambda f: f.descriptor)
+    @pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.descriptor)
     @settings(deadline=None)
     @given(data=st.data())
     def test_jordan_form_is_d_times_rref(self, field, data):
+        # over Q(i), D is a Gaussian integer
         m = data.draw(st.one_of(_matrices(field), _sparse_matrices(field)))
         reduced, pivots = m.rref()
         image = integer_image(field, m.row_lists())
         assert eliminate(field, image, m.cols, jordan=True) == pivots
-        d = field.coerce(image[0][pivots[0]]) if pivots else field.one
+        d = _entries(field, image[0])[pivots[0]] if pivots else field.one
         for i in range(m.rows):
-            assert [field.coerce(x) / d for x in image[i]] == reduced.row(i)
+            assert [x / d for x in _entries(field, image[i])] == reduced.row(i)
 
     @pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.descriptor)
     def test_basis_spans_the_kernel(self, field):
@@ -244,27 +314,14 @@ class TestImageKernel:
                 continue
             image = integer_image(field, m.row_lists())
             basis = image_kernel(field, [list(row) for row in image], cols)
-            e = len(image[0]) // cols
-            # the basis is an integer matrix in the image's own field
-            assert ExactMatrix.from_rows(QQ if field == QQI else field, basis).rank() == (
-                e * (cols - m.rows)
-            )
+            # one basis row per column, in the image's layout: over Q(i),
+            # a Gaussian integer is two integers; its rank is over the field
+            kernel = ExactMatrix.from_rows(field, [_entries(field, row) for row in basis])
+            assert len(kernel.rref()[1]) == cols - m.rows
             for row in image:
-                for col in zip(*basis):
-                    assert field.coerce(sum(a * b for a, b in zip(row, col))) == field.zero
-            # over Q(i), column 2f + 1 is i times column 2f, block by block
-            if e == 2:
-                for q in range(0, 2 * cols, 2):
-                    for f in range(0, len(basis[0]), 2):
-                        assert basis[q][f + 1] == -basis[q + 1][f]
-                        assert basis[q + 1][f + 1] == basis[q][f]
-
-    @pytest.mark.parametrize("jordan", [False, True])
-    def test_unpaired_image_pivots_are_a_fault(self, jordan):
-        # these rows are no rational image of Q(i) rows: their pivots are
-        # columns 0 and 2, which belong to two different columns over Q(i)
-        with pytest.raises(InternalConsistencyError, match="not paired"):
-            eliminate(QQI, [[1, 0, 0, 0], [0, 0, 1, 0]], 2, jordan=jordan)
+                for col in zip(*kernel.row_lists()):
+                    dot = sum((a * b for a, b in zip(_entries(field, row), col)), field.zero)
+                    assert dot == field.zero
 
 
 class TestRank:
