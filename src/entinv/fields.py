@@ -4,8 +4,9 @@ Every invariant in this package is a kernel dimension, so coefficient
 arithmetic must be exact; floating point is rejected at every boundary.
 Rationals are `fractions.Fraction` (already normalized: lowest terms,
 positive denominator).  GF(p) residues and Gaussian rationals get small
-element classes with overloaded operators so the linear algebra can stay
-field-agnostic.
+element classes that are built, compared, hashed and printed but define
+no arithmetic: every computation runs on the integer image of
+:mod:`~entinv.linalg`.
 
 Scalar strings accepted by :meth:`Field.parse`:
 
@@ -41,47 +42,13 @@ def _parse_fraction(text: str) -> Fraction:
 
 
 class GFElement:
-    """A residue modulo a prime p, with field arithmetic."""
+    """A residue modulo a prime p."""
 
     __slots__ = ("value", "p")
 
     def __init__(self, value: int, p: int):
         self.value = value % p
         self.p = p
-
-    def _coerce(self, other) -> "GFElement":
-        return GF(self.p).coerce(other)
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        return GFElement(self.value + o.value, self.p)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        return GFElement(self.value - o.value, self.p)
-
-    def __rsub__(self, other):
-        return self._coerce(other) - self
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        return GFElement(self.value * o.value, self.p)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o.value == 0:
-            raise ZeroDivisionError(f"division by zero in GF({self.p})")
-        return GFElement(self.value * pow(o.value, -1, self.p), self.p)
-
-    def __rtruediv__(self, other):
-        return self._coerce(other) / self
-
-    def __neg__(self):
-        return GFElement(-self.value, self.p)
 
     def __eq__(self, other):
         if isinstance(other, GFElement):
@@ -109,50 +76,9 @@ class GaussianRational:
         self.re = Fraction(re)
         self.im = Fraction(im)
 
-    @staticmethod
-    def _coerce(other) -> "GaussianRational":
-        return QQI.coerce(other)
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        return GaussianRational(self.re + o.re, self.im + o.im)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        return GaussianRational(self.re - o.re, self.im - o.im)
-
-    def __rsub__(self, other):
-        return self._coerce(other) - self
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        return GaussianRational(
-            self.re * o.re - self.im * o.im, self.re * o.im + self.im * o.re
-        )
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        n = o.re * o.re + o.im * o.im
-        if n == 0:
-            raise ZeroDivisionError("division by zero Gaussian rational")
-        return GaussianRational(
-            (self.re * o.re + self.im * o.im) / n,
-            (self.im * o.re - self.re * o.im) / n,
-        )
-
-    def __rtruediv__(self, other):
-        return self._coerce(other) / self
-
-    def __neg__(self):
-        return GaussianRational(-self.re, -self.im)
-
     def __eq__(self, other):
         if isinstance(other, (GaussianRational, int, Fraction)):
-            o = self._coerce(other)
+            o = QQI.coerce(other)
             return self.re == o.re and self.im == o.im
         return NotImplemented
 
@@ -178,10 +104,6 @@ class Field:
     @property
     def zero(self):
         return self.coerce(0)
-
-    @property
-    def one(self):
-        return self.coerce(1)
 
     def coerce(self, value):
         """Accept an element or an int; return an element (strings go through `parse`)."""

@@ -19,7 +19,8 @@ from math import prod
 from operator import mul
 from typing import Optional
 
-from .linalg import ExactMatrix, InternalConsistencyError, eliminate, image_kernel, integer_image
+from .linalg import (ExactMatrix, InternalConsistencyError, eliminate, from_image, gaussian_rows,
+                     image_kernel, integer_image, scaled)
 from .tensors import ArityError, FlatteningSpec, Tensor, flatten
 
 
@@ -147,9 +148,8 @@ def triple_kernel_dim(v: Tensor, rows: list[list[int]]) -> int:
         w = e * db  # a row of a da x db matrix in the image
         kn = [list(zip(*ks[db * n : db * (n + 1)])) for n in range(da)]
         if e == 2:  # the columns p and q of kernel entries p + qi
-            kn = [[c for p, q in zip(k[::2], k[1::2])
-                   for c in ([t for a, b in zip(p, q) for t in (a, -b)],
-                             [t for a, b in zip(p, q) for t in (b, a)])] for k in kn]
+            kn = [[c for p, q in zip(k[::2], k[1::2]) for c in gaussian_rows(zip(p, q))]
+                  for k in kn]
         for m in range(da):
             xm = [x[w * m : w * (m + 1)] for x in xs]
             R += [[sum(map(mul, xl, c)) for xl in xm for c in k] for k in kn]
@@ -217,14 +217,20 @@ def general_form_decomposition(
 
     Exactly dim W - k(v) pairs are returned, with {w_i} and {w'_i} each
     linearly independent and sum_i w_i x w'_i reproducing v.  Pivot
-    columns of the flattening supply the w_i, the nonzero reduced rows
-    supply the w'_i, so the output is deterministic.
+    columns of the flattening supply the w_i, the nonzero rows of its
+    reduced row echelon form supply the w'_i, so the output is
+    deterministic.  Gauss-Jordan elimination of the flattening's image
+    leaves D times those rows; over Q(i), x / D is x conj(D) / |D|^2.
     """
     m = flatten(v, spec)
-    reduced, pivots = m.rref()
-    out = []
-    for r, p in enumerate(pivots):
-        w = [m.entries[i * m.cols + p] for i in range(m.rows)]
-        w_prime = reduced.row(r)
-        out.append((w, w_prime))
-    return out
+    image = integer_image(v.field, m.row_lists())
+    pivots = eliminate(v.field, image, m.cols, jordan=True)
+    if not pivots:
+        return []
+    e = len(image[0]) // m.cols  # integers per entry: 2 over Q(i), else 1
+    d, rows = image[0][e * pivots[0] : e * pivots[0] + e], image[: len(pivots)]
+    if e == 2:
+        rows = [scaled(row, [d[0], -d[1]]) for row in rows]
+    den = d[0] if e == 1 else d[0] * d[0] + d[1] * d[1]
+    return [([m.entries[i * m.cols + p] for i in range(m.rows)], from_image(v.field, row, den))
+            for p, row in zip(pivots, rows)]

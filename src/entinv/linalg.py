@@ -1,21 +1,28 @@
-"""Exact matrices with reduced row echelon form, pivots, and rank.
+"""Exact matrices, and the integer image in which all their arithmetic runs.
 
-All arithmetic is exact field arithmetic; there are no tolerances and no
-pivoting heuristics (the first nonzero entry in column order is the pivot).
-`pivots` and `rank` eliminate integers only: fraction-free Bareiss over
-Z for Q and over the Gaussian integers Z[i] for Q(i), residues over
-GF(p).  Their agreement with the pivots of `rref` is a tested invariant,
-not an assumption.  The tripartite signature of `invariants` works in the
-same integer image: `integer_image`, `image_kernel` and `eliminate`.
+Field elements are parsed, compared and printed, never multiplied: each
+computation runs on an image of integers, one per field.  A vector's
+image is its residues over GF(p) and its numerators over one common
+denominator over Q; over Q(i) it is Gaussian integers over one common
+denominator, the entry a + bi stored as the two integers a, b.
+`to_image` and `from_image` convert between values and image, and
+`integer_image` images the rows of a matrix, each over its own
+denominator.  `eliminate` finds pivots by fraction-free Bareiss
+elimination over Z for Q and over the Gaussian integers Z[i] for Q(i),
+and on residues over GF(p); there are no tolerances, and the pivot is the
+first nonzero entry in column order.  That these are the pivots of plain
+Gauss-Jordan elimination is tested against the oracle in the tests, not
+assumed.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
+from operator import mul
 from typing import Sequence
 
-from .fields import Field, PrimeField, RationalField
+from .fields import Field, GaussianRational, GFElement, PrimeField, RationalField
 
 
 class InternalConsistencyError(RuntimeError):
@@ -78,40 +85,9 @@ class ExactMatrix:
 
     # -- elimination ---------------------------------------------------
 
-    def rref(self) -> tuple["ExactMatrix", list[int]]:
-        """Reduced row echelon form and the ordered pivot column indices.
-
-        Row space is preserved, pivots are 1 with zeros above and below,
-        and the result is deterministic: pivots are the first nonzero
-        entries in column order.
-        """
-        m = self.row_lists()
-        pivots: list[int] = []
-        r = 0
-        for c in range(self.cols):
-            piv = None
-            for i in range(r, self.rows):
-                if m[i][c]:
-                    piv = i
-                    break
-            if piv is None:
-                continue
-            m[r], m[piv] = m[piv], m[r]
-            inv_p = self.field.one / m[r][c]
-            m[r] = [x * inv_p for x in m[r]]
-            for i in range(self.rows):
-                if i != r and m[i][c]:
-                    f = m[i][c]
-                    m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-            pivots.append(c)
-            r += 1
-            if r == self.rows:
-                break
-        flat = [x for row in m for x in row]
-        return ExactMatrix(self.field, self.rows, self.cols, flat), pivots
-
     def pivots(self) -> list[int]:
-        """The pivot columns of `rref()`, by integer elimination on the first call.
+        """The pivot columns of the reduced row echelon form, by integer
+        elimination on the first call.
 
         Entries are never mutated, so the pivot list is kept for later calls.
         """
@@ -131,16 +107,70 @@ class ExactMatrix:
 def integer_image(field: Field, rows: list[list]) -> list[list[int]]:
     """Integer rows whose elimination gives the pivots of `rows`, row for row.
 
-    Cleared denominators over Q and residues over GF(p).  Over Q(i) each
-    row is a row of Gaussian integers over one cleared denominator, the
-    entry a + bi stored as the e = 2 integers a, b: entry k of a row x is
-    x[2k] + x[2k + 1] i.
+    Each row is imaged as by `to_image`, over its own denominator, which
+    is dropped: the e integers of entry k of a row x are x[e k : e k + e],
+    e = 2 over Q(i) (x[2k] + x[2k + 1] i), else 1.
     """
     if isinstance(field, PrimeField):
         return [[x.value for x in row] for row in rows]
+    if not isinstance(field, RationalField):
+        rows = [[t for x in row for t in (x.re, x.im)] for row in rows]
+    return [_cleared(row)[0] for row in rows]
+
+
+def to_image(field: Field, values: Sequence) -> tuple[list[int], int]:
+    """The image of a vector of values, and its common denominator.
+
+    The denominator is 1 over GF(p); over Q(i), entry k of the image x
+    is (x[2k] + x[2k + 1] i) / den.
+    """
+    if isinstance(field, PrimeField):
+        return [x.value for x in values], 1
+    if not isinstance(field, RationalField):
+        values = [t for x in values for t in (x.re, x.im)]
+    return _cleared(values)
+
+
+def from_image(field: Field, image: list[int], den: int) -> list:
+    """The values whose image over the denominator `den` is `image`: its
+    integers over den, times den^-1 mod p, or its pairs over den."""
+    if isinstance(field, PrimeField):
+        inv = pow(den, -1, field.p)
+        return [GFElement(x * inv, field.p) for x in image]
     if isinstance(field, RationalField):
-        return _integer_rows(rows)
-    return _integer_rows([[t for x in row for t in (x.re, x.im)] for row in rows])
+        return [Fraction(x, den) for x in image]
+    return [GaussianRational(Fraction(a, den), Fraction(b, den))
+            for a, b in zip(image[::2], image[1::2])]
+
+
+def action_rows(image: list[int], d: int) -> list[list[int]]:
+    """The integer rows through which a d x d matrix acts on images.
+
+    `image` is the matrix's image, row by row.  Over Q(i) (two integers
+    an entry) row i gives two rows, the real and the imaginary part of
+    the product: an entry p + qi acts on an entry's pair as the block
+    [[p, -q], [q, p]].
+    """
+    w = len(image) // d
+    rows = [image[w * i : w * (i + 1)] for i in range(d)]
+    if w == d:
+        return rows
+    return [g for row in rows for g in gaussian_rows(zip(row[::2], row[1::2]))]
+
+
+def gaussian_rows(pairs) -> tuple[list[int], list[int]]:
+    """For entries p + qi given as pairs (p, q), the rows (p, -q, ...) and
+    (q, p, ...): their dot products with a vector of Gaussian integers,
+    two integers an entry, are the real and imaginary parts of its dot
+    product with the entries."""
+    pairs = list(pairs)
+    return [t for p, q in pairs for t in (p, -q)], [t for p, q in pairs for t in (q, p)]
+
+
+def scaled(image: list[int], s: list[int]) -> list[int]:
+    """`image` with every entry multiplied by the one whose image is `s`."""
+    e, rows = len(s), action_rows(s, 1)
+    return [sum(map(mul, row, image[k : k + e])) for k in range(0, len(image), e) for row in rows]
 
 
 def eliminate(field: Field, image: list[list[int]], cols: int, jordan: bool = False) -> list[int]:
@@ -180,14 +210,12 @@ def image_kernel(field: Field, image: list[list[int]], cols: int) -> list[list[i
     return basis
 
 
-def _integer_rows(rows: list[list[Fraction]]) -> list[list[int]]:
-    int_rows = []
-    for row in rows:
-        # a list, not a generator: an `f(*generator)` argument tuple is
-        # grown to size, and CPython keeps up to 2,000 of each size freed
-        scale = lcm(*[x.denominator for x in row])
-        int_rows.append([x.numerator * (scale // x.denominator) for x in row])
-    return int_rows
+def _cleared(values: list[Fraction]) -> tuple[list[int], int]:
+    """Numerators over the least common denominator, and that denominator."""
+    # a list, not a generator: an `f(*generator)` argument tuple is
+    # grown to size, and CPython keeps up to 2,000 of each size freed
+    den = lcm(*[x.denominator for x in values])
+    return [x.numerator * (den // x.denominator) for x in values], den
 
 
 def _pivots_bareiss(rows: list[list[int]], cols: int, jordan: bool = False) -> list[int]:

@@ -9,7 +9,9 @@ Flattening against an ordered bipartition of the factors produces an
 coefficient-by-coefficient or from bracket-notation term lists like
 [1,1,1]+[2,2,1] (1-based indices, converted at the boundary) in the
 standard basis.  `apply_local` is the one local action: it moves
-a state into other bases or along a local orbit.
+a state into other bases or along a local orbit.  A tensor stores field
+values; `apply_local` and `Tensor.scale` compute on its integer image
+(see :mod:`~entinv.linalg`) and convert the result back once.
 """
 
 from __future__ import annotations
@@ -17,10 +19,11 @@ from __future__ import annotations
 import random
 from itertools import product
 from math import prod
+from operator import mul
 from typing import Sequence
 
 from .fields import QQ, QQI, Field, GaussianRational
-from .linalg import ExactMatrix
+from .linalg import ExactMatrix, action_rows, from_image, scaled, to_image
 
 
 class ShapeError(ValueError):
@@ -155,8 +158,11 @@ class Tensor:
         return self.coeffs[self.shape.offset(index)]
 
     def scale(self, scalar) -> "Tensor":
-        s = self.field.coerce(scalar)
-        return Tensor(self.field, self.shape, [s * c for c in self.coeffs])
+        """This tensor times a scalar: the scalar's image multiplies every entry of its image."""
+        field = self.field
+        s, den = to_image(field, [field.coerce(scalar)])
+        x, d = to_image(field, self.coeffs)
+        return Tensor(field, self.shape, from_image(field, scaled(x, s), den * d))
 
     def __eq__(self, other):
         return (
@@ -195,23 +201,24 @@ def from_terms(shape: Shape, terms: Sequence[Sequence[int]], field: Field = QQ) 
     so each distinct term lands as a single unit coefficient.  To write
     the state in other bases, act on it with `apply_local`.
     """
-    coeffs = [field.zero] * shape.size
+    counts = [0] * shape.size
     for term in terms:
         if len(term) != shape.n:
             raise ShapeError(f"term {tuple(term)} has wrong arity for {shape.dims}")
         for j, d in zip(term, shape.dims):
             if not 1 <= j <= d:
                 raise ShapeError(f"term index {tuple(term)} out of range for {shape.dims}")
-        off = shape.offset(tuple(j - 1 for j in term))
-        coeffs[off] = coeffs[off] + field.one
-    return Tensor(field, shape, coeffs)
+        counts[shape.offset(tuple(j - 1 for j in term))] += 1
+    return Tensor(field, shape, counts)
 
 
 def apply_local(v: Tensor, maps: Sequence[ExactMatrix]) -> Tensor:
     """Act on each factor with an invertible matrix.
 
     Coefficients transform as v'[a1', ..., an'] =
-    sum A1[a1', a1] ... An[an', an] v[a1, ..., an].
+    sum A1[a1', a1] ... An[an', an] v[a1, ..., an].  Every map is checked
+    before any arithmetic; then v and each map are imaged once, the maps
+    act on v's image, and the denominators multiply.
     """
     if len(maps) != v.n:
         raise ShapeError(f"need {v.n} local maps, got {len(maps)}")
@@ -223,26 +230,25 @@ def apply_local(v: Tensor, maps: Sequence[ExactMatrix]) -> Tensor:
             raise ShapeError(f"local map for factor {i + 1} is over the wrong field")
         if a.rank() < d:
             raise BasisError(f"local map for factor {i + 1} is singular")
-    coeffs = list(v.coeffs)
+    x, den = to_image(v.field, v.coeffs)
     for axis, a in enumerate(maps):
-        coeffs = _mode_apply(coeffs, v.shape, axis, a)
-    return Tensor(v.field, v.shape, coeffs)
+        image, d = to_image(v.field, a.entries)
+        x = _mode_apply(x, v.shape, axis, action_rows(image, a.rows))
+        den *= d
+    return Tensor(v.field, v.shape, from_image(v.field, x, den))
 
 
-def _mode_apply(coeffs: list, shape: Shape, axis: int, a: ExactMatrix) -> list:
-    """Apply `a` to every fiber along `axis`: the offsets `step` from each base."""
-    step = shape.offsets([axis])
-    arows = a.row_lists()
-    zero = a.field.zero
-    out = [zero] * len(coeffs)
+def _mode_apply(x: list[int], shape: Shape, axis: int, rows: list[list[int]]) -> list[int]:
+    """Apply the `action_rows` of a map to every fiber of the image x along
+    `axis`: the integers `step` from each base, e per entry."""
+    e = len(rows) // shape.dims[axis]
+    step = [e * s + u for s in shape.offsets([axis]) for u in range(e)]
+    out = [0] * len(x)
     for base in shape.offsets([i for i in range(shape.n) if i != axis]):
-        fiber = [coeffs[base + s] for s in step]
-        for s, arow in zip(step, arows):
-            acc = zero
-            for x, c in zip(arow, fiber):
-                if c:
-                    acc = acc + x * c
-            out[base + s] = acc
+        base *= e
+        fiber = [x[base + s] for s in step]
+        for s, row in zip(step, rows):
+            out[base + s] = sum(map(mul, row, fiber))
     return out
 
 

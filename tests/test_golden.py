@@ -271,6 +271,21 @@ GOLDEN = {
     "representative --family 22d --d 2 --label C5 --field gaussian-rational --generic-seed 3"
     " | explain3 - --format json":
         "7306d4db0c304ba281d90597ecabb7e1ad7e24f8d98957e6231d9ada3075299f",
+    # the local action over GF(p), in generic bases: each state is its own label
+    "representative --family 23d --d 4 --label C12 --field gf(101) --generic-seed 3"
+    " | classify --format json -":
+        "86cc2369af126e03f258faf8417215178bf9086a4dbbc0d31e06bec4b78f15ff",
+    "representative --family 22d --d 3 --label C7 --field gf(7) --generic-seed 3"
+    " | classify --format json -":
+        "425b54315b6f442d2d8945c6bc72a9581cbf11fe18904e61ce50c1e8baa5a409",
+    "representative --family bipartite --d1 3 --d2 4 --label C2 --field gf(5) --generic-seed 3"
+    " | classify --format json -":
+        "fc7c2aa31041aa6100ce52534599cf89171dcf580d5b843a426bcb07ba1abb05",
+    "representative --family 22d --d 2 --label C5 --field gf(101) --generic-seed 3 | explain3 -":
+        "881350e34962d4d7c31efcbfc6a6f072b69f14e6b71767e0782b22ef2006b134",
+    "representative --family 23d --d 3 --label C9 --field gf(7) --generic-seed 3 --sparse"
+    " | classify -":
+        "114b5d6b8d1882ee35bd06b0658bbf25e39bc391a20ecaccbaa3499c2704c79b",
     "verify --suite duality --samples 10 --field gaussian-rational":
         "8e76aa3fd5ecbc491f2b07ae51d67c796bb337719dc0aaee127b7d253cb448fd",
     "verify --suite survey --samples 20 --field gaussian-rational --format json":

@@ -12,7 +12,7 @@ from entinv.invariants import (
     triple_constraint_matrix,
     triple_kernel_dim,
 )
-from entinv.linalg import ExactMatrix, integer_image
+from entinv.linalg import ExactMatrix, InternalConsistencyError, integer_image
 from entinv.tables import table_for
 from entinv.tensors import (
     ArityError,
@@ -25,6 +25,7 @@ from entinv.tensors import (
     random_invertible,
     random_tensor,
 )
+from oracle_linalg import ring, rref_of
 
 S222 = Shape((2, 2, 2))
 GHZ = from_terms(S222, [(1, 1, 1), (2, 2, 2)])
@@ -70,10 +71,10 @@ class TestTripleConstraintMatrix:
         # constraints reduce to w111 = w112 = w121 = w211 = 0
         v = from_terms(S222, [(1, 1, 1)])
         m = triple_constraint_matrix(v)
-        reduced, pivots = m.rref()
+        reduced, pivots = rref_of(m)
         assert m.cols - len(pivots) == 4
         # a coordinate vanishes on the whole kernel exactly when it is a unit row of the rref
-        supports = [[j for j, x in enumerate(reduced.row(r)) if x] for r in range(len(pivots))]
+        supports = [[j for j, x in enumerate(reduced[r]) if x] for r in range(len(pivots))]
         forced = [S222.offset(x) for x in ((0, 0, 0), (0, 0, 1), (0, 1, 0), (1, 0, 0))]
         assert sorted(s[0] for s in supports if len(s) == 1) == sorted(forced)
 
@@ -136,7 +137,7 @@ class TestTripleKernelDim:
     # k123; their pivots are checked against plain elimination, which does
     # not share the Bareiss loop
     @pytest.mark.parametrize("descriptor,d_max", [("rational", 6), ("gaussian-rational", 3)])
-    def test_concise_systems_pivot_like_rref(self, descriptor, d_max):
+    def test_concise_systems_pivot_likerref_of(self, descriptor, d_max):
         field = field_from_descriptor(descriptor)
         for base in (2, 3):
             for d in range(2, d_max + 1):
@@ -147,14 +148,14 @@ class TestTripleKernelDim:
                         for axis, dim in enumerate(shape.dims)
                     ]
                     v = apply_local(from_terms(shape, entry.terms, field=field), bases)
-                    slices = flatten(v, FlatteningSpec((1, 2), 3)).rref()[1]
+                    slices = rref_of(flatten(v, FlatteningSpec((1, 2), 3)))[1]
                     if not 0 < len(slices) < 2 * base:
                         continue
                     concise = Tensor(field, Shape((2, base, len(slices))), [
                         v.coeffs[o + k] for o in shape.offsets((0, 1)) for k in slices
                     ])
                     m = triple_constraint_matrix(concise)
-                    assert m.pivots() == m.rref()[1], (shape.dims, entry.label)
+                    assert m.pivots() == rref_of(m)[1], (shape.dims, entry.label)
 
     # over Q(i) the oracle ranks the stacked system over the Gaussian
     # integers, whose pivots are checked against plain elimination above
@@ -235,7 +236,7 @@ def _concise_rows(v):
 def _stacked_k123(v):
     # Q(i) ranks over the Gaussian integers; plain elimination stays its oracle
     m = triple_constraint_matrix(v)
-    return v.shape.size - (len(m.rref()[1]) if v.field == QQI else m.rank())
+    return v.shape.size - (len(rref_of(m)[1]) if v.field == QQI else m.rank())
 
 
 def _random_basis(dim, seed, field):
@@ -247,26 +248,46 @@ def _random_basis(dim, seed, field):
     while True:
         seed += 7919
         y = random_invertible(dim, 2, seed=seed, field=field)
+        # s + i t, for s and t with integer real parts
         b = ExactMatrix(field, dim, dim, [
-            s + GaussianRational(0, 1) * t for s, t in zip(x.entries, y.entries)
+            GaussianRational(s.re - t.im, s.im + t.re) for s, t in zip(x.entries, y.entries)
         ])
-        if len(b.rref()[1]) == dim:
+        if len(rref_of(b)[1]) == dim:
             return b
 
 
 def _few_slices(shape, t, seed, field):
-    """Random tensor whose third-factor slices span at most t dimensions."""
+    """Random tensor whose third-factor slices span at most t dimensions:
+    the product of a (d1 d2) x t and a t x d3 matrix, in the oracle's
+    arithmetic."""
     d1, d2, d3 = shape.dims
-    u = random_tensor(Shape((d1 * d2, t)), 1, seed=seed, field=field).coeffs
-    c = random_tensor(Shape((t, d3)), 1, seed=seed + 1000, field=field).coeffs
+    R = ring(field)
+    u = [R.lift(x) for x in random_tensor(Shape((d1 * d2, t)), 1, seed=seed, field=field).coeffs]
+    c = [R.lift(x) for x in random_tensor(Shape((t, d3)), 1, seed=seed + 1000, field=field).coeffs]
     return Tensor(field, shape, [
-        sum((u[o * t + s] * c[s * d3 + k] for s in range(t)), field.zero)
+        _value(field, R.dot(u[o * t : (o + 1) * t], c[k::d3]))
         for o in range(d1 * d2)
         for k in range(d3)
     ])
 
 
+def _value(field, x):
+    """The package scalar of an oracle element."""
+    return GaussianRational(*x) if field == QQI else field.coerce(x)
+
+
 class TestSignature:
+    def test_out_of_range_kernel_dims_are_faults(self):
+        for singles in ((3, 0), (0, -1)):
+            with pytest.raises(InternalConsistencyError, match="single kernel dim .* out of"):
+                InvariantSignature(dims=(2, 2), singles=singles)
+        for triple in (9, -1):
+            with pytest.raises(InternalConsistencyError,
+                               match=f"triple kernel dim {triple} out of range"):
+                InvariantSignature(dims=(2, 2, 2), singles=(0, 0, 0), pairs=(2, 2, 2),
+                                   triple=triple)
+        assert InvariantSignature(dims=(2, 2, 2), singles=(2, 2, 2), pairs=(4, 4, 4), triple=8)
+
     def test_zero_234(self):
         sig = signature(from_terms(Shape((2, 3, 4)), [], field=QQ))
         assert sig.singles == (2, 3, 4)
@@ -384,7 +405,10 @@ class TestSignature:
             states += [random_tensor(shape, 1, seed=seed, field=QQI) for seed in range(2)]
         states += [
             from_terms(Shape((2, 3, 4)), [(1, 1, 2), (1, 2, 2), (2, 3, 4)], field=QQI).scale(i),
-            Tensor(QQI, Shape((2, 2, 3)), [i, 1 + i, 0, -i, 1 - i, 0, 1, 1, 0, 0, 0, 2 * i]),
+            Tensor(QQI, Shape((2, 2, 3)), [GaussianRational(*z) for z in [
+                (0, 1), (1, 1), (0, 0), (0, -1), (1, -1), (0, 0),
+                (1, 0), (1, 0), (0, 0), (0, 0), (0, 0), (0, 2),
+            ]]),
         ]
         for v in states:
             passed.clear()
@@ -450,6 +474,32 @@ class TestDecomposition:
 
                 target = flatten(v, spec)
                 assert flat == target.entries
+
+    # the w'_i are the nonzero rows of the flattening's reduced row echelon
+    # form and the w_i its pivot columns, here against the oracle's
+    # reduction, and sum_i w_i x w'_i is the flattening in its arithmetic
+    @pytest.mark.parametrize("descriptor", ["rational", "gf(7)", "gaussian-rational"])
+    def test_matches_element_arithmetic_oracle(self, descriptor):
+        field = field_from_descriptor(descriptor)
+        R = ring(field)
+        for dims in [(2, 3), (3, 3), (2, 2, 2), (2, 3, 4)]:
+            shape = Shape(dims)
+            states = [random_tensor(shape, 1, seed=seed, field=field) for seed in range(6)]
+            if shape.n == 3:
+                states += [_few_slices(shape, t, seed, field) for t in (1, 2) for seed in range(2)]
+            if field != GF(7):  # denominators in the state and in D
+                states = [v.scale(Fraction(2, 3)) if n % 2 else v for n, v in enumerate(states)]
+            for v in states:
+                for spec in SPECS[shape.n]:
+                    m = flatten(v, spec)
+                    reduced, pivots = rref_of(m)
+                    pairs = general_form_decomposition(v, spec)
+                    assert [R.rows([wp])[0] for _, wp in pairs] == reduced[: len(pivots)]
+                    assert [w for w, _ in pairs] == [[m[i, p] for i in range(m.rows)]
+                                                     for p in pivots]
+                    ws, wps = R.rows([w for w, _ in pairs]), R.rows([wp for _, wp in pairs])
+                    assert [[R.dot([w[r] for w in ws], [wp[c] for wp in wps])
+                             for c in range(m.cols)] for r in range(m.rows)] == R.rows(m)
 
     def test_span_dimensions_match_rank(self):
         v = random_tensor(Shape((2, 3, 4)), 3, seed=21)

@@ -14,10 +14,13 @@ from entinv.linalg import (
     _scale,
     _scale_gauss,
     eliminate,
+    from_image,
     image_kernel,
     integer_image,
+    to_image,
 )
 from entinv.tensors import FlatteningSpec, Shape, Tensor, apply_local, flatten, from_terms
+from oracle_linalg import det, ring, rref, rref_of
 
 FIELDS = [QQ, GF(7), QQI]
 I = GaussianRational(0, 1)
@@ -32,6 +35,11 @@ def _random_entry(field, rng, bound=5):
     return GaussianRational(Fraction(n, rng.randint(1, 4)), Fraction(im, rng.randint(1, 4)))
 
 
+def _value(field, x):
+    """The package scalar of an oracle element."""
+    return GaussianRational(*x) if field == QQI else field.coerce(x)
+
+
 def _random_matrix(field, rows, cols, rng, bound=5):
     return ExactMatrix(
         field, rows, cols, [_random_entry(field, rng, bound) for _ in range(rows * cols)]
@@ -44,7 +52,7 @@ def _random_low_rank(field, rows, cols, r, rng):
     bases = []
     for d in (rows, cols):
         b = _random_matrix(field, d, d, rng, bound=3)
-        while len(b.rref()[1]) != d:
+        while len(rref_of(b)[1]) != d:
             b = _random_matrix(field, d, d, rng, bound=3)
         bases.append(b)
     terms = [(j, j) for j in range(1, r + 1)]
@@ -67,13 +75,14 @@ _SCALARS = {
 def _matrices(draw, field):
     """Matrices with 0 to 5 rows and columns, plus rows that are multiples
     of others (over Q(i) also i times another row), so that pivots skip."""
-    scalars = _SCALARS[field]
+    scalars, R = _SCALARS[field], ring(field)
     cols = draw(st.integers(0, 5))
     rows = draw(st.lists(st.lists(scalars, min_size=cols, max_size=cols), max_size=5))
     for _ in range(draw(st.integers(0, 3)) if rows else 0):
         j = draw(st.integers(0, len(rows) - 1))
-        c = draw(scalars)
-        rows.insert(draw(st.integers(0, len(rows))), [c * x for x in rows[j]])
+        c = R.lift(draw(scalars))
+        rows.insert(draw(st.integers(0, len(rows))),
+                    [_value(field, R.mul(c, R.lift(x))) for x in rows[j]])
     return ExactMatrix(field, len(rows), cols, [x for row in rows for x in row])
 
 
@@ -87,24 +96,6 @@ def _sparse_matrices(draw, field):
     for k, x in draw(st.dictionaries(at, _SCALARS[field], max_size=rows * cols // 3)).items():
         entries[k] = x
     return ExactMatrix(field, rows, cols, entries)
-
-
-def _det(rows, field=QQ):
-    """Determinant of a square list of rows, by plain elimination over `field`."""
-    m = [[field.coerce(x) for x in row] for row in rows]
-    det = field.one
-    for c in range(len(m)):
-        piv = next((i for i in range(c, len(m)) if m[i][c]), None)
-        if piv is None:
-            return 0
-        if piv != c:
-            m[c], m[piv] = m[piv], m[c]
-            det = -det
-        det *= m[c][c]
-        for i in range(c + 1, len(m)):
-            f = m[i][c] / m[c][c]
-            m[i] = [a - f * b for a, b in zip(m[i], m[c])]
-    return det
 
 
 def _entries(field, row):
@@ -125,21 +116,21 @@ def _identity(field, n):
 class TestRref:
     def test_identity(self):
         m = _identity(QQ, 2)
-        reduced, pivots = m.rref()
-        assert reduced == m
+        reduced, pivots = rref_of(m)
+        assert reduced == ring(QQ).rows(m)
         assert pivots == [0, 1]
 
     def test_zero_matrix(self):
         m = _zeros(QQ, 3, 4)
-        reduced, pivots = m.rref()
-        assert reduced == m
+        reduced, pivots = rref_of(m)
+        assert reduced == ring(QQ).rows(m)
         assert pivots == []
 
     def test_single_elimination_step(self):
         # hand row reduction: R2 <- R2 - 2 R1 kills the second row
         m = ExactMatrix.from_rows(QQ, [[1, 2], [2, 4]])
-        reduced, pivots = m.rref()
-        assert reduced == ExactMatrix.from_rows(QQ, [[1, 2], [0, 0]])
+        reduced, pivots = rref_of(m)
+        assert reduced == ring(QQ).rows([[1, 2], [0, 0]])
         assert pivots == [0]
 
     @pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.descriptor)
@@ -147,19 +138,19 @@ class TestRref:
         rng = random.Random(11)
         for _ in range(40):
             m = _random_matrix(field, rng.randint(1, 6), rng.randint(1, 6), rng)
-            reduced, pivots = m.rref()
-            again, pivots2 = reduced.rref()
+            reduced, pivots = rref_of(m)
+            again, pivots2 = rref(ring(field), reduced)
             assert again == reduced
             assert pivots2 == pivots
 
     def test_pivot_entries_are_clean(self):
         rng = random.Random(5)
         m = _random_matrix(QQ, 5, 7, rng)
-        reduced, pivots = m.rref()
+        reduced, pivots = rref_of(m)
         for r, p in enumerate(pivots):
-            col = [reduced[i, p] for i in range(reduced.rows)]
-            assert col[r] == QQ.one
-            assert all(x == QQ.zero for i, x in enumerate(col) if i != r)
+            col = [reduced[i][p] for i in range(len(reduced))]
+            assert col[r] == ring(QQ).one
+            assert all(x == ring(QQ).zero for i, x in enumerate(col) if i != r)
 
     def test_mixed_field_entries_rejected(self):
         with pytest.raises(FieldMismatchError):
@@ -171,18 +162,18 @@ class TestRref:
 class TestPivots:
     @pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.descriptor)
     @given(data=st.data())
-    def test_integer_elimination_matches_rref(self, field, data):
+    def test_integer_elimination_matchesrref_of(self, field, data):
         m = data.draw(_matrices(field))
-        pivots = m.rref()[1]
+        pivots = rref_of(m)[1]
         assert m.pivots() == pivots
         assert m.rank() == len(pivots)
 
     @pytest.mark.parametrize("field", [QQ, QQI], ids=lambda f: f.descriptor)
     @settings(deadline=None)
     @given(data=st.data())
-    def test_sparse_elimination_matches_rref(self, field, data):
+    def test_sparse_elimination_matchesrref_of(self, field, data):
         m = data.draw(_sparse_matrices(field))
-        assert m.pivots() == m.rref()[1]
+        assert m.pivots() == rref_of(m)[1]
 
     # Each matrix reaches a branch of the elimination that skips rows:
     # - row 1 is left alone at step 0 and becomes the pivot row at step 1
@@ -204,7 +195,7 @@ class TestPivots:
     ])
     def test_skipped_rows_keep_bareiss_pivots(self, rows, pivots):
         m = ExactMatrix.from_rows(QQ, rows)
-        assert m.pivots() == m.rref()[1] == pivots
+        assert m.pivots() == rref_of(m)[1] == pivots
         # each pivot is the minor on the rows chosen so far, in their order,
         # and the pivot columns: a row scaled by the wrong factor shows here
         work = [list(row) for row in rows]
@@ -214,7 +205,7 @@ class TestPivots:
         chosen = [rows[start[id(row)]] for row in work]
         for k, c in enumerate(pivots):
             minor = [[row[j] for j in pivots[: k + 1]] for row in chosen[: k + 1]]
-            assert work[k][c] == _det(minor)
+            assert work[k][c] == det(ring(QQ), ring(QQ).rows(minor))
 
     # the matrices above with complex entries and the same zeros, so each
     # reaches the same branch of the elimination over Z[i]; every pivot
@@ -230,7 +221,7 @@ class TestPivots:
         rows = [[GaussianRational(int(z.real), int(z.imag)) for z in map(complex, row)]
                 for row in rows]
         m = ExactMatrix.from_rows(QQI, rows)
-        assert m.pivots() == m.rref()[1] == pivots
+        assert m.pivots() == rref_of(m)[1] == pivots
         # each pivot is the Gaussian minor on the rows chosen so far
         work = integer_image(QQI, rows)
         start = {id(row): i for i, row in enumerate(work)}
@@ -238,7 +229,7 @@ class TestPivots:
         chosen = [rows[start[id(row)]] for row in work]
         for k, c in enumerate(pivots):
             minor = [[row[j] for j in pivots[: k + 1]] for row in chosen[: k + 1]]
-            assert GaussianRational(work[k][2 * c], work[k][2 * c + 1]) == _det(minor, QQI)
+            assert (work[k][2 * c], work[k][2 * c + 1]) == det(ring(QQI), ring(QQI).rows(minor))
 
     # A pivot row left stale must be scaled before it is used: without the
     # scaling, the next write of a row divides inexactly, and the guard in
@@ -276,52 +267,73 @@ class TestPivots:
 
     def test_rows_dependent_only_through_i(self):
         # each row pair (u, i u) is independent over Q but not over Q(i)
-        rng = random.Random(3)
+        rng, R = random.Random(3), ring(QQI)
         for _ in range(40):
             m = _random_matrix(QQI, rng.randint(1, 4), rng.randint(1, 6), rng)
-            rows = [row for u in m.row_lists() for row in (u, [I * x for x in u])]
+            rows = [row for u in m.row_lists()
+                    for row in (u, [_value(QQI, R.mul(R.lift(I), R.lift(x))) for x in u])]
             doubled = ExactMatrix.from_rows(QQI, rows)
-            assert doubled.pivots() == m.pivots() == m.rref()[1]
-            assert doubled.rank() == len(doubled.rref()[1])
+            assert doubled.pivots() == m.pivots() == rref_of(m)[1]
+            assert doubled.rank() == len(rref_of(doubled)[1])
 
     def test_gaussian_columns_pivot_in_their_own_place(self):
         # column 1 is i times column 0, so column 2 is the second pivot
         m = ExactMatrix.from_rows(QQI, [[1, I, 0], [I, -1, 1]])
-        assert m.pivots() == m.rref()[1] == [0, 2]
+        assert m.pivots() == rref_of(m)[1] == [0, 2]
+
+
+class TestImage:
+    @pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.descriptor)
+    def test_round_trip(self, field):
+        rng = random.Random(41)
+        for n in range(6):
+            values = [_random_entry(field, rng) for _ in range(n)]
+            image, den = to_image(field, values)
+            assert from_image(field, image, den) == values
+            assert len(image) == (2 if field == QQI else 1) * n
+
+    def test_values_are_the_image_over_its_denominator(self):
+        assert to_image(QQ, [Fraction(1, 2), Fraction(-2, 3), 0]) == ([3, -4, 0], 6)
+        assert from_image(QQ, [3, -4, 0], -6) == [Fraction(-1, 2), Fraction(2, 3), 0]
+        assert to_image(GF(7), [GF(7).coerce(9)]) == ([2], 1)
+        assert from_image(GF(7), [1, 3], 2) == [4, 5]  # 2 * 4 = 8 = 1 mod 7
+        z = [GaussianRational(Fraction(1, 2), -1), GaussianRational(0, Fraction(1, 3))]
+        assert to_image(QQI, z) == ([3, -6, 0, 2], 6)
+        assert from_image(QQI, [3, -6, 0, 2], 6) == z
 
 
 class TestImageKernel:
     @pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.descriptor)
     @settings(deadline=None)
     @given(data=st.data())
-    def test_jordan_form_is_d_times_rref(self, field, data):
+    def test_jordan_form_is_d_timesrref_of(self, field, data):
         # over Q(i), D is a Gaussian integer
         m = data.draw(st.one_of(_matrices(field), _sparse_matrices(field)))
-        reduced, pivots = m.rref()
+        R = ring(field)
+        reduced, pivots = rref_of(m)
         image = integer_image(field, m.row_lists())
         assert eliminate(field, image, m.cols, jordan=True) == pivots
-        d = _entries(field, image[0])[pivots[0]] if pivots else field.one
+        d = R.lift(_entries(field, image[0])[pivots[0]]) if pivots else R.one
         for i in range(m.rows):
-            assert [x / d for x in _entries(field, image[i])] == reduced.row(i)
+            assert [R.div(R.lift(x), d) for x in _entries(field, image[i])] == reduced[i]
 
     @pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.descriptor)
     def test_basis_spans_the_kernel(self, field):
-        rng = random.Random(29)
+        rng, R = random.Random(29), ring(field)
         for _ in range(60):
             cols = rng.randint(2, 6)
             m = _random_matrix(field, rng.randint(1, cols - 1), cols, rng)
-            if len(m.rref()[1]) < m.rows:
+            if len(rref_of(m)[1]) < m.rows:
                 continue
             image = integer_image(field, m.row_lists())
             basis = image_kernel(field, [list(row) for row in image], cols)
             # one basis row per column, in the image's layout: over Q(i),
             # a Gaussian integer is two integers; its rank is over the field
             kernel = ExactMatrix.from_rows(field, [_entries(field, row) for row in basis])
-            assert len(kernel.rref()[1]) == cols - m.rows
+            assert len(rref_of(kernel)[1]) == cols - m.rows
             for row in image:
-                for col in zip(*kernel.row_lists()):
-                    dot = sum((a * b for a, b in zip(_entries(field, row), col)), field.zero)
-                    assert dot == field.zero
+                for col in zip(*R.rows(kernel)):
+                    assert R.dot([R.lift(x) for x in _entries(field, row)], col) == R.zero
 
 
 class TestRank:
@@ -348,12 +360,12 @@ class TestRank:
         rng = random.Random(37)
         for _ in range(150):
             m = _random_matrix(field, rng.randint(1, 7), rng.randint(1, 7), rng)
-            assert m.rank() == len(m.rref()[1])
+            assert m.rank() == len(rref_of(m)[1])
         for _ in range(60):
             rows, cols = rng.randint(2, 7), rng.randint(2, 7)
             r = rng.randint(0, min(rows, cols))
             m = _random_low_rank(field, rows, cols, r, rng)
-            assert m.rank() == len(m.rref()[1])
+            assert m.rank() == len(rref_of(m)[1])
             assert m.rank() == r
 
     def test_rank_with_rational_denominators(self):
@@ -366,7 +378,7 @@ class TestRank:
             QQ, [[Fraction(1, 2), Fraction(1, 3)], [Fraction(1, 5), Fraction(1, 1)]]
         )
         assert full.rank() == 2
-        assert full.rank() == len(full.rref()[1])
+        assert full.rank() == len(rref_of(full)[1])
 
     def test_rank_duplicate_and_zero_rows(self):
         m = ExactMatrix.from_rows(QQ, [[1, 2, 3], [0, 0, 0], [1, 2, 3], [2, 4, 6]])
@@ -375,6 +387,6 @@ class TestRank:
 
 def test_gaussian_rational_matrix_rank():
     i = GaussianRational(0, 1)
-    one = GaussianRational(1, 0)
-    m = ExactMatrix.from_rows(QQI, [[one, i], [i, -one]])  # second row = i * first
+    one, minus_one = GaussianRational(1, 0), GaussianRational(-1, 0)
+    m = ExactMatrix.from_rows(QQI, [[one, i], [i, minus_one]])  # second row = i * first
     assert m.rank() == 1

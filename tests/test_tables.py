@@ -1,10 +1,13 @@
+import dataclasses
 import re
 from fractions import Fraction
 
 import pytest
 
+from entinv import tables
 from entinv.documents import document_dict
 from entinv.invariants import signature
+from entinv.linalg import InternalConsistencyError
 from entinv.suites import suite_tables
 from entinv.tables import (
     _TRIPARTITE_ENTRIES,
@@ -99,6 +102,34 @@ class TestTableFor:
                     assert signature(v).key() == (k1, k2, 0, k123), (family, entry.label)
                     checked += 1
         assert checked == 34
+
+
+@pytest.fixture
+def uncached_tables():
+    """Clear `table_for`'s cache around a test that patches what it builds from."""
+    table_for.cache_clear()
+    yield
+    table_for.cache_clear()
+
+
+class TestTableSelfChecks:
+    def test_duplicate_signature_key_is_refused(self, uncached_tables, monkeypatch):
+        # C6 replaced by a relabelled copy of C2: the count still holds at
+        # d = 2, but two valid entries share C2's key
+        entries = _TRIPARTITE_ENTRIES["22d"]
+        copy = dataclasses.replace(entries[2], label="C6")
+        monkeypatch.setitem(tables._TRIPARTITE_ENTRIES, "22d",
+                            tuple(copy if e.label == "C6" else e for e in entries))
+        with pytest.raises(InternalConsistencyError,
+                           match=re.escape("duplicate signature keys in 22d at (2, 2, 2)")):
+            table_for(Shape((2, 2, 2)))
+
+    def test_valid_entry_count_is_checked(self, uncached_tables, monkeypatch):
+        monkeypatch.setitem(tables._EXPECTED_COUNTS, "23d", (9, 18, 23, 25, 26))
+        assert len(table_for(Shape((2, 3, 2))).entries) == 9
+        with pytest.raises(InternalConsistencyError,
+                           match="23d at d=3: 17 valid entries, expected 18"):
+            table_for(Shape((2, 3, 3)))
 
 
 class TestClassify:

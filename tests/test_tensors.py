@@ -1,9 +1,10 @@
 import random
+from fractions import Fraction
 from itertools import product
 
 import pytest
 
-from entinv.fields import GF, QQ, QQI
+from entinv.fields import GF, QQ, QQI, GaussianRational
 from entinv.linalg import ExactMatrix
 from entinv.tables import representative
 from entinv.tensors import (
@@ -18,7 +19,9 @@ from entinv.tensors import (
     random_invertible,
     random_tensor,
 )
+from oracle_linalg import local_action, ring, rref_of
 
+FIELDS = [QQ, GF(7), QQI]
 GHZ_TERMS = [(1, 1, 1), (2, 2, 2)]
 
 # every proper bipartition, singles first, in increasing factor order
@@ -118,8 +121,8 @@ class TestFromTerms:
     def test_ghz_coefficients(self):
         ghz = from_terms(Shape((2, 2, 2)), GHZ_TERMS)
         expected = [QQ.zero] * 8
-        expected[0] = QQ.one
-        expected[7] = QQ.one
+        expected[0] = QQ.coerce(1)
+        expected[7] = QQ.coerce(1)
         assert list(ghz.coeffs) == expected
 
     def test_empty_terms_give_zero(self):
@@ -128,7 +131,13 @@ class TestFromTerms:
     def test_distinct_terms_place_unit_coefficients(self):
         v = from_terms(Shape((2, 3, 4)), [(1, 2, 3), (2, 1, 4), (1, 1, 1)])
         assert sum(1 for c in v.coeffs if c) == 3
-        assert all(c == QQ.one for c in v.coeffs if c)
+        assert all(c == 1 for c in v.coeffs if c)
+
+    # a term is counted each time it is listed, in the field: twice is 0 in GF(2)
+    def test_repeated_terms_add_up(self):
+        terms = [(1, 2), (2, 1), (1, 2)]
+        assert from_terms(Shape((2, 2)), terms).coeffs == (0, 2, 1, 0)
+        assert from_terms(Shape((2, 2)), terms, field=GF(2)).coeffs == (0, 0, 1, 0)
 
     def test_out_of_range_term(self):
         with pytest.raises(ShapeError):
@@ -142,20 +151,24 @@ class TestFromTerms:
         with pytest.raises(BasisError):
             representative("C1", Shape((2, 2)), bases=[singular, eye])
 
-    def test_generic_bases_match_local_action(self):
+    @pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.descriptor)
+    def test_generic_bases_match_local_action(self, field):
         # the same state built two independent ways: direct expansion in
-        # the given bases versus a local transform of the standard build
+        # the given bases, in the oracle's arithmetic, versus a local
+        # transform of the standard build
+        R = ring(field)
+
         def expand(shape, terms, bases):
             # term (j1, ..., jn) is the product of column ji of each bases[i-1]
-            coeffs = [QQ.zero] * shape.size
+            coeffs = [R.zero] * shape.size
             for term in terms:
-                cols = [[b[a, j - 1] for a in range(b.rows)] for b, j in zip(bases, term)]
+                cols = [[R.lift(b[a, j - 1]) for a in range(b.rows)] for b, j in zip(bases, term)]
                 for off, full in enumerate(shape.indices()):
-                    prod_val = QQ.one
+                    prod_val = R.one
                     for col, a in zip(cols, full):
-                        prod_val = prod_val * col[a]
-                    coeffs[off] = coeffs[off] + prod_val
-            return Tensor(QQ, shape, coeffs)
+                        prod_val = R.mul(prod_val, col[a])
+                    coeffs[off] = R.add(coeffs[off], prod_val)
+            return coeffs
 
         for dims, terms in [
             ((2, 2, 2), [(1, 1, 1), (1, 2, 2), (2, 1, 2)]),
@@ -163,10 +176,11 @@ class TestFromTerms:
         ]:
             shape = Shape(dims)
             for seed in range(10):
-                bases = [random_invertible(d, 3, seed=seed * 31 + axis) for axis, d in enumerate(dims)]
+                bases = [random_invertible(d, 3, seed=seed * 31 + axis, field=field)
+                         for axis, d in enumerate(dims)]
                 direct = expand(shape, terms, bases)
-                via_action = apply_local(from_terms(shape, terms), bases)
-                assert direct == via_action
+                via_action = apply_local(from_terms(shape, terms, field=field), bases)
+                assert [R.lift(c) for c in via_action.coeffs] == direct
 
 
 class TestApplyLocal:
@@ -185,6 +199,34 @@ class TestApplyLocal:
         v = random_tensor(Shape((2, 2)), 2, seed=3)
         with pytest.raises(ShapeError):
             apply_local(v, [_identity(QQ, 3), _identity(QQ, 2)])
+
+    # elements define no arithmetic, so this check is all that stops a
+    # map's image from being read in another field's layout
+    @pytest.mark.parametrize("field,other", [(QQ, GF(7)), (GF(7), GF(5)), (QQI, QQ), (QQ, QQI)],
+                             ids=lambda f: f.descriptor)
+    def test_wrong_field_map_rejected(self, field, other):
+        v = random_tensor(Shape((2, 3)), 2, seed=3, field=field)
+        with pytest.raises(ShapeError, match="local map for factor 2 is over the wrong field"):
+            apply_local(v, [_identity(field, 2), _identity(other, 3)])
+
+    # the integer-image action against the element-arithmetic one it replaced
+    @pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.descriptor)
+    def test_matches_element_arithmetic_oracle(self, field):
+        R = ring(field)
+        for dims in [(2, 2), (3, 2), (2, 2, 2), (2, 3, 4), (3, 1, 2)]:
+            for seed in range(6):
+                v = random_tensor(Shape(dims), 3, seed=seed, field=field)
+                if seed % 2 and field != GF(7):  # denominators in the state
+                    v = v.scale(Fraction(1, 6))
+                maps = [random_invertible(d, 2, seed=10 * seed + axis, field=field)
+                        for axis, d in enumerate(dims)]
+                if field != GF(7):  # denominators in a map too: a quarter of it
+                    maps[0] = ExactMatrix(field, dims[0], dims[0], [
+                        GaussianRational(x.re / 4, x.im / 4) if field == QQI else x / 4
+                        for x in maps[0].entries])
+                want = local_action(R, dims, [R.lift(c) for c in v.coeffs],
+                                    [R.rows(a) for a in maps])
+                assert [R.lift(c) for c in apply_local(v, maps).coeffs] == want
 
     def test_preserves_flattening_ranks(self):
         rng = random.Random(77)
@@ -271,4 +313,24 @@ def test_scale_preserves_flattening_kernels():
     v = random_tensor(Shape((2, 3, 4)), 3, seed=4)
     w = v.scale(QQ.parse("-5/3"))
     for spec in SPECS[3]:
-        assert flatten(v, spec).rref() == flatten(w, spec).rref()
+        assert rref_of(flatten(v, spec)) == rref_of(flatten(w, spec))
+
+
+# the scalar's image times the image, against the oracle's products
+@pytest.mark.parametrize("field,scalars", [
+    (QQ, [Fraction(-5, 3), Fraction(7), 0]),
+    (GF(7), [3, 6, 0, 7]),
+    (QQI, [GaussianRational(Fraction(2, 3), -1), GaussianRational(0, 1), Fraction(-1, 4), 0]),
+], ids=["rational", "gf(7)", "gaussian-rational"])
+def test_scale_matches_element_arithmetic_oracle(field, scalars):
+    R = ring(field)
+    for seed in range(4):
+        v = random_tensor(Shape((2, 3, 2)), 3, seed=seed, field=field)
+        if seed % 2 and field != GF(7):  # denominators in the state
+            v = v.scale(Fraction(1, 5))
+        for c in scalars:
+            w = v.scale(c)
+            assert [R.lift(x) for x in w.coeffs] == [R.mul(R.lift(c), R.lift(x)) for x in v.coeffs]
+            assert w.field == field and w.shape == v.shape
+            if not c:
+                assert w == Tensor(field, v.shape, [0] * v.shape.size)
