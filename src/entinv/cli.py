@@ -16,7 +16,7 @@ import sys
 
 from .documents import DocumentError, admit, emit_document, parse_document
 from .explain import explain_three_qubit, render_explain_text
-from .fields import FieldMismatchError, field_from_descriptor
+from .fields import QQ, FieldMismatchError, field_from_descriptor
 from .linalg import InternalConsistencyError
 from .suites import SUITES, SuiteFlagError, run_suite
 from .tables import (
@@ -162,6 +162,7 @@ def _cmd_classify(args) -> int:
 
 def _cmd_table(args) -> int:
     shape = _shape_for(args)
+    admit(shape, QQ)
     table = table_for(shape)
     rows = []
     for entry in table.entries:

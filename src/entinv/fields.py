@@ -3,9 +3,13 @@
 Every invariant in this package is a kernel dimension, so coefficient
 arithmetic must be exact; floating point is rejected at every boundary.
 Rationals are `fractions.Fraction` (already normalized: lowest terms,
-positive denominator).  GF(p) residues and Gaussian rationals get small
-element classes that are built, compared, hashed and printed but define
-no arithmetic: every computation runs on the integer image of
+positive denominator).  GF(p) residues and Gaussian rationals are frozen
+records, `GFElement(value, p)` and `GaussianRational(re, im)`, that their
+field normalizes: `coerce` and `parse` reduce a residue mod p and make
+both parts of a Gaussian rational `Fraction`s, refusing any other part.
+Equality and hash come from the same fields, so an element equals only an
+element of its own field (never an int).  The records define no
+arithmetic: every computation runs on the integer image of
 :mod:`~entinv.linalg`.
 
 Scalar strings accepted by :meth:`Field.parse`:
@@ -18,6 +22,7 @@ Scalar strings accepted by :meth:`Field.parse`:
 from __future__ import annotations
 
 import re
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 
@@ -41,55 +46,26 @@ def _parse_fraction(text: str) -> Fraction:
     return Fraction(int(s))
 
 
+@dataclass(frozen=True, slots=True)
 class GFElement:
-    """A residue modulo a prime p."""
+    """A residue `value` in [0, p) modulo a prime p, as `PrimeField` makes it."""
 
-    __slots__ = ("value", "p")
-
-    def __init__(self, value: int, p: int):
-        self.value = value % p
-        self.p = p
-
-    def __eq__(self, other):
-        if isinstance(other, GFElement):
-            return self.p == other.p and self.value == other.value
-        if isinstance(other, int):
-            return self.value == other % self.p
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.p, self.value))
+    value: int
+    p: int
 
     def __bool__(self):
         return self.value != 0
 
-    def __repr__(self):
-        return f"GFElement({self.value}, p={self.p})"
 
-
+@dataclass(frozen=True, slots=True)
 class GaussianRational:
-    """An element a + b*i with exact rational a, b."""
+    """An element re + im*i; `QQI` makes both parts `Fraction`s."""
 
-    __slots__ = ("re", "im")
-
-    def __init__(self, re=0, im=0):
-        self.re = Fraction(re)
-        self.im = Fraction(im)
-
-    def __eq__(self, other):
-        if isinstance(other, (GaussianRational, int, Fraction)):
-            o = QQI.coerce(other)
-            return self.re == o.re and self.im == o.im
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.re, self.im))
+    re: Fraction
+    im: Fraction
 
     def __bool__(self):
-        return bool(self.re) or bool(self.im)
-
-    def __repr__(self):
-        return f"GaussianRational({self.re!r}, {self.im!r})"
+        return bool(self.re or self.im)
 
 
 class Field:
@@ -159,16 +135,18 @@ class PrimeField(Field):
         if isinstance(value, GFElement):
             if value.p != self.p:
                 raise FieldMismatchError(f"GF({value.p}) element in GF({self.p})")
-            return value
+            if isinstance(value.value, int) and 0 <= value.value < self.p:
+                return value
+            value = value.value
         if isinstance(value, int):
-            return GFElement(value, self.p)
+            return GFElement(value % self.p, self.p)
         raise FieldMismatchError(f"not a GF({self.p}) scalar: {value!r}")
 
     def parse(self, text: str) -> GFElement:
         q = _parse_fraction(text)
         if q.denominator % self.p == 0:
             raise ValueError(f"denominator of {text!r} vanishes in GF({self.p})")
-        return GFElement(q.numerator * pow(q.denominator, -1, self.p), self.p)
+        return GFElement(q.numerator * pow(q.denominator, -1, self.p) % self.p, self.p)
 
     def format(self, value) -> str:
         return str(value.value)
@@ -178,10 +156,15 @@ class GaussianRationalField(Field):
     descriptor = "gaussian-rational"
 
     def coerce(self, value) -> GaussianRational:
+        """An int, a `Fraction` or an element; int parts become `Fraction`s."""
         if isinstance(value, GaussianRational):
-            return value
-        if isinstance(value, (int, Fraction)):
-            return GaussianRational(value)
+            if isinstance(value.re, Fraction) and isinstance(value.im, Fraction):
+                return value
+            parts = value.re, value.im
+        else:
+            parts = value, 0
+        if all(isinstance(t, (int, Fraction)) for t in parts):
+            return GaussianRational(Fraction(parts[0]), Fraction(parts[1]))
         raise FieldMismatchError(f"not a Gaussian rational scalar: {value!r}")
 
     def parse(self, text: str) -> GaussianRational:
@@ -189,14 +172,14 @@ class GaussianRationalField(Field):
         if not s:
             raise ValueError("empty scalar string")
         if not s.endswith("i"):
-            return GaussianRational(_parse_fraction(s))
+            return GaussianRational(_parse_fraction(s), Fraction(0))
         body = s[:-1]
         if not body:
             raise ValueError(f"imaginary part needs an explicit coefficient: {text!r}")
         # Last sign character after position 0 separates real and imaginary parts.
         split = max(body.rfind("+", 1), body.rfind("-", 1))
         if split <= 0:
-            return GaussianRational(0, _parse_fraction(body))
+            return GaussianRational(Fraction(0), _parse_fraction(body))
         return GaussianRational(
             _parse_fraction(body[:split]), _parse_fraction(body[split:])
         )

@@ -20,7 +20,7 @@ from operator import mul
 from typing import Optional
 
 from .linalg import (ExactMatrix, InternalConsistencyError, eliminate, from_image, gaussian_rows,
-                     image_kernel, integer_image, scaled)
+                     image_kernel, scaled, to_image)
 from .tensors import ArityError, FlatteningSpec, Tensor, flatten
 
 
@@ -172,7 +172,7 @@ def signature(v: Tensor) -> InvariantSignature:
         return InvariantSignature(d, (k1, d[1] - d[0] + k1))
     d1, d2, d3 = d
     field, qoff = v.field, v.shape.offsets((0, 1))
-    image = integer_image(field, [[v.coeffs[o + k] for o in qoff] for k in range(d3)])
+    image = [to_image(field, [v.coeffs[o + k] for o in qoff])[0] for k in range(d3)]
     e = len(image[0]) // (d1 * d2)
     cols = [list(col) for col in zip(*image)]
     if e == 2:  # the real and imaginary columns of an entry make one row
@@ -223,7 +223,7 @@ def general_form_decomposition(
     leaves D times those rows; over Q(i), x / D is x conj(D) / |D|^2.
     """
     m = flatten(v, spec)
-    image = integer_image(v.field, m.row_lists())
+    image = [to_image(v.field, row)[0] for row in m.row_lists()]
     pivots = eliminate(v.field, image, m.cols, jordan=True)
     if not pivots:
         return []

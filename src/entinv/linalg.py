@@ -5,14 +5,14 @@ computation runs on an image of integers, one per field.  A vector's
 image is its residues over GF(p) and its numerators over one common
 denominator over Q; over Q(i) it is Gaussian integers over one common
 denominator, the entry a + bi stored as the two integers a, b.
-`to_image` and `from_image` convert between values and image, and
-`integer_image` images the rows of a matrix, each over its own
-denominator.  `eliminate` finds pivots by fraction-free Bareiss
-elimination over Z for Q and over the Gaussian integers Z[i] for Q(i),
-and on residues over GF(p); there are no tolerances, and the pivot is the
-first nonzero entry in column order.  That these are the pivots of plain
-Gauss-Jordan elimination is tested against the oracle in the tests, not
-assumed.
+`to_image` and `from_image` are the one way between values and image,
+each with one branch per field; a matrix is eliminated on the images of
+its rows, each over its own denominator.  `eliminate` finds pivots by
+fraction-free Bareiss elimination over Z for Q and over the Gaussian
+integers Z[i] for Q(i), and on residues over GF(p); there are no
+tolerances, and the pivot is the first nonzero entry in column order.
+That these are the pivots of plain Gauss-Jordan elimination is tested
+against the oracle in the tests, not assumed.
 """
 
 from __future__ import annotations
@@ -92,7 +92,7 @@ class ExactMatrix:
         Entries are never mutated, so the pivot list is kept for later calls.
         """
         if self._pivots is None:
-            image = integer_image(self.field, self.row_lists())
+            image = [to_image(self.field, row)[0] for row in self.row_lists()]
             self._pivots = eliminate(self.field, image, self.cols)
         return list(self._pivots)
 
@@ -102,20 +102,6 @@ class ExactMatrix:
 
 
 # -- integer elimination -----------------------------------------------
-
-
-def integer_image(field: Field, rows: list[list]) -> list[list[int]]:
-    """Integer rows whose elimination gives the pivots of `rows`, row for row.
-
-    Each row is imaged as by `to_image`, over its own denominator, which
-    is dropped: the e integers of entry k of a row x are x[e k : e k + e],
-    e = 2 over Q(i) (x[2k] + x[2k + 1] i), else 1.
-    """
-    if isinstance(field, PrimeField):
-        return [[x.value for x in row] for row in rows]
-    if not isinstance(field, RationalField):
-        rows = [[t for x in row for t in (x.re, x.im)] for row in rows]
-    return [_cleared(row)[0] for row in rows]
 
 
 def to_image(field: Field, values: Sequence) -> tuple[list[int], int]:
@@ -136,7 +122,7 @@ def from_image(field: Field, image: list[int], den: int) -> list:
     integers over den, times den^-1 mod p, or its pairs over den."""
     if isinstance(field, PrimeField):
         inv = pow(den, -1, field.p)
-        return [GFElement(x * inv, field.p) for x in image]
+        return [GFElement(x * inv % field.p, field.p) for x in image]
     if isinstance(field, RationalField):
         return [Fraction(x, den) for x in image]
     return [GaussianRational(Fraction(a, den), Fraction(b, den))
@@ -293,7 +279,7 @@ def _scale(row: list[int], num: int, den: int, start: int) -> None:
 
 
 def _pivots_gauss(rows: list[list[int]], cols: int, jordan: bool = False) -> list[int]:
-    """`_pivots_bareiss` over the Gaussian integers, for `integer_image` rows over Q(i).
+    """`_pivots_bareiss` over the Gaussian integers, for `to_image` rows over Q(i).
 
     Bareiss's elimination is fraction-free over any integral domain, and
     Z[i] is one: entries stay minors of the input, now Gaussian, and the

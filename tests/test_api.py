@@ -1,9 +1,11 @@
 """Every public name is used by the package itself or documented in the README.
 
 A name that only tests call is dead weight in the library: the test keeps
-it alive but no user path runs it.
+it alive but no user path runs it.  And no module imports sympy or numpy:
+neither is a declared dependency, even where both are installed.
 """
 
+import ast
 import inspect
 import re
 from pathlib import Path
@@ -51,3 +53,37 @@ def test_no_public_name_only_tests_call():
     ]
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
     assert _unused_names(source_lines, readme) == []
+
+
+_UNDECLARED = {"sympy", "numpy"}
+
+
+def _undeclared_imports(source: str) -> list[int]:
+    """Line numbers of each `import` or `from` of an undeclared package."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:
+            continue
+        if any(name.split(".")[0] in _UNDECLARED for name in names):
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_scanner_finds_every_import_form():
+    source = ("import numbers\nimport os, numpy as np\nfrom sympy.abc import x\n"
+              "def f():\n    import sympy\nfrom . import numpy\nimport numpyx\n")
+    assert _undeclared_imports(source) == [2, 3, 5]
+
+
+def test_no_module_imports_sympy_or_numpy():
+    found = [
+        f"{path.relative_to(ROOT)}:{line}"
+        for top in ("src", "tests", "bench")
+        for path in sorted((ROOT / top).rglob("*.py"))
+        for line in _undeclared_imports(path.read_text(encoding="utf-8"))
+    ]
+    assert found == []

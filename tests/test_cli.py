@@ -220,6 +220,32 @@ class TestTable:
         classes = json.loads(capsys.readouterr().out)["classes"]
         assert [c["invariants"] for c in classes] == [{"k1": 2}, {"k1": 1}, {"k1": 0}]
 
+    # the document caps: a table of a shape no document may have is refused
+    @pytest.mark.parametrize("flags,message", [
+        (["--family", "bipartite", "--d1", "100000", "--d2", "100000"],
+         "dims (100000, 100000) give 10000000000 coefficients, more than the cap of 1048576"),
+        (["--family", "bipartite", "--d1", "204", "--d2", "204"],
+         "dims (204, 204) over rational need eliminating a 204x204 matrix: "
+         "rows*cols*min(rows, cols) = 8489664, more than the cap of 8388608"),
+        (["--family", "23d", "--d", "174763"],
+         "dims (2, 3, 174763) give 1048578 coefficients, more than the cap of 1048576"),
+    ])
+    def test_costly_shape_refused_before_allocation(self, flags, message, capsys):
+        code, peak = _main_peak(["table", *flags])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"error: {message}\n")
+        assert peak < 2**20
+
+    @pytest.mark.parametrize("flags,head", [
+        (["--family", "bipartite", "--d1", "203", "--d2", "203"],
+         "family bipartite, dims (203, 203): 204 classes\n"),
+        (["--family", "23d", "--d", "174762"], "family 23d, dims (2, 3, 174762): 26 classes\n"),
+    ])
+    def test_largest_shapes_at_the_caps_printed(self, flags, head, capsys):
+        assert main(["table", *flags]) == 0
+        assert capsys.readouterr().out.startswith(head)
+
     def test_d_too_small(self, capsys):
         assert main(["table", "--family", "22d", "--d", "1"]) == 1
         assert "--d >= 2" in capsys.readouterr().err

@@ -9,9 +9,12 @@ from entinv.fields import (
     QQI,
     FieldMismatchError,
     GaussianRational,
+    GFElement,
     PrimeField,
     field_from_descriptor,
 )
+from entinv.linalg import ExactMatrix
+from entinv.tensors import Shape, Tensor
 from oracle_linalg import ring
 
 
@@ -96,6 +99,9 @@ class TestGaussianRational:
         assert QQI.parse("2i") == GaussianRational(0, 2)
         assert QQI.parse("-2i") == GaussianRational(0, -2)
         assert QQI.parse("5") == GaussianRational(5, 0)
+        for text in ("3/4+1/2i", "2i", "5"):
+            z = QQI.parse(text)
+            assert isinstance(z.re, Fraction) and isinstance(z.im, Fraction)
 
     @pytest.mark.parametrize("bad", ["i", "+i", "1.5i", "1+i+i", "2j", ""])
     def test_parse_rejects(self, bad):
@@ -149,7 +155,14 @@ class TestDescriptors:
     @pytest.mark.parametrize("field", [QQ, QQI, GF(2), GF(7)], ids=lambda f: f.descriptor)
     def test_from_int_is_coerce(self, field):
         for n in (-15, -8, -7, -1, 0, 1, 2, 6, 7, 8, 100):
-            assert field.coerce(n) == n
+            x = field.coerce(n)
+            if field == QQ:
+                assert x == n and isinstance(x, Fraction)
+            elif field == QQI:
+                assert x == GaussianRational(n, 0)
+                assert isinstance(x.re, Fraction) and isinstance(x.im, Fraction)
+            else:
+                assert x.value == n % field.p and x.p == field.p
 
     # every computation runs on the integer image, so elements only compare
     @pytest.mark.parametrize("field", [GF(7), QQI], ids=lambda f: f.descriptor)
@@ -163,3 +176,60 @@ class TestDescriptors:
         for bad in ["real", "gf(4)", "gf(x)", "float"]:
             with pytest.raises(ValueError):
                 field_from_descriptor(bad)
+
+
+# small ranges, so that equal values of different types are often drawn
+_NUMBERS = st.integers(-3, 3) | st.fractions(-2, 2, max_denominator=2)
+_ELEMENTS = {
+    "rational": _NUMBERS.map(QQ.coerce),
+    "gf(7)": st.integers(-10, 10).map(GF(7).coerce)
+    | st.builds(GFElement, st.integers(0, 6), st.just(7)),
+    "gaussian-rational": _NUMBERS.map(QQI.coerce)
+    | st.builds(GaussianRational, _NUMBERS, _NUMBERS).map(QQI.coerce)
+    | st.builds(GaussianRational, _NUMBERS, _NUMBERS),
+}
+
+
+class TestEquality:
+    """Equality and hash agree, and an element equals only its own field's elements."""
+
+    @pytest.mark.parametrize("descriptor", sorted(_ELEMENTS))
+    @given(data=st.data())
+    def test_equal_values_hash_alike(self, descriptor, data):
+        values = _NUMBERS | _ELEMENTS[descriptor]
+        x, y = data.draw(values), data.draw(values)
+        if x == y:
+            assert hash(x) == hash(y)
+        assert (y in {x}) == (x == y)
+        assert (y in {x: None}) == (x == y)
+
+    def test_elements_equal_no_int(self):
+        x = GF(7).coerce(3)
+        assert x != 3 and x != 10 and 3 not in {x} and x not in {3, 10}
+        assert QQI.coerce(3) != 3 and QQI.coerce(3) not in {3}
+        assert x == GF(7).coerce(10) == GF(7).parse("10") and GF(7).coerce(10) in {x}
+        assert x != GF(5).coerce(3) and QQI.coerce(3) == GaussianRational(3, 0)
+
+    def test_coerce_reduces_a_residue(self):
+        assert GF(7).coerce(GFElement(10, 7)) == GFElement(3, 7)
+        assert GF(7).coerce(GFElement(-1, 7)) == GFElement(6, 7)
+        assert GF(7).parse("-1/2") == GFElement(3, 7)
+
+    @pytest.mark.parametrize("z", [
+        GaussianRational(0.1, 0),
+        GaussianRational(Fraction(1, 2), 1.5),
+        GaussianRational(0, float("nan")),
+        GaussianRational("1", 0),
+    ], ids=repr)
+    def test_float_part_refused(self, z):
+        with pytest.raises(FieldMismatchError):
+            QQI.coerce(z)
+        with pytest.raises(FieldMismatchError):
+            Tensor(QQI, Shape((2, 2)), [z, 0, 0, 0])
+        with pytest.raises(FieldMismatchError):
+            ExactMatrix(QQI, 1, 2, [1, z])
+
+    def test_float_residue_refused(self):
+        for x in (GFElement(0.5, 7), 0.5, Fraction(1, 2)):
+            with pytest.raises(FieldMismatchError):
+                GF(7).coerce(x)

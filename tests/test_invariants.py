@@ -12,7 +12,7 @@ from entinv.invariants import (
     triple_constraint_matrix,
     triple_kernel_dim,
 )
-from entinv.linalg import ExactMatrix, InternalConsistencyError, integer_image
+from entinv.linalg import ExactMatrix, InternalConsistencyError, to_image
 from entinv.tables import table_for
 from entinv.tensors import (
     ArityError,
@@ -230,7 +230,7 @@ def _slices(v):
 def _concise_rows(v):
     """Integer images of the concise slices of `v`, one row per slice."""
     qoff = v.shape.offsets((0, 1))
-    return integer_image(v.field, [[v.coeffs[o + k] for o in qoff] for k in _slices(v)])
+    return [to_image(v.field, [v.coeffs[o + k] for o in qoff])[0] for k in _slices(v)]
 
 
 def _stacked_k123(v):

@@ -16,7 +16,6 @@ from entinv.linalg import (
     eliminate,
     from_image,
     image_kernel,
-    integer_image,
     to_image,
 )
 from entinv.tensors import FlatteningSpec, Shape, Tensor, apply_local, flatten, from_terms
@@ -98,8 +97,13 @@ def _sparse_matrices(draw, field):
     return ExactMatrix(field, rows, cols, entries)
 
 
+def _image_rows(field, rows):
+    """The `to_image` of each row, without its denominator."""
+    return [to_image(field, row)[0] for row in rows]
+
+
 def _entries(field, row):
-    """The field elements of an `integer_image` row: over Q(i), two integers each."""
+    """The field elements of an `_image_rows` row: over Q(i), two integers each."""
     if field == QQI:
         return [GaussianRational(a, b) for a, b in zip(row[::2], row[1::2])]
     return [field.coerce(x) for x in row]
@@ -223,7 +227,7 @@ class TestPivots:
         m = ExactMatrix.from_rows(QQI, rows)
         assert m.pivots() == rref_of(m)[1] == pivots
         # each pivot is the Gaussian minor on the rows chosen so far
-        work = integer_image(QQI, rows)
+        work = _image_rows(QQI, rows)
         start = {id(row): i for i, row in enumerate(work)}
         assert _pivots_gauss(work, len(rows[0])) == pivots
         chosen = [rows[start[id(row)]] for row in work]
@@ -296,7 +300,8 @@ class TestImage:
         assert to_image(QQ, [Fraction(1, 2), Fraction(-2, 3), 0]) == ([3, -4, 0], 6)
         assert from_image(QQ, [3, -4, 0], -6) == [Fraction(-1, 2), Fraction(2, 3), 0]
         assert to_image(GF(7), [GF(7).coerce(9)]) == ([2], 1)
-        assert from_image(GF(7), [1, 3], 2) == [4, 5]  # 2 * 4 = 8 = 1 mod 7
+        # 2 * 4 = 8 = 1 mod 7, and the residues are reduced
+        assert from_image(GF(7), [1, 3, -9], 2) == [GF(7).coerce(x) for x in (4, 5, 6)]
         z = [GaussianRational(Fraction(1, 2), -1), GaussianRational(0, Fraction(1, 3))]
         assert to_image(QQI, z) == ([3, -6, 0, 2], 6)
         assert from_image(QQI, [3, -6, 0, 2], 6) == z
@@ -311,7 +316,7 @@ class TestImageKernel:
         m = data.draw(st.one_of(_matrices(field), _sparse_matrices(field)))
         R = ring(field)
         reduced, pivots = rref_of(m)
-        image = integer_image(field, m.row_lists())
+        image = _image_rows(field, m.row_lists())
         assert eliminate(field, image, m.cols, jordan=True) == pivots
         d = R.lift(_entries(field, image[0])[pivots[0]]) if pivots else R.one
         for i in range(m.rows):
@@ -325,7 +330,7 @@ class TestImageKernel:
             m = _random_matrix(field, rng.randint(1, cols - 1), cols, rng)
             if len(rref_of(m)[1]) < m.rows:
                 continue
-            image = integer_image(field, m.row_lists())
+            image = _image_rows(field, m.row_lists())
             basis = image_kernel(field, [list(row) for row in image], cols)
             # one basis row per column, in the image's layout: over Q(i),
             # a Gaussian integer is two integers; its rank is over the field
