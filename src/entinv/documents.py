@@ -8,17 +8,22 @@ A document is a single JSON object with exactly three keys:
              sparse: list of {"index": [0-based ints], "value": "scalar"};
                      omitted positions are zero, so [] is the zero state
 
-Scalars are exact strings ("a", "a/b", "a/b+c/di"); anything that smells
-of floating point is rejected.  Unknown keys are rejected so that typos
-fail loudly instead of being ignored.  `admit` bounds what a state may
-cost before any of its coefficients is allocated.
+Scalars are exact strings ("a", "a/b", "a/b+c/di") in the one ASCII
+grammar of :mod:`~entinv.fields`; anything that smells of floating point
+is rejected.  Each scalar is read straight into integers
+(`Field.parse_image`), which the tensor holds over one common
+denominator, refused past `linalg.MAX_IMAGE_BITS`; no field element is
+built.  Unknown keys are rejected so that typos fail loudly instead of
+being ignored.  `admit` bounds what a state may cost before any of its
+coefficients is allocated.
 """
 
 from __future__ import annotations
 
 import json
 
-from .fields import QQI, Field, field_from_descriptor
+from .fields import Field, field_from_descriptor
+from .linalg import cleared
 from .tensors import Shape, ShapeError, Tensor
 
 
@@ -50,7 +55,7 @@ def admit(shape: Shape, field: Field, bases: bool = False, where: str = "") -> N
             f"{where}dims {shape.dims} give {shape.size} coefficients, "
             f"more than the cap of {MAX_COEFFICIENTS}"
         )
-    image = 2 if field == QQI else 1
+    image = field.width
     squares = [(d, d) for d in shape.dims] if bases else []
     for rows, cols in ([shape.dims] if shape.n == 2 else []) + squares:
         rows, cols = image * rows, image * cols
@@ -101,56 +106,54 @@ def parse_document(text: str, source: str = "<input>") -> Tensor:
         raise DocumentError(f"{source}: 'entries' must be a list")
 
     # an empty list is sparse: the zero state has no nonzero entry to list
-    if entries and all(isinstance(e, str) for e in entries):
-        if len(entries) != shape.size:
-            raise DocumentError(
-                f"{source}: dense entries need {shape.size} scalars for dims {shape.dims}, "
-                f"got {len(entries)}"
-            )
-        coeffs = []
-        for pos, s in enumerate(entries):
-            try:
-                coeffs.append(field.parse(s))
-            except ValueError as exc:
-                raise DocumentError(f"{source}: entries[{pos}]: {exc}") from exc
-        return Tensor(field, shape, coeffs)
-
-    if all(isinstance(e, dict) for e in entries):
-        coeffs = [field.zero] * shape.size
-        seen = set()
-        for pos, item in enumerate(entries):
+    dense = bool(entries) and all(isinstance(e, str) for e in entries)
+    if not dense and not all(isinstance(e, dict) for e in entries):
+        raise DocumentError(
+            f"{source}: entries must be all scalar strings (dense) or all index/value objects (sparse)"
+        )
+    if dense and len(entries) != shape.size:
+        raise DocumentError(
+            f"{source}: dense entries need {shape.size} scalars for dims {shape.dims}, "
+            f"got {len(entries)}"
+        )
+    # the flat pairs n, d of each scalar's `parse_image`, at its offset
+    e, parse, seen = 2 * field.width, field.parse_image, set()
+    pairs = [0, 1] * (field.width * shape.size)
+    for pos, item in enumerate(entries):
+        if dense:
+            off, value = pos, item
+        else:
+            at = f"{source}: entries[{pos}]: "
             unknown = set(item) - _SPARSE_KEYS
             if unknown:
-                raise DocumentError(f"{source}: entries[{pos}]: unknown field(s) {sorted(unknown)}")
+                raise DocumentError(f"{at}unknown field(s) {sorted(unknown)}")
             if set(item) != _SPARSE_KEYS:
-                raise DocumentError(f"{source}: entries[{pos}]: need exactly 'index' and 'value'")
-            index = item["index"]
+                raise DocumentError(f"{at}need exactly 'index' and 'value'")
+            index, value = item["index"], item["value"]
             if (
                 not isinstance(index, list)
                 or len(index) != shape.n
                 or not all(isinstance(i, int) and not isinstance(i, bool) for i in index)
             ):
-                raise DocumentError(
-                    f"{source}: entries[{pos}]: 'index' must be a list of {shape.n} integers (0-based)"
-                )
+                raise DocumentError(f"{at}'index' must be a list of {shape.n} integers (0-based)")
             try:
                 off = shape.offset(index)
             except ShapeError as exc:
-                raise DocumentError(f"{source}: entries[{pos}]: {exc}") from exc
+                raise DocumentError(f"{at}{exc}") from exc
             if off in seen:
-                raise DocumentError(f"{source}: entries[{pos}]: duplicate index {index}")
+                raise DocumentError(f"{at}duplicate index {index}")
             seen.add(off)
-            if not isinstance(item["value"], str):
-                raise DocumentError(f"{source}: entries[{pos}]: 'value' must be a scalar string")
-            try:
-                coeffs[off] = field.parse(item["value"])
-            except ValueError as exc:
-                raise DocumentError(f"{source}: entries[{pos}]: {exc}") from exc
-        return Tensor(field, shape, coeffs)
-
-    raise DocumentError(
-        f"{source}: entries must be all scalar strings (dense) or all index/value objects (sparse)"
-    )
+            if not isinstance(value, str):
+                raise DocumentError(f"{at}'value' must be a scalar string")
+        try:
+            pairs[e * off : e * off + e] = parse(value)
+        except ValueError as exc:
+            raise DocumentError(f"{source}: entries[{pos}]: {exc}") from exc
+    try:
+        image, den = cleared(pairs)
+    except ValueError as exc:
+        raise DocumentError(f"{source}: {exc}") from exc
+    return Tensor.of_image(field, shape, image, den)
 
 
 def document_dict(tensor: Tensor, sparse: bool = False) -> dict:

@@ -12,11 +12,15 @@ element of its own field (never an int).  The records define no
 arithmetic: every computation runs on the integer image of
 :mod:`~entinv.linalg`.
 
-Scalar strings accepted by :meth:`Field.parse`:
+Scalar strings, one ASCII grammar for every field (`parse_image` reads
+a scalar's integers, `parse` its element):
 
     rational           "a" or "a/b"             e.g. "-3", "5/7"
-    gf(p)              same forms, reduced mod p (denominator coprime to p)
-    gaussian-rational  "a/b", "a/b+c/di", "c/di" (spaces allowed, floats not)
+    gf(p)              same forms, reduced mod p (a/b in lowest terms, b coprime to p)
+    gaussian-rational  "a/b", "a/b+c/di", "c/di"
+
+with ASCII digits, and spaces only at the ends and around a sign, a
+slash and the i ("3/4 + 1/2 i"); floats are refused.
 """
 
 from __future__ import annotations
@@ -25,25 +29,28 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
+from math import gcd
 
 
 class FieldMismatchError(TypeError):
     """Raised when scalars from different fields are combined."""
 
 
-_RATIONAL_RE = re.compile(r"^[+-]?\d+(?:/\d+)?$")
+# no space inside an integer; \s is the ASCII whitespace of _SPACES
+_RATIONAL_RE = re.compile(r"\s*([+-]?)\s*([0-9]+)(?:\s*/\s*([0-9]+))?\s*", re.ASCII)
+_SPACES = " \t\n\r\f\v"
 
 
-def _parse_fraction(text: str) -> Fraction:
-    s = text.strip()
-    if not _RATIONAL_RE.match(s):
+def _rational(text: str) -> tuple[int, int]:
+    """A rational as (numerator, denominator > 0), not reduced."""
+    m = _RATIONAL_RE.fullmatch(text)
+    if m is None:
         raise ValueError(f"not an exact rational: {text!r} (floats are rejected)")
-    if "/" in s:
-        num, den = s.split("/")
-        if int(den) == 0:
-            raise ValueError(f"zero denominator: {text!r}")
-        return Fraction(int(num), int(den))
-    return Fraction(int(s))
+    sign, num, den = m.groups()
+    d = 1 if den is None else int(den)
+    if d == 0:
+        raise ValueError(f"zero denominator: {text!r}")
+    return (-int(num) if sign == "-" else int(num)), d
 
 
 @dataclass(frozen=True, slots=True)
@@ -76,6 +83,8 @@ class Field:
     """
 
     descriptor: str
+    # integers an entry takes in the integer image of :mod:`~entinv.linalg`
+    width = 1
 
     @property
     def zero(self):
@@ -86,6 +95,13 @@ class Field:
         raise NotImplementedError
 
     def parse(self, text: str):
+        """The element a scalar string denotes, read through `parse_image`."""
+        from .linalg import cleared, from_image  # linalg imports this module
+        return from_image(self, *cleared(self.parse_image(text)))[0]
+
+    def parse_image(self, text: str) -> tuple[int, ...]:
+        """A scalar's image as flat pairs n, d > 0, not reduced: (n, d) over Q,
+        (residue, 1) over GF(p), (a, d, b, e) for a/d + (b/e)i over Q(i)."""
         raise NotImplementedError
 
     def format(self, value) -> str:
@@ -111,8 +127,7 @@ class RationalField(Field):
             return Fraction(value)
         raise FieldMismatchError(f"not a rational scalar: {value!r}")
 
-    def parse(self, text: str) -> Fraction:
-        return _parse_fraction(text)
+    parse_image = staticmethod(_rational)
 
     def format(self, value) -> str:
         return str(value)
@@ -142,11 +157,13 @@ class PrimeField(Field):
             return GFElement(value % self.p, self.p)
         raise FieldMismatchError(f"not a GF({self.p}) scalar: {value!r}")
 
-    def parse(self, text: str) -> GFElement:
-        q = _parse_fraction(text)
-        if q.denominator % self.p == 0:
+    def parse_image(self, text: str) -> tuple[int, int]:
+        """The residue of a/b, refused when p divides b in lowest terms."""
+        n, d = _rational(text)
+        g = gcd(n, d)
+        if d // g % self.p == 0:
             raise ValueError(f"denominator of {text!r} vanishes in GF({self.p})")
-        return GFElement(q.numerator * pow(q.denominator, -1, self.p) % self.p, self.p)
+        return n // g * pow(d // g, -1, self.p) % self.p, 1
 
     def format(self, value) -> str:
         return str(value.value)
@@ -154,6 +171,7 @@ class PrimeField(Field):
 
 class GaussianRationalField(Field):
     descriptor = "gaussian-rational"
+    width = 2
 
     def coerce(self, value) -> GaussianRational:
         """An int, a `Fraction` or an element; int parts become `Fraction`s."""
@@ -167,22 +185,13 @@ class GaussianRationalField(Field):
             return GaussianRational(Fraction(parts[0]), Fraction(parts[1]))
         raise FieldMismatchError(f"not a Gaussian rational scalar: {value!r}")
 
-    def parse(self, text: str) -> GaussianRational:
-        s = "".join(text.split())
-        if not s:
-            raise ValueError("empty scalar string")
+    def parse_image(self, text: str) -> tuple[int, int, int, int]:
+        s = text.strip(_SPACES)
         if not s.endswith("i"):
-            return GaussianRational(_parse_fraction(s), Fraction(0))
-        body = s[:-1]
-        if not body:
-            raise ValueError(f"imaginary part needs an explicit coefficient: {text!r}")
-        # Last sign character after position 0 separates real and imaginary parts.
-        split = max(body.rfind("+", 1), body.rfind("-", 1))
-        if split <= 0:
-            return GaussianRational(Fraction(0), _parse_fraction(body))
-        return GaussianRational(
-            _parse_fraction(body[:split]), _parse_fraction(body[split:])
-        )
+            return _rational(text) + (0, 1)
+        # a sign after the first character splits off the imaginary part
+        k = max(s.rfind("+", 0, -1), s.rfind("-", 0, -1), 0)
+        return _rational(s[:k] or "0") + _rational(s[k:-1])
 
     def format(self, value) -> str:
         if value.im == 0:
@@ -216,7 +225,7 @@ def GF(p: int) -> PrimeField:
     return PrimeField(p)
 
 
-_GF_DESCRIPTOR_RE = re.compile(r"^gf\((\d+)\)$")
+_GF_DESCRIPTOR_RE = re.compile(r"^gf\(([0-9]+)\)$")
 
 
 def field_from_descriptor(text: str) -> Field:

@@ -160,20 +160,23 @@ def signature(v: Tensor) -> InvariantSignature:
     """Complete invariant signature of a 2- or 3-factor state.
 
     A flattening's complement is its transpose, whose kernel follows by
-    rank duality.  Tripartite, the slices v[:,:,k] are imaged once; their
+    rank duality.  Bipartite, the (1)-flattening's rows are read from v's
+    image and ranked.  Tripartite, so are the slices v[:,:,k]; their
     transpose pivots like the (1,2) flattening on the concise slices S,
     which give r, k3 and k12.  k1 and k2 are ranked on [v_1 | ... | v_r]
     and [v_1; ...; v_r], v_l in S.  Over Q(i) a slice is one row of
     Gaussian integers, and its transpose keeps each entry's two together.
     """
-    d = v.shape.dims
+    d, field, flat = v.shape.dims, v.field, v.image
+    e = field.width
     if v.n == 2:
-        k1 = kernel_dim(v, FlatteningSpec((1,), 2))
+        w = e * d[1]  # a row of the (1)-flattening in the image
+        rows = [list(flat[w * i : w * (i + 1)]) for i in range(d[0])]
+        k1 = d[0] - len(eliminate(field, rows, d[1]))
         return InvariantSignature(d, (k1, d[1] - d[0] + k1))
     d1, d2, d3 = d
-    field, qoff = v.field, v.shape.offsets((0, 1))
-    image = [to_image(field, [v.coeffs[o + k] for o in qoff])[0] for k in range(d3)]
-    e = len(image[0]) // (d1 * d2)
+    spread = [e * o + u for o in v.shape.offsets((0, 1)) for u in range(e)]
+    image = [[flat[s + e * k] for s in spread] for k in range(d3)]
     cols = [list(col) for col in zip(*image)]
     if e == 2:  # the real and imaginary columns of an entry make one row
         cols = [[t for ab in zip(a, b) for t in ab] for a, b in zip(cols[::2], cols[1::2])]
@@ -193,14 +196,14 @@ def slow_route_fault(v: Tensor, sig: Optional[InvariantSignature] = None) -> str
     differ in rank, then, given `sig`, the first of its kernels that
     differs, with k123 from `triple_constraint_matrix`."""
     names = [(1,), (2,), (3,), (1, 2), (1, 3), (2, 3)][: 2 if v.n == 2 else 6]
-    ranks = [flatten(v, FlatteningSpec(rows, v.n)).rank() for rows in names]
+    slow = [kernel_dim(v, FlatteningSpec(rows, v.n)) for rows in names]
+    ranks = [prod(v.shape.dims[i - 1] for i in rows) - k for rows, k in zip(names, slow)]
     for axis, rank, dual in zip(range(1, len(names) // 2 + 1), ranks, ranks[::-1]):
         if rank != dual:
             return (f"rank duality violated: factor {axis} "
                     f"flattening has rank {rank}, its complement {dual}")
     if sig is None:
         return ""
-    slow = [prod(v.shape.dims[i - 1] for i in rows) - rank for rows, rank in zip(names, ranks)]
     if v.n == 3:
         names.append((1, 2, 3))
         slow.append(v.shape.size - triple_constraint_matrix(v).rank())

@@ -6,11 +6,12 @@ image is its residues over GF(p) and its numerators over one common
 denominator over Q; over Q(i) it is Gaussian integers over one common
 denominator, the entry a + bi stored as the two integers a, b.
 `to_image` and `from_image` are the one way between values and image,
-each with one branch per field; a matrix is eliminated on the images of
-its rows, each over its own denominator.  `eliminate` finds pivots by
-fraction-free Bareiss elimination over Z for Q and over the Gaussian
-integers Z[i] for Q(i), and on residues over GF(p); there are no
-tolerances, and the pivot is the first nonzero entry in column order.
+each with one branch per field; a tensor holds its image in lowest
+terms, and a matrix is eliminated on the images of its rows, each over
+its own denominator.  `eliminate` finds pivots by fraction-free Bareiss
+elimination over Z for Q and over the Gaussian integers Z[i] for Q(i),
+and on residues over GF(p); there are no tolerances, and the pivot is
+the first nonzero entry in column order.
 That these are the pivots of plain Gauss-Jordan elimination is tested
 against the oracle in the tests, not assumed.
 """
@@ -27,6 +28,11 @@ from .fields import Field, GaussianRational, GFElement, PrimeField, RationalFiel
 
 class InternalConsistencyError(RuntimeError):
     """An identity that must hold mathematically failed; this is a bug."""
+
+
+# the cap on bits times integers of an image over one denominator: 2**28
+# bits is 32 MiB, and lets a state of 2**20 rationals share a 256-bit one
+MAX_IMAGE_BITS = 2**28
 
 
 class ExactMatrix:
@@ -114,7 +120,7 @@ def to_image(field: Field, values: Sequence) -> tuple[list[int], int]:
         return [x.value for x in values], 1
     if not isinstance(field, RationalField):
         values = [t for x in values for t in (x.re, x.im)]
-    return _cleared(values)
+    return cleared([t for x in values for t in (x.numerator, x.denominator)])
 
 
 def from_image(field: Field, image: list[int], den: int) -> list:
@@ -196,12 +202,20 @@ def image_kernel(field: Field, image: list[list[int]], cols: int) -> list[list[i
     return basis
 
 
-def _cleared(values: list[Fraction]) -> tuple[list[int], int]:
-    """Numerators over the least common denominator, and that denominator."""
-    # a list, not a generator: an `f(*generator)` argument tuple is
-    # grown to size, and CPython keeps up to 2,000 of each size freed
-    den = lcm(*[x.denominator for x in values])
-    return [x.numerator * (den // x.denominator) for x in values], den
+def cleared(pairs: Sequence[int]) -> tuple[list[int], int]:
+    """The integers n / d, given as the flat pairs n, d, ..., over their
+    least common denominator, and that denominator.  An image holds an
+    integer about as large as it for each n, so one whose bit length times
+    the count passes MAX_IMAGE_BITS is refused by a ValueError first."""
+    count, den = len(pairs) // 2, 1
+    for k in range(0, 2 * count, 8192):
+        den = lcm(den, *pairs[k + 1 : k + 8192 : 2])
+        if count * den.bit_length() > MAX_IMAGE_BITS:
+            raise ValueError(f"{count} integers over one denominator of {den.bit_length()}+ "
+                             f"bits pass the cap of {MAX_IMAGE_BITS} bits on an image")
+    it = iter(pairs)
+    # an integer already over den is kept, not copied
+    return [n if d == den else n * (den // d) for n, d in zip(it, it)], den
 
 
 def _pivots_bareiss(rows: list[list[int]], cols: int, jordan: bool = False) -> list[int]:

@@ -169,7 +169,7 @@ def suite_exhaustive_222(field: Field = QQ) -> Report:
     gaps = []
     for mask in range(256):
         bits = [(mask >> (7 - i)) & 1 for i in range(8)]
-        v = Tensor(field, shape, [field.coerce(b) for b in bits])
+        v = Tensor(field, shape, bits)
         try:
             label = classify(v)
         except ClassificationGapError as exc:

@@ -3,26 +3,27 @@
 A tensor of shape (d1, ..., dn), n in {2, 3}, stores its coefficients
 row-major (last index fastest), and only `Shape` knows that layout: a
 flattening, a fiber of the local action and a block of the k123 system
-each read the coefficient tuple through `Shape.offsets` of some axes.
+each read the coefficients through `Shape.offsets` of some axes.
 Flattening against an ordered bipartition of the factors produces an
 :class:`~entinv.linalg.ExactMatrix`; states are built either
 coefficient-by-coefficient or from bracket-notation term lists like
 [1,1,1]+[2,2,1] (1-based indices, converted at the boundary) in the
 standard basis.  `apply_local` is the one local action: it moves
-a state into other bases or along a local orbit.  A tensor stores field
-values; `apply_local` and `Tensor.scale` compute on its integer image
-(see :mod:`~entinv.linalg`) and convert the result back once.
+a state into other bases or along a local orbit.  A tensor holds the
+integer image of its coefficients (see :mod:`~entinv.linalg`), which
+every computation reads and returns; `coeffs` converts it to field values
+where a tensor is printed or flattened.  Local maps hold values.
 """
 
 from __future__ import annotations
 
 import random
 from itertools import product
-from math import prod
+from math import gcd, prod
 from operator import mul
 from typing import Sequence
 
-from .fields import QQ, QQI, Field, GaussianRational
+from .fields import QQ, Field, PrimeField
 from .linalg import ExactMatrix, action_rows, from_image, scaled, to_image
 
 
@@ -135,24 +136,42 @@ class FlatteningSpec:
 
 
 class Tensor:
-    """Immutable dense tensor over one exact field."""
+    """Immutable dense tensor over one exact field, held as the image of its
+    coefficients in lowest terms, so equal tensors have equal `image` and `den`."""
 
-    __slots__ = ("field", "shape", "coeffs")
+    __slots__ = ("field", "shape", "image", "den")
 
     def __init__(self, field: Field, shape: Shape, coeffs: Sequence):
         if len(coeffs) != shape.size:
             raise ShapeError(
                 f"expected {shape.size} coefficients for shape {shape.dims}, got {len(coeffs)}"
             )
-        self.field = field
-        self.shape = shape
-        # from a list, not a generator: tuple() then allocates the exact
-        # size once instead of growing it, which keeps the heap compact
-        self.coeffs = tuple([field.coerce(c) for c in coeffs])
+        # `to_image` of field values is in lowest terms already
+        image, self.den = to_image(field, [field.coerce(c) for c in coeffs])
+        self.field, self.shape, self.image = field, shape, tuple(image)
+
+    @classmethod
+    def of_image(cls, field: Field, shape: Shape, image: Sequence[int], den: int = 1) -> "Tensor":
+        """The tensor whose coefficients have the image `image` over `den > 0`, in lowest
+        terms: residues over 1, or integers over a den sharing no prime with all of them."""
+        v = cls.__new__(cls)
+        if isinstance(field, PrimeField):
+            inv = pow(den, -1, field.p)
+            image, den = [x * inv % field.p for x in image], 1
+        elif den > 1 and (g := gcd(den, *image)) > 1:
+            image, den = [x // g for x in image], den // g
+        # tuple() of a list allocates the exact size once, keeping the heap compact
+        v.field, v.shape, v.image, v.den = field, shape, tuple(image), den
+        return v
 
     @property
     def n(self) -> int:
         return self.shape.n
+
+    @property
+    def coeffs(self) -> tuple:
+        """The coefficients as field values, converted from the image on each call."""
+        return tuple(from_image(self.field, self.image, self.den))
 
     def __getitem__(self, index) -> object:
         return self.coeffs[self.shape.offset(index)]
@@ -161,15 +180,15 @@ class Tensor:
         """This tensor times a scalar: the scalar's image multiplies every entry of its image."""
         field = self.field
         s, den = to_image(field, [field.coerce(scalar)])
-        x, d = to_image(field, self.coeffs)
-        return Tensor(field, self.shape, from_image(field, scaled(x, s), den * d))
+        return Tensor.of_image(field, self.shape, scaled(self.image, s), den * self.den)
 
     def __eq__(self, other):
         return (
             isinstance(other, Tensor)
             and self.field == other.field
             and self.shape == other.shape
-            and self.coeffs == other.coeffs
+            and self.den == other.den
+            and self.image == other.image
         )
 
     def __repr__(self):
@@ -201,15 +220,15 @@ def from_terms(shape: Shape, terms: Sequence[Sequence[int]], field: Field = QQ) 
     so each distinct term lands as a single unit coefficient.  To write
     the state in other bases, act on it with `apply_local`.
     """
-    counts = [0] * shape.size
+    counts = [0] * (field.width * shape.size)
     for term in terms:
         if len(term) != shape.n:
             raise ShapeError(f"term {tuple(term)} has wrong arity for {shape.dims}")
         for j, d in zip(term, shape.dims):
             if not 1 <= j <= d:
                 raise ShapeError(f"term index {tuple(term)} out of range for {shape.dims}")
-        counts[shape.offset(tuple(j - 1 for j in term))] += 1
-    return Tensor(field, shape, counts)
+        counts[field.width * shape.offset(tuple(j - 1 for j in term))] += 1
+    return Tensor.of_image(field, shape, counts)
 
 
 def apply_local(v: Tensor, maps: Sequence[ExactMatrix]) -> Tensor:
@@ -230,12 +249,12 @@ def apply_local(v: Tensor, maps: Sequence[ExactMatrix]) -> Tensor:
             raise ShapeError(f"local map for factor {i + 1} is over the wrong field")
         if a.rank() < d:
             raise BasisError(f"local map for factor {i + 1} is singular")
-    x, den = to_image(v.field, v.coeffs)
+    x, den = v.image, v.den
     for axis, a in enumerate(maps):
         image, d = to_image(v.field, a.entries)
         x = _mode_apply(x, v.shape, axis, action_rows(image, a.rows))
         den *= d
-    return Tensor(v.field, v.shape, from_image(v.field, x, den))
+    return Tensor.of_image(v.field, v.shape, x, den)
 
 
 def _mode_apply(x: list[int], shape: Shape, axis: int, rows: list[list[int]]) -> list[int]:
@@ -252,30 +271,26 @@ def _mode_apply(x: list[int], shape: Shape, axis: int, rows: list[list[int]]) ->
     return out
 
 
-def _draw(rng: random.Random, bound: int, field: Field):
-    """An integer uniform in [-bound, bound]; over Q(i) a second one is the imaginary part."""
-    n = rng.randint(-bound, bound)
-    if field == QQI:
-        return GaussianRational(n, rng.randint(-bound, bound))
-    return field.coerce(n)
-
-
 def random_tensor(shape: Shape, bound: int, seed: int, field: Field = QQ) -> Tensor:
-    """Deterministic tensor of integer coefficients uniform in [-bound, bound] (see _draw)."""
+    """Deterministic tensor of integer coefficients uniform in [-bound, bound];
+    over Q(i), each entry's real part is drawn first, then its imaginary part."""
     if bound < 1:
         raise ValueError(f"bound must be >= 1, got {bound}")
     rng = random.Random(f"tensor|{shape.dims}|{bound}|{seed}")
-    return Tensor(field, shape, [_draw(rng, bound, field) for _ in range(shape.size)])
+    return Tensor.of_image(field, shape,
+                           [rng.randint(-bound, bound) for _ in range(field.width * shape.size)])
 
 
 def random_invertible(d: int, bound: int, seed: int, field: Field = QQ) -> ExactMatrix:
-    """Deterministic invertible d x d matrix of `_draw` entries, by rejection sampling."""
+    """Deterministic invertible d x d matrix of entries drawn as `random_tensor`
+    draws them, by rejection sampling."""
     if d < 1:
         raise ValueError(f"dimension must be >= 1, got {d}")
     if bound < 1:
         raise ValueError(f"bound must be >= 1, got {bound}")
     rng = random.Random(f"invertible|{d}|{bound}|{seed}")
     while True:
-        m = ExactMatrix(field, d, d, [_draw(rng, bound, field) for _ in range(d * d)])
+        draws = [rng.randint(-bound, bound) for _ in range(field.width * d * d)]
+        m = ExactMatrix(field, d, d, from_image(field, draws, 1))
         if m.rank() == d:
             return m

@@ -1,4 +1,6 @@
+import io
 import json
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,7 +13,10 @@ from entinv.documents import (
     emit_document,
     parse_document,
 )
-from entinv.fields import GF, QQ, QQI
+from entinv.cli import main
+from entinv.fields import GF, QQ, QQI, field_from_descriptor
+from entinv.invariants import signature
+from entinv.tables import ClassificationGapError
 from entinv.tensors import Shape, Tensor, from_terms, random_tensor
 
 
@@ -141,6 +146,55 @@ def test_elimination_cap_is_inclusive():
     assert parse_document(json.dumps(doc)).shape.size <= MAX_COEFFICIENTS
 
 
+def test_image_cap_is_inclusive(monkeypatch):
+    # bits of the common denominator times integers: 4 x 8 bits for 1/128
+    monkeypatch.setattr("entinv.linalg.MAX_IMAGE_BITS", 32)
+    doc = {"field": "rational", "dims": [2, 2], "entries": ["1/128", "1", "0", "3/64"]}
+    assert parse_document(json.dumps(doc)).den == 128
+    doc["entries"][3] = "3/256"
+    with pytest.raises(DocumentError, match=r"^<input>: 4 integers over one denominator of 9\+ bits "
+                                            r"pass the cap of 32 bits"):
+        parse_document(json.dumps(doc))
+    with pytest.raises(ValueError, match="cap of 32 bits"):
+        Tensor(QQ, Shape((2, 2)), [Fraction(1, 256)] * 4)
+    # over Q(i) an entry is two integers
+    doc = {"field": "gaussian-rational", "dims": [1, 2], "entries": ["1/128i", "1/16+1/2i"]}
+    assert parse_document(json.dumps(doc)).den == 128
+    doc["entries"][1] = "1/256"
+    with pytest.raises(DocumentError, match="cap of 32 bits"):
+        parse_document(json.dumps(doc))
+
+
+@pytest.mark.parametrize("field,d3", [("rational", MAX_COEFFICIENTS // 4),
+                                      ("gaussian-rational", 2**14)])
+def test_many_denominators_past_the_image_cap_exit_1(field, d3, monkeypatch, capsys):
+    """Entries 1/1, 1/2, ... within both document caps: one denominator for
+    all of them, lcm(1, ..., 4 d3), would give every entry an integer of
+    about 1.44 * 4 d3 bits, so the document is refused before any is made."""
+    entries = [f"1/{k}" + ("+1/3i" if field == "gaussian-rational" else "")
+               for k in range(1, 4 * d3 + 1)]
+    doc = json.dumps({"field": field, "dims": [2, 2, d3], "entries": entries})
+    monkeypatch.setattr("sys.stdin", io.StringIO(doc))
+    assert main(["classify", "-"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: <stdin>: ")
+    assert err[0].endswith("pass the cap of 268435456 bits on an image")
+
+
+def test_many_denominators_within_the_image_cap_are_read_exactly():
+    # entries -1/1, 1/2, ..., 1/24, over Q(i) each minus i/5, share the
+    # 33-bit denominator lcm(1, ..., 24)
+    for field, im in ((QQ, ""), (QQI, "-1/5i")):
+        entries = [f"{(-1) ** k}/{k}{im}" for k in range(1, 25)]
+        v = parse_document(json.dumps({"field": field.descriptor, "dims": [2, 3, 4],
+                                       "entries": entries}))
+        want = Tensor(field, v.shape, [field.parse(s) for s in entries])
+        assert v == want and v.den == 5354228880
+        assert signature(v) == signature(want)
+
+
 def test_invalid_json_reports_source():
     with pytest.raises(DocumentError) as err:
         parse_document("{not json", source="states/x.json")
@@ -197,3 +251,133 @@ def test_any_input_gives_a_tensor_or_a_document_error(text):
     except DocumentError:
         return
     assert isinstance(v, Tensor)
+
+
+# -- the scalar grammar, through the CLI -------------------------------
+
+
+@pytest.mark.parametrize("field,bad", [
+    ("rational", "٣/٤"), ("rational", "３"), ("rational", "1 2"), ("rational", "1/2 0"),
+    ("gf(101)", "３"), ("gf(101)", "1 01"), ("gf(101)", "5/101"),
+    ("gaussian-rational", "1 2"), ("gaussian-rational", "1 2i"), ("gaussian-rational", "٣+1i"),
+    ("gaussian-rational", "1+2 3i"),
+])
+@pytest.mark.parametrize("sparse", [False, True], ids=["dense", "sparse"])
+def test_bad_scalar_exits_1_naming_its_entry(field, bad, sparse, monkeypatch, capsys):
+    entries = ["1", "0", bad, "1"]
+    if sparse:
+        entries = [{"index": [i // 2, i % 2], "value": s} for i, s in enumerate(entries)]
+    doc = json.dumps({"field": field, "dims": [2, 2], "entries": entries})
+    monkeypatch.setattr("sys.stdin", io.StringIO(doc))
+    assert main(["classify", "-"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: <stdin>: entries[2]: ")
+
+
+def test_gf_descriptor_digits_are_ascii():
+    doc = {"field": "gf(１０１)", "dims": [2, 2], "entries": ["1", "0", "0", "1"]}
+    with pytest.raises(DocumentError, match="unknown field descriptor"):
+        parse_document(json.dumps(doc))
+
+
+def test_spaces_around_signs_slashes_and_i():
+    doc = {"field": "gaussian-rational", "dims": [2, 2],
+           "entries": ["3/4 + 1/2 i", " - 2 i ", "1 / 3", "0"]}
+    assert document_dict(parse_document(json.dumps(doc)))["entries"] == [
+        "3/4+1/2i", "-2i", "1/3", "0"]
+    doc = {"field": "rational", "dims": [2, 2], "entries": [" -6 / 4 ", "+ 5", "0", "1"]}
+    assert document_dict(parse_document(json.dumps(doc)))["entries"] == ["-3/2", "5", "0", "1"]
+
+
+def test_gf_reduced_denominator_decides():
+    doc = {"field": "gf(101)", "dims": [2, 2], "entries": ["101/101", "202/101", "0/101", "1"]}
+    v = parse_document(json.dumps(doc))
+    assert [c.value for c in v.coeffs] == [1, 2, 0, 1]
+    sparse = {"field": "gf(101)", "dims": [2, 2],
+              "entries": [{"index": [0, 1], "value": "202/101"}]}
+    assert [c.value for c in parse_document(json.dumps(sparse)).coeffs] == [0, 2, 0, 0]
+    doc["entries"][3] = "5/101"
+    with pytest.raises(DocumentError, match=r"entries\[3\]: denominator of '5/101' vanishes"):
+        parse_document(json.dumps(doc))
+
+
+def test_unreduced_fraction_prints_reduced_in_gap_payloads():
+    doc = {"field": "rational", "dims": [2, 2], "entries": ["6/4", "0", "0", "-10/4"]}
+    v = parse_document(json.dumps(doc))
+    payload = ClassificationGapError(v, signature(v)).payload()
+    assert payload["entries"] == ["3/2", "0", "0", "-5/2"]
+    assert json.loads(emit_document(v))["entries"] == ["3/2", "0", "0", "-5/2"]
+
+
+# -- the direct parse against the element route -------------------------
+
+
+_ORACLE_DIMS = st.sampled_from([(2, 2), (1, 3), (3, 2), (2, 2, 2), (2, 3, 2), (2, 2, 3)])
+_ORACLE_FIELDS = st.sampled_from([QQ, GF(2), GF(7), GF(101), QQI])
+
+
+@st.composite
+def _scalar(draw, field):
+    """A scalar string of the grammar: unreduced fractions, signs, zeros, spaces."""
+    space = st.sampled_from(["", "", " ", "  "])
+
+    def rational(signed):
+        text = draw(st.sampled_from(["", "", "-", "+", "- "])) if signed else ""
+        text += str(draw(st.sampled_from([0, 0, 1, 2]) | st.integers(0, 300)))
+        if draw(st.booleans()):
+            text += draw(space) + "/" + draw(space) + str(draw(st.integers(1, 210)))
+        return text
+
+    text = rational(True)
+    if field == QQI:
+        form = draw(st.sampled_from(["real", "imaginary", "both"]))
+        if form == "imaginary":
+            text += draw(space) + "i"
+        elif form == "both":
+            text += (draw(space) + draw(st.sampled_from("+-")) + draw(space) + rational(False)
+                     + draw(space) + "i")
+    return draw(space) + text + draw(space)
+
+
+@st.composite
+def _oracle_document(draw):
+    field, dims = draw(_ORACLE_FIELDS), draw(_ORACLE_DIMS)
+    shape = Shape(dims)
+    if draw(st.booleans()):
+        entries = [draw(_scalar(field)) for _ in range(shape.size)]
+    else:
+        offsets = draw(st.sets(st.integers(0, shape.size - 1)))
+        index = list(shape.indices())
+        entries = [{"index": list(index[o]), "value": draw(_scalar(field))} for o in offsets]
+    return {"field": field.descriptor, "dims": list(dims), "entries": entries}
+
+
+def _element_route(doc) -> Tensor:
+    """The reference: `field.parse` on each scalar, then `Tensor` on the values."""
+    field, shape = field_from_descriptor(doc["field"]), Shape(doc["dims"])
+    values = [field.zero] * shape.size
+    for pos, entry in enumerate(doc["entries"]):
+        if isinstance(entry, str):
+            values[pos] = field.parse(entry)
+        else:
+            values[shape.offset(entry["index"])] = field.parse(entry["value"])
+    return Tensor(field, shape, values)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_oracle_document())
+def test_direct_parse_matches_the_element_route(doc):
+    try:
+        want = _element_route(doc)
+    except ValueError:
+        with pytest.raises(DocumentError):
+            parse_document(json.dumps(doc))
+        return
+    got = parse_document(json.dumps(doc))
+    assert got == want
+    assert got.coeffs == want.coeffs
+    for sparse in (False, True):
+        assert emit_document(got, sparse=sparse) == emit_document(want, sparse=sparse)
+    assert signature(got) == signature(want)

@@ -233,3 +233,61 @@ class TestEquality:
         for x in (GFElement(0.5, 7), 0.5, Fraction(1, 2)):
             with pytest.raises(FieldMismatchError):
                 GF(7).coerce(x)
+
+
+_FIELDS = [QQ, GF(101), QQI]
+
+
+class TestGrammar:
+    """One ASCII grammar: ASCII digits, no space inside an integer, spaces
+    at the ends and around a sign, a slash and the i."""
+
+    @pytest.mark.parametrize("field", _FIELDS, ids=lambda f: f.descriptor)
+    @pytest.mark.parametrize("bad", [
+        "٣/٤", "３", "1/４", "𝟙", "1 2", "1 2/3", "1/2 3", "-1 0", "1\u00a02", "\u00a01",
+        "1_0", "+ -1", "1/-2",
+    ])
+    def test_outside_the_grammar_refused(self, field, bad):
+        with pytest.raises(ValueError):
+            field.parse(bad)
+        with pytest.raises(ValueError):
+            field.parse_image(bad)
+
+    @pytest.mark.parametrize("bad", ["1 2i", "1+2 3i", "٣i", "1+２i", "3/4 1/2i", "1 +i", "i 2"])
+    def test_gaussian_split_integers_refused(self, bad):
+        with pytest.raises(ValueError):
+            QQI.parse(bad)
+
+    @pytest.mark.parametrize("text,value", [
+        (" 3/4 ", Fraction(3, 4)), ("3 / 4", Fraction(3, 4)), ("- 3", Fraction(-3)),
+        ("+ 5 /7", Fraction(5, 7)), ("\t-6/4\n", Fraction(-3, 2)),
+    ])
+    def test_spaces_around_signs_and_slashes(self, text, value):
+        assert QQ.parse(text) == value
+        assert QQI.parse(text) == GaussianRational(value, Fraction(0))
+
+    @pytest.mark.parametrize("text,re,im", [
+        ("3/4 + 1/2 i", Fraction(3, 4), Fraction(1, 2)),
+        (" - 1 / 2 - 3 / 4 i ", Fraction(-1, 2), Fraction(-3, 4)),
+        ("2 i", 0, 2), ("- 2i", 0, -2), ("+ 1/3 i", 0, Fraction(1, 3)), ("0/5i", 0, 0),
+    ])
+    def test_gaussian_spaces(self, text, re, im):
+        assert QQI.parse(text) == GaussianRational(Fraction(re), Fraction(im))
+
+    @pytest.mark.parametrize("bad", ["gf(１０１)", "gf(٣)", "gf(10 1)", "gf(+7)"])
+    def test_descriptor_digits_are_ascii(self, bad):
+        with pytest.raises(ValueError):
+            field_from_descriptor(bad)
+        assert field_from_descriptor(" GF(101) ") == GF(101)
+
+    def test_gf_reduced_denominator_decides(self):
+        # a/b is read in lowest terms before p is looked for in b
+        F = GF(101)
+        assert F.parse("101/101").value == 1
+        assert F.parse("202/101").value == 2
+        assert F.parse("0/101").value == 0
+        assert F.parse("-303/202").value == F.parse("-3/2").value
+        with pytest.raises(ValueError):
+            F.parse("5/101")
+        with pytest.raises(ValueError):
+            F.parse("0/0")

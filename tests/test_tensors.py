@@ -1,9 +1,11 @@
+import json
 import random
 from fractions import Fraction
 from itertools import product
 
 import pytest
 
+from entinv.documents import parse_document
 from entinv.fields import GF, QQ, QQI, GaussianRational
 from entinv.linalg import ExactMatrix
 from entinv.tables import representative
@@ -335,3 +337,46 @@ def test_scale_matches_element_arithmetic_oracle(field, scalars):
             assert w.field == field and w.shape == v.shape
             if not c:
                 assert w == Tensor(field, v.shape, [0] * v.shape.size)
+
+
+class TestImageEquality:
+    """A tensor holds its image in lowest terms, so equality never sees a denominator."""
+
+    @pytest.mark.parametrize("descriptor", ["rational", "gaussian-rational", "gf(7)"])
+    def test_unreduced_entries_give_equal_tensors(self, descriptor):
+        def doc(entries):
+            return json.dumps({"field": descriptor, "dims": [1, 2], "entries": entries})
+
+        v, w = parse_document(doc(["1/2", "1"])), parse_document(doc(["2/4", "2/2"]))
+        assert v == w and v.coeffs == w.coeffs
+        assert (v.image, v.den) == (w.image, w.den)
+        assert v != parse_document(doc(["1/2", "2"]))
+
+    @pytest.mark.parametrize("field", [QQ, QQI], ids=lambda f: f.descriptor)
+    def test_scaling_there_and_back_is_the_identity(self, field):
+        for seed in range(6):
+            v = random_tensor(Shape((2, 3, 2)), 4, seed=seed, field=field)
+            if seed % 2:
+                v = v.scale(Fraction(3, 10))
+            assert v.scale(2).scale(Fraction(1, 2)) == v
+            assert v.scale(Fraction(-7, 6)).scale(Fraction(-6, 7)) == v
+            assert v == Tensor(field, v.shape, v.coeffs)
+
+    def test_gaussian_scaling_by_i_four_times(self):
+        v = random_tensor(Shape((2, 2, 3)), 3, seed=2, field=QQI).scale(Fraction(1, 3))
+        w = v
+        for _ in range(4):
+            w = w.scale(GaussianRational(0, 1))
+        assert w == v and w.scale(GaussianRational(0, 1)) != v
+
+    @pytest.mark.parametrize("p", [2, 7, 101])
+    def test_gf_values_stay_residues(self, p):
+        field = GF(p)
+        for seed in range(4):
+            shape = Shape((2, 3, 3))
+            v = random_tensor(shape, 50, seed=seed, field=field)
+            maps = [random_invertible(d, 50, seed=seed + axis, field=field)
+                    for axis, d in enumerate(shape.dims)]
+            for w in (apply_local(v, maps), v.scale(p - 1), v.scale(3 * p + 2)):
+                assert all(0 <= c.value < p for c in w.coeffs)
+                assert w.den == 1 and all(0 <= x < p for x in w.image)
