@@ -5,15 +5,15 @@ arithmetic must be exact; floating point is rejected at every boundary.
 Rationals are `fractions.Fraction` (already normalized: lowest terms,
 positive denominator).  GF(p) residues and Gaussian rationals are frozen
 records, `GFElement(value, p)` and `GaussianRational(re, im)`, that their
-field normalizes: `coerce` and `parse` reduce a residue mod p and make
-both parts of a Gaussian rational `Fraction`s, refusing any other part.
+field normalizes: `coerce` reduces a residue mod p and makes both parts
+of a Gaussian rational `Fraction`s, refusing any other part.
 Equality and hash come from the same fields, so an element equals only an
 element of its own field (never an int).  The records define no
 arithmetic: every computation runs on the integer image of
 :mod:`~entinv.linalg`.
 
-Scalar strings, one ASCII grammar for every field (`parse_image` reads
-a scalar's integers, `parse` its element):
+Scalar strings, one ASCII grammar for every field, which `parse_image`
+reads straight into a scalar's integers:
 
     rational           "a" or "a/b"             e.g. "-3", "5/7"
     gf(p)              same forms, reduced mod p (a/b in lowest terms, b coprime to p)
@@ -86,18 +86,9 @@ class Field:
     # integers an entry takes in the integer image of :mod:`~entinv.linalg`
     width = 1
 
-    @property
-    def zero(self):
-        return self.coerce(0)
-
     def coerce(self, value):
-        """Accept an element or an int; return an element (strings go through `parse`)."""
+        """Accept an element or an int; return an element (strings go through `parse_image`)."""
         raise NotImplementedError
-
-    def parse(self, text: str):
-        """The element a scalar string denotes, read through `parse_image`."""
-        from .linalg import cleared, from_image  # linalg imports this module
-        return from_image(self, *cleared(self.parse_image(text)))[0]
 
     def parse_image(self, text: str) -> tuple[int, ...]:
         """A scalar's image as flat pairs n, d > 0, not reduced: (n, d) over Q,

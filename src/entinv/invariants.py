@@ -20,7 +20,7 @@ from operator import mul
 from typing import Optional
 
 from .linalg import (ExactMatrix, InternalConsistencyError, eliminate, from_image, gaussian_rows,
-                     image_kernel, scaled, to_image)
+                     image_kernel, scaled)
 from .tensors import ArityError, FlatteningSpec, Tensor, flatten
 
 
@@ -90,21 +90,20 @@ def triple_constraint_matrix(v: Tensor) -> ExactMatrix:
     """
     if v.n != 3:
         raise ArityError(f"triple intersection needs 3 factors, got {v.n}")
-    size = v.shape.size
-    coeffs = v.coeffs
-    zero = v.field.zero
-    rows = []
+    size, e, image = v.shape.size, v.field.width, v.image
+    out = []
     # block by block, the factor carrying the identity is 3, 2, 1; row
-    # (m, l) moves each coefficient with index m there to index l
+    # (m, l) moves each coefficient with index m there to index l, with
+    # its e integers in the image
     for axis in (2, 1, 0):
         step = v.shape.offsets([axis])
         base = v.shape.offsets([i for i in range(3) if i != axis])
         for m, l in product(step, repeat=2):
-            row = [zero] * size
+            row = [0] * (e * size)
             for o in base:
-                row[o + l] = coeffs[o + m]
-            rows.append(row)
-    return ExactMatrix.from_rows(v.field, rows)
+                row[e * (o + l) : e * (o + l + 1)] = image[e * (o + m) : e * (o + m + 1)]
+            out += row
+    return ExactMatrix.of_image(v.field, len(out) // (e * size), size, out, v.den)
 
 
 def triple_kernel_dim(v: Tensor, rows: list[list[int]]) -> int:
@@ -226,14 +225,13 @@ def general_form_decomposition(
     leaves D times those rows; over Q(i), x / D is x conj(D) / |D|^2.
     """
     m = flatten(v, spec)
-    image = [to_image(v.field, row)[0] for row in m.row_lists()]
+    image = m.image_rows()
     pivots = eliminate(v.field, image, m.cols, jordan=True)
     if not pivots:
         return []
-    e = len(image[0]) // m.cols  # integers per entry: 2 over Q(i), else 1
+    e, entries = v.field.width, m.entries
     d, rows = image[0][e * pivots[0] : e * pivots[0] + e], image[: len(pivots)]
     if e == 2:
         rows = [scaled(row, [d[0], -d[1]]) for row in rows]
     den = d[0] if e == 1 else d[0] * d[0] + d[1] * d[1]
-    return [([m.entries[i * m.cols + p] for i in range(m.rows)], from_image(v.field, row, den))
-            for p, row in zip(pivots, rows)]
+    return [(entries[p :: m.cols], from_image(v.field, row, den)) for p, row in zip(pivots, rows)]

@@ -6,9 +6,9 @@ image is its residues over GF(p) and its numerators over one common
 denominator over Q; over Q(i) it is Gaussian integers over one common
 denominator, the entry a + bi stored as the two integers a, b.
 `to_image` and `from_image` are the one way between values and image,
-each with one branch per field; a tensor holds its image in lowest
-terms, and a matrix is eliminated on the images of its rows, each over
-its own denominator.  `eliminate` finds pivots by fraction-free Bareiss
+each with one branch per field.  A tensor and a matrix hold their image
+in lowest terms (`lowest_terms`), and a matrix is eliminated on the rows
+of the image it holds.  `eliminate` finds pivots by fraction-free Bareiss
 elimination over Z for Q and over the Gaussian integers Z[i] for Q(i),
 and on residues over GF(p); there are no tolerances, and the pivot is
 the first nonzero entry in column order.
@@ -19,7 +19,7 @@ against the oracle in the tests, not assumed.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from operator import mul
 from typing import Sequence
 
@@ -36,52 +36,56 @@ MAX_IMAGE_BITS = 2**28
 
 
 class ExactMatrix:
-    """A rows x cols matrix of scalars drawn from one exact field."""
+    """A rows x cols matrix over one exact field, held as the image of its
+    entries row by row in lowest terms, as a `Tensor` holds its coefficients."""
 
-    __slots__ = ("field", "rows", "cols", "entries", "_pivots")
+    __slots__ = ("field", "rows", "cols", "image", "den", "_pivots")
 
-    def __init__(self, field: Field, rows: int, cols: int, entries: Sequence):
+    def __init__(self, field: Field, rows: int, cols: int, values: Sequence):
         if rows < 0 or cols < 0:
             raise ValueError("matrix dimensions must be non-negative")
-        if len(entries) != rows * cols:
-            raise ValueError(
-                f"expected {rows * cols} entries for {rows}x{cols}, got {len(entries)}"
-            )
-        self.field = field
-        self.rows = rows
-        self.cols = cols
-        self.entries = [field.coerce(x) for x in entries]
+        if len(values) != rows * cols:
+            raise ValueError(f"expected {rows * cols} entries for {rows}x{cols}, got {len(values)}")
+        # `to_image` of field values is in lowest terms already
+        image, den = to_image(field, [field.coerce(x) for x in values])
+        self.field, self.rows, self.cols, self.image, self.den = field, rows, cols, tuple(image), den
         self._pivots = None
 
     @classmethod
-    def from_rows(cls, field: Field, rows: Sequence[Sequence]) -> "ExactMatrix":
-        nr = len(rows)
-        nc = len(rows[0]) if nr else 0
-        flat = []
-        for row in rows:
-            if len(row) != nc:
-                raise ValueError("ragged rows")
-            flat.extend(row)
-        return cls(field, nr, nc, flat)
+    def of_image(cls, field: Field, rows: int, cols: int, image: Sequence[int],
+                 den: int = 1) -> "ExactMatrix":
+        """The matrix whose entries, row by row, have the image `image` over `den > 0`."""
+        m = cls.__new__(cls)
+        m.field, m.rows, m.cols, m._pivots = field, rows, cols, None
+        m.image, m.den = lowest_terms(field, image, den)
+        return m
+
+    @property
+    def entries(self) -> list:
+        """The entries as field values, row by row, converted from the image on each call."""
+        return from_image(self.field, self.image, self.den)
 
     def __getitem__(self, key):
         i, j = key
-        return self.entries[i * self.cols + j]
+        if not (0 <= i < self.rows and 0 <= j < self.cols):
+            raise IndexError(f"index {key} out of range for {self.rows}x{self.cols}")
+        e = self.field.width
+        k = e * (i * self.cols + j)
+        return from_image(self.field, self.image[k : k + e], self.den)[0]
 
     def row(self, i: int) -> list:
-        return self.entries[i * self.cols : (i + 1) * self.cols]
+        """Row i as field values; only its own entries are converted."""
+        w = self.field.width * self.cols
+        return from_image(self.field, self.image[w * i : w * (i + 1)], self.den)
 
-    def row_lists(self) -> list[list]:
-        return [self.row(i) for i in range(self.rows)]
+    def image_rows(self) -> list[list[int]]:
+        """The image row by row, as fresh lists that elimination may overwrite."""
+        w = self.field.width * self.cols
+        return [list(self.image[w * i : w * (i + 1)]) for i in range(self.rows)]
 
     def __eq__(self, other):
-        return (
-            isinstance(other, ExactMatrix)
-            and self.field == other.field
-            and self.rows == other.rows
-            and self.cols == other.cols
-            and self.entries == other.entries
-        )
+        return isinstance(other, ExactMatrix) and all(
+            getattr(self, a) == getattr(other, a) for a in ("field", "rows", "cols", "den", "image"))
 
     def __repr__(self):
         body = "; ".join(
@@ -93,13 +97,12 @@ class ExactMatrix:
 
     def pivots(self) -> list[int]:
         """The pivot columns of the reduced row echelon form, by integer
-        elimination on the first call.
+        elimination of the image on the first call.
 
-        Entries are never mutated, so the pivot list is kept for later calls.
+        The image is never mutated, so the pivot list is kept for later calls.
         """
         if self._pivots is None:
-            image = [to_image(self.field, row)[0] for row in self.row_lists()]
-            self._pivots = eliminate(self.field, image, self.cols)
+            self._pivots = eliminate(self.field, self.image_rows(), self.cols)
         return list(self._pivots)
 
     def rank(self) -> int:
@@ -135,17 +138,27 @@ def from_image(field: Field, image: list[int], den: int) -> list:
             for a, b in zip(image[::2], image[1::2])]
 
 
-def action_rows(image: list[int], d: int) -> list[list[int]]:
-    """The integer rows through which a d x d matrix acts on images.
+def lowest_terms(field: Field, image: Sequence[int], den: int = 1) -> tuple[tuple[int, ...], int]:
+    """The image `image` over `den > 0` in lowest terms: residues over 1 over
+    GF(p), else integers over a den sharing no prime with all of them."""
+    if isinstance(field, PrimeField):
+        inv = pow(den, -1, field.p)
+        image, den = [x * inv % field.p for x in image], 1
+    elif den > 1 and (g := gcd(den, *image)) > 1:
+        image, den = [x // g for x in image], den // g
+    # tuple() of a list allocates the exact size once, keeping the heap compact
+    return tuple(image), den
 
-    `image` is the matrix's image, row by row.  Over Q(i) (two integers
+
+def action_rows(rows: list[list[int]]) -> list[list[int]]:
+    """The integer rows through which a square matrix acts on images.
+
+    `rows` are the rows of the matrix's image.  Over Q(i) (two integers
     an entry) row i gives two rows, the real and the imaginary part of
     the product: an entry p + qi acts on an entry's pair as the block
     [[p, -q], [q, p]].
     """
-    w = len(image) // d
-    rows = [image[w * i : w * (i + 1)] for i in range(d)]
-    if w == d:
+    if len(rows[0]) == len(rows):
         return rows
     return [g for row in rows for g in gaussian_rows(zip(row[::2], row[1::2]))]
 
@@ -161,7 +174,7 @@ def gaussian_rows(pairs) -> tuple[list[int], list[int]]:
 
 def scaled(image: list[int], s: list[int]) -> list[int]:
     """`image` with every entry multiplied by the one whose image is `s`."""
-    e, rows = len(s), action_rows(s, 1)
+    e, rows = len(s), action_rows([s])
     return [sum(map(mul, row, image[k : k + e])) for k in range(0, len(image), e) for row in rows]
 
 

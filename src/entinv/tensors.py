@@ -12,19 +12,20 @@ standard basis.  `apply_local` is the one local action: it moves
 a state into other bases or along a local orbit.  A tensor holds the
 integer image of its coefficients (see :mod:`~entinv.linalg`), which
 every computation reads and returns; `coeffs` converts it to field values
-where a tensor is printed or flattened.  Local maps hold values.
+where a tensor is printed.  A flattening and a local map hold their
+image too: `flatten` slices the tensor's, and a map acts with its own.
 """
 
 from __future__ import annotations
 
 import random
 from itertools import product
-from math import gcd, prod
+from math import prod
 from operator import mul
 from typing import Sequence
 
-from .fields import QQ, Field, PrimeField
-from .linalg import ExactMatrix, action_rows, from_image, scaled, to_image
+from .fields import QQ, Field
+from .linalg import ExactMatrix, action_rows, from_image, lowest_terms, scaled, to_image
 
 
 class ShapeError(ValueError):
@@ -152,16 +153,10 @@ class Tensor:
 
     @classmethod
     def of_image(cls, field: Field, shape: Shape, image: Sequence[int], den: int = 1) -> "Tensor":
-        """The tensor whose coefficients have the image `image` over `den > 0`, in lowest
-        terms: residues over 1, or integers over a den sharing no prime with all of them."""
+        """The tensor whose coefficients have the image `image` over `den > 0`."""
         v = cls.__new__(cls)
-        if isinstance(field, PrimeField):
-            inv = pow(den, -1, field.p)
-            image, den = [x * inv % field.p for x in image], 1
-        elif den > 1 and (g := gcd(den, *image)) > 1:
-            image, den = [x // g for x in image], den // g
-        # tuple() of a list allocates the exact size once, keeping the heap compact
-        v.field, v.shape, v.image, v.den = field, shape, tuple(image), den
+        v.field, v.shape = field, shape
+        v.image, v.den = lowest_terms(field, image, den)
         return v
 
     @property
@@ -174,7 +169,9 @@ class Tensor:
         return tuple(from_image(self.field, self.image, self.den))
 
     def __getitem__(self, index) -> object:
-        return self.coeffs[self.shape.offset(index)]
+        e = self.field.width
+        k = e * self.shape.offset(index)
+        return from_image(self.field, self.image[k : k + e], self.den)[0]
 
     def scale(self, scalar) -> "Tensor":
         """This tensor times a scalar: the scalar's image multiplies every entry of its image."""
@@ -208,9 +205,9 @@ def flatten(v: Tensor, spec: FlatteningSpec) -> ExactMatrix:
         raise ShapeError(f"spec for n={spec.n} applied to n={v.n} tensor")
     nrows = prod(v.shape.dims[i - 1] for i in spec.row_factors)
     axes = [i - 1 for i in spec.row_factors + spec.col_factors]
-    coeffs = v.coeffs
-    entries = [coeffs[o] for o in v.shape.offsets(axes)]
-    return ExactMatrix(v.field, nrows, v.shape.size // nrows, entries)
+    e, image = v.field.width, v.image
+    entries = [image[e * o + u] for o in v.shape.offsets(axes) for u in range(e)]
+    return ExactMatrix.of_image(v.field, nrows, v.shape.size // nrows, entries, v.den)
 
 
 def from_terms(shape: Shape, terms: Sequence[Sequence[int]], field: Field = QQ) -> Tensor:
@@ -236,8 +233,8 @@ def apply_local(v: Tensor, maps: Sequence[ExactMatrix]) -> Tensor:
 
     Coefficients transform as v'[a1', ..., an'] =
     sum A1[a1', a1] ... An[an', an] v[a1, ..., an].  Every map is checked
-    before any arithmetic; then v and each map are imaged once, the maps
-    act on v's image, and the denominators multiply.
+    before any arithmetic; then each map's image acts on v's image, and
+    the denominators multiply.
     """
     if len(maps) != v.n:
         raise ShapeError(f"need {v.n} local maps, got {len(maps)}")
@@ -251,9 +248,8 @@ def apply_local(v: Tensor, maps: Sequence[ExactMatrix]) -> Tensor:
             raise BasisError(f"local map for factor {i + 1} is singular")
     x, den = v.image, v.den
     for axis, a in enumerate(maps):
-        image, d = to_image(v.field, a.entries)
-        x = _mode_apply(x, v.shape, axis, action_rows(image, a.rows))
-        den *= d
+        x = _mode_apply(x, v.shape, axis, action_rows(a.image_rows()))
+        den *= a.den
     return Tensor.of_image(v.field, v.shape, x, den)
 
 

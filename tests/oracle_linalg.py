@@ -41,7 +41,7 @@ class Ring:
 
     def rows(self, m):
         """The rows of an `ExactMatrix`, or of a list of rows, lifted."""
-        rows = m.row_lists() if hasattr(m, "row_lists") else m
+        rows = [m.row(i) for i in range(m.rows)] if hasattr(m, "row") else m
         return [[self.lift(x) for x in row] for row in rows]
 
     def add(self, a, b):

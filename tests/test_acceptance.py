@@ -7,6 +7,7 @@ histogram.
 """
 
 import oracle_222
+from elements import from_rows, zero
 
 from entinv.fields import QQ
 from entinv.invariants import general_form_decomposition, kernel_dim, signature
@@ -137,7 +138,6 @@ def test_a6_invariance_properties():
 
 
 def test_a7_decomposition_contract():
-    from entinv.linalg import ExactMatrix
     from entinv.tensors import flatten
 
     shapes = [Shape((2, b, d)) for b in (2, 3) for d in range(2, 9)]
@@ -152,7 +152,7 @@ def test_a7_decomposition_contract():
                 dim_w = shape.dims[factor - 1]
                 expected = dim_w - kernel_dim(v, spec)
                 target = flatten(v, spec)
-                recon = [QQ.zero] * (target.rows * target.cols)
+                recon = [zero(QQ)] * (target.rows * target.cols)
                 for w, wp in pairs:
                     for r in range(target.rows):
                         if w[r]:
@@ -160,8 +160,8 @@ def test_a7_decomposition_contract():
                                 recon[r * target.cols + c] += w[r] * wp[c]
                 ok = len(pairs) == expected and recon == target.entries
                 if ok and pairs:
-                    left = ExactMatrix.from_rows(QQ, [w for w, _ in pairs])
-                    right = ExactMatrix.from_rows(QQ, [wp for _, wp in pairs])
+                    left = from_rows(QQ, [w for w, _ in pairs])
+                    right = from_rows(QQ, [wp for _, wp in pairs])
                     ok = left.rank() == len(pairs) and right.rank() == len(pairs)
                 if not ok:
                     bad.append((shape.dims, entry.label, factor))

@@ -1,8 +1,9 @@
 """Every public name is used by the package itself or documented in the README.
 
 A name that only tests call is dead weight in the library: the test keeps
-it alive but no user path runs it.  And no module imports sympy or numpy:
-neither is a declared dependency, even where both are installed.
+it alive but no user path runs it.  README's `## Library` block runs and
+gives the values its comments state.  And no module imports sympy or
+numpy: neither is a declared dependency, even where both are installed.
 """
 
 import ast
@@ -33,11 +34,17 @@ def _public_names():
 
 
 def _unused_names(source_lines, readme):
+    """Public names that no source line uses and the README does not name.
+
+    A class member is used in the source only through attribute access
+    (`.name`): the bare word may be a local variable or another function.
+    """
     unused = []
     for qualified, name in _public_names():
         word = re.compile(rf"\b{re.escape(name)}\b")
+        use = re.compile(rf"\.{re.escape(name)}\b") if "." in qualified else word
         own_line = re.compile(rf"^\s*(?:def|class)\s+{re.escape(name)}\b")
-        used = any(word.search(line) and not own_line.match(line) for line in source_lines)
+        used = any(use.search(line) and not own_line.match(line) for line in source_lines)
         if not used and not word.search(readme):
             unused.append(qualified)
     return unused
@@ -53,6 +60,16 @@ def test_no_public_name_only_tests_call():
     ]
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
     assert _unused_names(source_lines, readme) == []
+
+
+def test_readme_library_block_gives_the_values_it_states():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"^## Library\n\n```python\n(.*?)^```$", readme, re.S | re.M).group(1)
+    assert "# (0,0,0;2,2,2;0)" in block and "# 'C6'" in block
+    names = {}
+    exec(block, names)
+    assert str(names["sig"]) == "(0,0,0;2,2,2;0)"
+    assert names["classify"](names["ghz"]) == "C6"
 
 
 _UNDECLARED = {"sympy", "numpy"}

@@ -23,7 +23,6 @@ from pathlib import Path
 from entinv.cli import main
 from entinv.documents import emit_document
 from entinv.fields import QQI, GaussianRational
-from entinv.linalg import ExactMatrix
 from entinv.suites import suite_local_invariance
 from entinv.tensors import (
     FlatteningSpec,
@@ -34,6 +33,7 @@ from entinv.tensors import (
     random_invertible,
     random_tensor,
 )
+from elements import from_rows
 
 SPANS_PY = Path(__file__).resolve().parent.parent / "bench" / "spans.py"
 
@@ -106,8 +106,7 @@ def test_gaussian_234_class_state_ranks_on_both_layers(monkeypatch, capsys):
     i = GaussianRational(0, 1)
     shape = Shape((2, 3, 4))
     bases = [
-        ExactMatrix.from_rows(QQI, [[i if c > r else int(r == c) for c in range(d)]
-                                    for r in range(d)])
+        from_rows(QQI, [[i if c > r else int(r == c) for c in range(d)] for r in range(d)])
         for d in shape.dims
     ]
     v = apply_local(from_terms(shape, [(1, 1, 1), (1, 2, 2), (2, 1, 2)], field=QQI), bases)

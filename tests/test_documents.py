@@ -18,6 +18,7 @@ from entinv.fields import GF, QQ, QQI, field_from_descriptor
 from entinv.invariants import signature
 from entinv.tables import ClassificationGapError
 from entinv.tensors import Shape, Tensor, from_terms, random_tensor
+from elements import parse, zero
 
 
 def test_dense_round_trip():
@@ -76,7 +77,7 @@ def test_sparse_defaults_to_zero():
         "entries": [{"index": [1, 1, 1], "value": "4"}],
     }
     v = parse_document(json.dumps(doc))
-    assert v.coeffs[7] == QQ.parse("4")
+    assert v.coeffs[7] == parse(QQ, "4")
     assert sum(1 for c in v.coeffs if c) == 1
 
 
@@ -190,7 +191,7 @@ def test_many_denominators_within_the_image_cap_are_read_exactly():
         entries = [f"{(-1) ** k}/{k}{im}" for k in range(1, 25)]
         v = parse_document(json.dumps({"field": field.descriptor, "dims": [2, 3, 4],
                                        "entries": entries}))
-        want = Tensor(field, v.shape, [field.parse(s) for s in entries])
+        want = Tensor(field, v.shape, [parse(field, s) for s in entries])
         assert v == want and v.den == 5354228880
         assert signature(v) == signature(want)
 
@@ -355,14 +356,14 @@ def _oracle_document(draw):
 
 
 def _element_route(doc) -> Tensor:
-    """The reference: `field.parse` on each scalar, then `Tensor` on the values."""
+    """The reference: `parse` on each scalar, then `Tensor` on the values."""
     field, shape = field_from_descriptor(doc["field"]), Shape(doc["dims"])
-    values = [field.zero] * shape.size
+    values = [zero(field)] * shape.size
     for pos, entry in enumerate(doc["entries"]):
         if isinstance(entry, str):
-            values[pos] = field.parse(entry)
+            values[pos] = parse(field, entry)
         else:
-            values[shape.offset(entry["index"])] = field.parse(entry["value"])
+            values[shape.offset(entry["index"])] = parse(field, entry["value"])
     return Tensor(field, shape, values)
 
 

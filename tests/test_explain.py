@@ -7,6 +7,7 @@ from entinv.fields import GF, QQ
 from entinv.invariants import signature
 from entinv.tables import ClassificationGapError, classify
 from entinv.tensors import ArityError, Shape, Tensor, from_terms
+from elements import parse
 
 S222 = Shape((2, 2, 2))
 
@@ -65,7 +66,7 @@ def test_equations_substitute_coefficients():
     # K1 rows are indexed by (j,k); the (1,1) row reads v111*w1 + v211*w2 = 0
     assert k1["equations"][0] == "w1 = 0"
     assert k1["equations"][3] == "w2 = 0"
-    scaled = explain_three_qubit(v.scale(QQ.parse("3/2")))
+    scaled = explain_three_qubit(v.scale(parse(QQ, "3/2")))
     assert scaled["systems"][0]["equations"][0] == "3/2*w1 = 0"
 
 

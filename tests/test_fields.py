@@ -15,30 +15,31 @@ from entinv.fields import (
 )
 from entinv.linalg import ExactMatrix
 from entinv.tensors import Shape, Tensor
+from elements import parse
 from oracle_linalg import ring
 
 
 class TestRational:
     def test_parse_forms(self):
-        assert QQ.parse("3") == Fraction(3)
-        assert QQ.parse("-3") == Fraction(-3)
-        assert QQ.parse("+5/7") == Fraction(5, 7)
-        assert QQ.parse("6/4") == Fraction(3, 2)
-        assert QQ.parse(" -6/4 ") == Fraction(-3, 2)
+        assert parse(QQ, "3") == Fraction(3)
+        assert parse(QQ, "-3") == Fraction(-3)
+        assert parse(QQ, "+5/7") == Fraction(5, 7)
+        assert parse(QQ, "6/4") == Fraction(3, 2)
+        assert parse(QQ, " -6/4 ") == Fraction(-3, 2)
 
     @pytest.mark.parametrize("bad", ["1.5", "1e3", "", "+-2", "1/0", "nan", "0x3", "1/2/3"])
     def test_parse_rejects(self, bad):
         with pytest.raises(ValueError):
-            QQ.parse(bad)
+            parse(QQ, bad)
 
     def test_normalized(self):
-        x = QQ.parse("-6/4")
+        x = parse(QQ, "-6/4")
         assert x.numerator == -3 and x.denominator == 2
 
     @given(st.integers(-50, 50), st.integers(1, 50))
     def test_format_parse_round_trip(self, n, d):
         x = Fraction(n, d)
-        assert QQ.parse(QQ.format(x)) == x
+        assert parse(QQ, QQ.format(x)) == x
 
 
 class TestPrimeField:
@@ -81,9 +82,9 @@ class TestPrimeField:
 
     def test_parse_reduces_fractions(self):
         F = GF(7)
-        assert F.parse("1/2").value == 4  # 2 * 4 = 8 = 1 mod 7
+        assert parse(F, "1/2").value == 4  # 2 * 4 = 8 = 1 mod 7
         with pytest.raises(ValueError):
-            F.parse("1/7")
+            parse(F, "1/7")
 
 
 small_rationals = st.fractions(
@@ -93,20 +94,20 @@ small_rationals = st.fractions(
 
 class TestGaussianRational:
     def test_parse_forms(self):
-        assert QQI.parse("3/4+1/2i") == GaussianRational(Fraction(3, 4), Fraction(1, 2))
-        assert QQI.parse("3/4 + 1/2 i") == GaussianRational(Fraction(3, 4), Fraction(1, 2))
-        assert QQI.parse("-1/2-3/4i") == GaussianRational(Fraction(-1, 2), Fraction(-3, 4))
-        assert QQI.parse("2i") == GaussianRational(0, 2)
-        assert QQI.parse("-2i") == GaussianRational(0, -2)
-        assert QQI.parse("5") == GaussianRational(5, 0)
+        assert parse(QQI, "3/4+1/2i") == GaussianRational(Fraction(3, 4), Fraction(1, 2))
+        assert parse(QQI, "3/4 + 1/2 i") == GaussianRational(Fraction(3, 4), Fraction(1, 2))
+        assert parse(QQI, "-1/2-3/4i") == GaussianRational(Fraction(-1, 2), Fraction(-3, 4))
+        assert parse(QQI, "2i") == GaussianRational(0, 2)
+        assert parse(QQI, "-2i") == GaussianRational(0, -2)
+        assert parse(QQI, "5") == GaussianRational(5, 0)
         for text in ("3/4+1/2i", "2i", "5"):
-            z = QQI.parse(text)
+            z = parse(QQI, text)
             assert isinstance(z.re, Fraction) and isinstance(z.im, Fraction)
 
     @pytest.mark.parametrize("bad", ["i", "+i", "1.5i", "1+i+i", "2j", ""])
     def test_parse_rejects(self, bad):
         with pytest.raises(ValueError):
-            QQI.parse(bad)
+            parse(QQI, bad)
 
     # the arithmetic laws are those of the test oracle, on lifted elements
     @given(small_rationals, small_rationals, small_rationals, small_rationals)
@@ -127,13 +128,13 @@ class TestGaussianRational:
 
     def test_i_squared(self):
         R = ring(QQI)
-        i = R.lift(QQI.parse("1i"))
+        i = R.lift(parse(QQI, "1i"))
         assert R.mul(i, i) == R.lift(QQI.coerce(-1))
 
     @given(small_rationals, small_rationals)
     def test_format_parse_round_trip(self, a, b):
         x = GaussianRational(a, b)
-        assert QQI.parse(QQI.format(x)) == x
+        assert parse(QQI, QQI.format(x)) == x
 
     def test_mismatch_with_gf(self):
         with pytest.raises(FieldMismatchError):
@@ -207,13 +208,13 @@ class TestEquality:
         x = GF(7).coerce(3)
         assert x != 3 and x != 10 and 3 not in {x} and x not in {3, 10}
         assert QQI.coerce(3) != 3 and QQI.coerce(3) not in {3}
-        assert x == GF(7).coerce(10) == GF(7).parse("10") and GF(7).coerce(10) in {x}
+        assert x == GF(7).coerce(10) == parse(GF(7), "10") and GF(7).coerce(10) in {x}
         assert x != GF(5).coerce(3) and QQI.coerce(3) == GaussianRational(3, 0)
 
     def test_coerce_reduces_a_residue(self):
         assert GF(7).coerce(GFElement(10, 7)) == GFElement(3, 7)
         assert GF(7).coerce(GFElement(-1, 7)) == GFElement(6, 7)
-        assert GF(7).parse("-1/2") == GFElement(3, 7)
+        assert parse(GF(7), "-1/2") == GFElement(3, 7)
 
     @pytest.mark.parametrize("z", [
         GaussianRational(0.1, 0),
@@ -249,22 +250,22 @@ class TestGrammar:
     ])
     def test_outside_the_grammar_refused(self, field, bad):
         with pytest.raises(ValueError):
-            field.parse(bad)
+            parse(field, bad)
         with pytest.raises(ValueError):
             field.parse_image(bad)
 
     @pytest.mark.parametrize("bad", ["1 2i", "1+2 3i", "٣i", "1+２i", "3/4 1/2i", "1 +i", "i 2"])
     def test_gaussian_split_integers_refused(self, bad):
         with pytest.raises(ValueError):
-            QQI.parse(bad)
+            parse(QQI, bad)
 
     @pytest.mark.parametrize("text,value", [
         (" 3/4 ", Fraction(3, 4)), ("3 / 4", Fraction(3, 4)), ("- 3", Fraction(-3)),
         ("+ 5 /7", Fraction(5, 7)), ("\t-6/4\n", Fraction(-3, 2)),
     ])
     def test_spaces_around_signs_and_slashes(self, text, value):
-        assert QQ.parse(text) == value
-        assert QQI.parse(text) == GaussianRational(value, Fraction(0))
+        assert parse(QQ, text) == value
+        assert parse(QQI, text) == GaussianRational(value, Fraction(0))
 
     @pytest.mark.parametrize("text,re,im", [
         ("3/4 + 1/2 i", Fraction(3, 4), Fraction(1, 2)),
@@ -272,7 +273,7 @@ class TestGrammar:
         ("2 i", 0, 2), ("- 2i", 0, -2), ("+ 1/3 i", 0, Fraction(1, 3)), ("0/5i", 0, 0),
     ])
     def test_gaussian_spaces(self, text, re, im):
-        assert QQI.parse(text) == GaussianRational(Fraction(re), Fraction(im))
+        assert parse(QQI, text) == GaussianRational(Fraction(re), Fraction(im))
 
     @pytest.mark.parametrize("bad", ["gf(１０１)", "gf(٣)", "gf(10 1)", "gf(+7)"])
     def test_descriptor_digits_are_ascii(self, bad):
@@ -283,11 +284,11 @@ class TestGrammar:
     def test_gf_reduced_denominator_decides(self):
         # a/b is read in lowest terms before p is looked for in b
         F = GF(101)
-        assert F.parse("101/101").value == 1
-        assert F.parse("202/101").value == 2
-        assert F.parse("0/101").value == 0
-        assert F.parse("-303/202").value == F.parse("-3/2").value
+        assert parse(F, "101/101").value == 1
+        assert parse(F, "202/101").value == 2
+        assert parse(F, "0/101").value == 0
+        assert parse(F, "-303/202").value == parse(F, "-3/2").value
         with pytest.raises(ValueError):
-            F.parse("5/101")
+            parse(F, "5/101")
         with pytest.raises(ValueError):
-            F.parse("0/0")
+            parse(F, "0/0")

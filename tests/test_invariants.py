@@ -25,6 +25,7 @@ from entinv.tensors import (
     random_invertible,
     random_tensor,
 )
+from elements import from_rows, parse, zero
 from oracle_linalg import ring, rref_of
 
 S222 = Shape((2, 2, 2))
@@ -63,7 +64,7 @@ class TestTripleConstraintMatrix:
     def test_zero_tensor_gives_zero_matrix(self):
         v = from_terms(S222, [], field=QQ)
         m = triple_constraint_matrix(v)
-        assert all(x == QQ.zero for x in m.entries)
+        assert all(x == zero(QQ) for x in m.entries)
         assert triple_kernel_dim(v, _concise_rows(v)) == 8
 
     def test_product_state_forces_four_coordinates(self):
@@ -212,7 +213,7 @@ class TestTripleKernelDim:
         field = field_from_descriptor(descriptor)
         d12, r = dims[0] * dims[1], len(slices)
         v = Tensor(field, Shape((*dims, r)), [
-            field.parse(slices[m][q]) for q in range(d12) for m in range(r)
+            parse(field, slices[m][q]) for q in range(d12) for m in range(r)
         ])
         assert _slices(v) == list(range(r))
         assert triple_kernel_dim(v, _concise_rows(v)) == _stacked_k123(v)
@@ -428,7 +429,7 @@ def _six_rank_signature(v):
 
 
 def _expand(pairs, nrows, ncols):
-    out = [QQ.zero] * (nrows * ncols)
+    out = [zero(QQ)] * (nrows * ncols)
     for w, wp in pairs:
         for r in range(nrows):
             for c in range(ncols):
@@ -452,8 +453,8 @@ class TestDecomposition:
         spec = FlatteningSpec((1,), 3)
         pairs = general_form_decomposition(GHZ, spec)
         assert len(pairs) == 2
-        assert ExactMatrix.from_rows(QQ, [w for w, _ in pairs]).rank() == 2
-        assert ExactMatrix.from_rows(QQ, [wp for _, wp in pairs]).rank() == 2
+        assert from_rows(QQ, [w for w, _ in pairs]).rank() == 2
+        assert from_rows(QQ, [wp for _, wp in pairs]).rank() == 2
 
     @pytest.mark.parametrize("dims", [(2, 3), (2, 2, 2), (2, 3, 4)])
     def test_reconstruction_oracle_on_random_tensors(self, dims):
@@ -507,7 +508,7 @@ class TestDecomposition:
             pairs = general_form_decomposition(v, spec)
             if not pairs:
                 continue
-            left = ExactMatrix.from_rows(QQ, [w for w, _ in pairs])
-            right = ExactMatrix.from_rows(QQ, [wp for _, wp in pairs])
+            left = from_rows(QQ, [w for w, _ in pairs])
+            right = from_rows(QQ, [wp for _, wp in pairs])
             assert left.rank() == len(pairs)
             assert right.rank() == len(pairs)
