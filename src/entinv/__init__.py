@@ -23,7 +23,6 @@ from .linalg import ExactMatrix, InternalConsistencyError
 from .tensors import (
     ArityError,
     BasisError,
-    FlatteningSpec,
     Shape,
     ShapeError,
     Tensor,
@@ -63,7 +62,7 @@ __all__ = [
     "GaussianRationalField", "GFElement", "PrimeField", "RationalField",
     "field_from_descriptor",
     "ExactMatrix", "InternalConsistencyError",
-    "ArityError", "BasisError", "FlatteningSpec", "Shape", "ShapeError", "Tensor",
+    "ArityError", "BasisError", "Shape", "ShapeError", "Tensor",
     "apply_local", "flatten", "from_terms",
     "random_invertible", "random_tensor",
     "InvariantSignature", "general_form_decomposition", "kernel_dim",

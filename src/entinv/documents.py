@@ -12,10 +12,10 @@ Scalars are exact strings ("a", "a/b", "a/b+c/di") in the one ASCII
 grammar of :mod:`~entinv.fields`; anything that smells of floating point
 is rejected.  Each scalar is read straight into integers
 (`Field.parse_image`), which the tensor holds over one common
-denominator, refused past `linalg.MAX_IMAGE_BITS`; no field element is
-built.  Unknown keys are rejected so that typos fail loudly instead of
-being ignored.  `admit` bounds what a state may cost before any of its
-coefficients is allocated.
+denominator, refused past `linalg.MAX_IMAGE_BITS` as the scalars are
+read; no field element is built.  Unknown keys are rejected so that
+typos fail loudly instead of being ignored.  `admit` bounds what a state
+may cost before any of its coefficients is allocated.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from __future__ import annotations
 import json
 
 from .fields import Field, field_from_descriptor
-from .linalg import cleared
+from .linalg import CHUNK, capped, cleared
 from .tensors import Shape, ShapeError, Tensor
 
 
@@ -116,8 +116,9 @@ def parse_document(text: str, source: str = "<input>") -> Tensor:
             f"{source}: dense entries need {shape.size} scalars for dims {shape.dims}, "
             f"got {len(entries)}"
         )
-    # the flat pairs n, d of each scalar's `parse_image`, at its offset
-    e, parse, seen = 2 * field.width, field.parse_image, set()
+    # the flat pairs n, d of each scalar's `parse_image`, at its offset; the
+    # denominators are `capped` as each CHUNK of them is read
+    e, parse, seen, den, dens = 2 * field.width, field.parse_image, set(), 1, []
     pairs = [0, 1] * (field.width * shape.size)
     for pos, item in enumerate(entries):
         if dense:
@@ -146,9 +147,15 @@ def parse_document(text: str, source: str = "<input>") -> Tensor:
             if not isinstance(value, str):
                 raise DocumentError(f"{at}'value' must be a scalar string")
         try:
-            pairs[e * off : e * off + e] = parse(value)
+            pairs[e * off : e * off + e] = got = parse(value)
         except ValueError as exc:
             raise DocumentError(f"{source}: entries[{pos}]: {exc}") from exc
+        dens += got[1::2]
+        if len(dens) == CHUNK:
+            try:
+                den, dens = capped(len(pairs) // 2, den, dens), []
+            except ValueError as exc:
+                raise DocumentError(f"{source}: {exc}") from exc
     try:
         image, den = cleared(pairs)
     except ValueError as exc:

@@ -10,9 +10,9 @@ from __future__ import annotations
 
 from itertools import product
 
-from .invariants import signature, triple_constraint_matrix
+from .invariants import KERNELS, signature, triple_constraint_matrix
 from .tables import table_for
-from .tensors import ArityError, FlatteningSpec, Tensor, flatten
+from .tensors import ArityError, Tensor, flatten
 
 
 # branch of the three-qubit case analysis that each (2,2,2) class falls in
@@ -64,11 +64,10 @@ def explain_three_qubit(v: Tensor) -> dict:
             coeff_names.append(f"{name}={v.field.format(c)}")
 
     systems = []
-    # the six kernels in the order `signature` reports them
-    for rows, dim in zip(((1,), (2,), (3,), (1, 2), (1, 3), (2, 3)), sig.singles + sig.pairs):
-        # the constraint system on w in the row-side space is the
-        # complementary flattening
-        constraints = flatten(v, FlatteningSpec(rows, 3).complement())
+    # the constraint system on w in the row-side space of a kernel is the
+    # complementary flattening
+    for rows, cols, dim in zip(KERNELS, KERNELS[::-1], sig.singles + sig.pairs):
+        constraints = flatten(v, cols)
         variables = _variables(rows)
         equations = [
             _equation(v.field, constraints.row(i), variables) for i in range(constraints.rows)

@@ -17,11 +17,15 @@ from dataclasses import dataclass
 from itertools import product
 from math import prod
 from operator import mul
-from typing import Optional
+from typing import Optional, Sequence
 
 from .linalg import (ExactMatrix, InternalConsistencyError, eliminate, from_image, gaussian_rows,
                      image_kernel, scaled)
-from .tensors import ArityError, FlatteningSpec, Tensor, flatten
+from .tensors import ArityError, Tensor, flatten
+
+
+# row factors of the six kernels in a signature's order; KERNELS[5 - k] is KERNELS[k]'s complement
+KERNELS = ((1,), (2,), (3,), (1, 2), (1, 3), (2, 3))
 
 
 @dataclass(frozen=True)
@@ -69,9 +73,9 @@ class InvariantSignature:
         return f"({singles};{pairs};{self.triple})"
 
 
-def kernel_dim(v: Tensor, spec: FlatteningSpec) -> int:
-    """Kernel dimension of the flattening against `spec` (dim W - rank)."""
-    m = flatten(v, spec)
+def kernel_dim(v: Tensor, rows: Sequence[int]) -> int:
+    """Kernel dimension of the flattening with the row factors `rows` (dim W - rank)."""
+    m = flatten(v, rows)
     return m.rows - m.rank()
 
 
@@ -194,8 +198,8 @@ def slow_route_fault(v: Tensor, sig: Optional[InvariantSignature] = None) -> str
     wrong, or "": first a single factor whose flattening and complement
     differ in rank, then, given `sig`, the first of its kernels that
     differs, with k123 from `triple_constraint_matrix`."""
-    names = [(1,), (2,), (3,), (1, 2), (1, 3), (2, 3)][: 2 if v.n == 2 else 6]
-    slow = [kernel_dim(v, FlatteningSpec(rows, v.n)) for rows in names]
+    names = list(KERNELS[: 2 if v.n == 2 else 6])
+    slow = [kernel_dim(v, rows) for rows in names]
     ranks = [prod(v.shape.dims[i - 1] for i in rows) - k for rows, k in zip(names, slow)]
     for axis, rank, dual in zip(range(1, len(names) // 2 + 1), ranks, ranks[::-1]):
         if rank != dual:
@@ -212,10 +216,8 @@ def slow_route_fault(v: Tensor, sig: Optional[InvariantSignature] = None) -> str
     return ""
 
 
-def general_form_decomposition(
-    v: Tensor, spec: FlatteningSpec
-) -> list[tuple[list, list]]:
-    """Rank factorization of a flattening as pairs (w_i, w'_i).
+def general_form_decomposition(v: Tensor, rows: Sequence[int]) -> list[tuple[list, list]]:
+    """Rank factorization of the flattening with row factors `rows`, as pairs (w_i, w'_i).
 
     Exactly dim W - k(v) pairs are returned, with {w_i} and {w'_i} each
     linearly independent and sum_i w_i x w'_i reproducing v.  Pivot
@@ -224,7 +226,7 @@ def general_form_decomposition(
     deterministic.  Gauss-Jordan elimination of the flattening's image
     leaves D times those rows; over Q(i), x / D is x conj(D) / |D|^2.
     """
-    m = flatten(v, spec)
+    m = flatten(v, rows)
     image = m.image_rows()
     pivots = eliminate(v.field, image, m.cols, jordan=True)
     if not pivots:

@@ -33,6 +33,8 @@ class InternalConsistencyError(RuntimeError):
 # the cap on bits times integers of an image over one denominator: 2**28
 # bits is 32 MiB, and lets a state of 2**20 rationals share a 256-bit one
 MAX_IMAGE_BITS = 2**28
+# the count of denominators read between two checks of that cap
+CHUNK = 4096
 
 
 class ExactMatrix:
@@ -215,17 +217,24 @@ def image_kernel(field: Field, image: list[list[int]], cols: int) -> list[list[i
     return basis
 
 
+def capped(count: int, den: int, dens: Sequence[int]) -> int:
+    """lcm(den, *dens) as the denominator of an image of `count` integers,
+    each about as large: refused by a ValueError once its bit length times
+    the count passes MAX_IMAGE_BITS."""
+    den = lcm(den, *dens)
+    if count * den.bit_length() > MAX_IMAGE_BITS:
+        raise ValueError(f"{count} integers over one denominator of {den.bit_length()}+ "
+                         f"bits pass the cap of {MAX_IMAGE_BITS} bits on an image")
+    return den
+
+
 def cleared(pairs: Sequence[int]) -> tuple[list[int], int]:
     """The integers n / d, given as the flat pairs n, d, ..., over their
-    least common denominator, and that denominator.  An image holds an
-    integer about as large as it for each n, so one whose bit length times
-    the count passes MAX_IMAGE_BITS is refused by a ValueError first."""
+    least common denominator, and that denominator, `capped` as each
+    CHUNK of the d is read."""
     count, den = len(pairs) // 2, 1
-    for k in range(0, 2 * count, 8192):
-        den = lcm(den, *pairs[k + 1 : k + 8192 : 2])
-        if count * den.bit_length() > MAX_IMAGE_BITS:
-            raise ValueError(f"{count} integers over one denominator of {den.bit_length()}+ "
-                             f"bits pass the cap of {MAX_IMAGE_BITS} bits on an image")
+    for k in range(1, 2 * count, 2 * CHUNK):
+        den = capped(count, den, pairs[k : k + 2 * CHUNK : 2])
     it = iter(pairs)
     # an integer already over den is kept, not copied
     return [n if d == den else n * (den // d) for n, d in zip(it, it)], den

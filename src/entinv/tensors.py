@@ -4,11 +4,11 @@ A tensor of shape (d1, ..., dn), n in {2, 3}, stores its coefficients
 row-major (last index fastest), and only `Shape` knows that layout: a
 flattening, a fiber of the local action and a block of the k123 system
 each read the coefficients through `Shape.offsets` of some axes.
-Flattening against an ordered bipartition of the factors produces an
-:class:`~entinv.linalg.ExactMatrix`; states are built either
-coefficient-by-coefficient or from bracket-notation term lists like
-[1,1,1]+[2,2,1] (1-based indices, converted at the boundary) in the
-standard basis.  `apply_local` is the one local action: it moves
+A flattening reads a tensor as an :class:`~entinv.linalg.ExactMatrix`
+whose rows are indexed by some of its factors, named 1-based; states are
+built either coefficient-by-coefficient or from bracket-notation term
+lists like [1,1,1]+[2,2,1] (1-based indices, converted at the boundary)
+in the standard basis.  `apply_local` is the one local action: it moves
 a state into other bases or along a local orbit.  A tensor holds the
 integer image of its coefficients (see :mod:`~entinv.linalg`), which
 every computation reads and returns; `coeffs` converts it to field values
@@ -29,7 +29,7 @@ from .linalg import ExactMatrix, action_rows, from_image, lowest_terms, scaled, 
 
 
 class ShapeError(ValueError):
-    """A shape, index, or flattening specification is inconsistent."""
+    """A shape, an index, or the row factors of a flattening are inconsistent."""
 
 
 class ArityError(ShapeError):
@@ -96,46 +96,6 @@ class Shape:
         return f"Shape{self.dims}"
 
 
-class FlatteningSpec:
-    """An ordered bipartition of factor positions (1-based, increasing).
-
-    `row_factors` index the side whose tensor product forms matrix rows;
-    the complementary factors form the columns.
-    """
-
-    __slots__ = ("n", "row_factors", "col_factors")
-
-    def __init__(self, row_factors: Sequence[int], n: int):
-        rows = tuple(sorted(set(int(i) for i in row_factors)))
-        if len(rows) != len(tuple(row_factors)):
-            raise ShapeError(f"duplicate factors in {tuple(row_factors)}")
-        if not rows:
-            raise ShapeError("row factor set must be nonempty")
-        if any(i < 1 or i > n for i in rows):
-            raise ShapeError(f"factor positions must lie in 1..{n}: {rows}")
-        if len(rows) == n:
-            raise ShapeError("row factor set must be a proper subset")
-        self.n = n
-        self.row_factors = rows
-        self.col_factors = tuple(i for i in range(1, n + 1) if i not in rows)
-
-    def complement(self) -> "FlatteningSpec":
-        return FlatteningSpec(self.col_factors, self.n)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, FlatteningSpec)
-            and self.n == other.n
-            and self.row_factors == other.row_factors
-        )
-
-    def __hash__(self):
-        return hash((self.n, self.row_factors))
-
-    def __repr__(self):
-        return f"FlatteningSpec(rows={self.row_factors}, n={self.n})"
-
-
 class Tensor:
     """Immutable dense tensor over one exact field, held as the image of its
     coefficients in lowest terms, so equal tensors have equal `image` and `den`."""
@@ -193,18 +153,21 @@ class Tensor:
         return f"Tensor({self.shape.dims} over {self.field.descriptor}: [{vals}])"
 
 
-def flatten(v: Tensor, spec: FlatteningSpec) -> ExactMatrix:
-    """Matrix of `v` against the given bipartition.
+def flatten(v: Tensor, rows: Sequence[int]) -> ExactMatrix:
+    """Matrix of `v` whose rows are indexed by the factors `rows` (1-based).
 
     Entry [r, c] is the coefficient of v at the multi-index merging the
     row-side and column-side indices; both sides are flattened row-major
-    in increasing factor order.  The complementary spec gives the
+    in increasing factor order.  The complementary factors give the
     transpose.
     """
-    if spec.n != v.n:
-        raise ShapeError(f"spec for n={spec.n} applied to n={v.n} tensor")
-    nrows = prod(v.shape.dims[i - 1] for i in spec.row_factors)
-    axes = [i - 1 for i in spec.row_factors + spec.col_factors]
+    if not (all(type(i) is int and 1 <= i <= v.n for i in rows)
+            and 0 < len(set(rows)) == len(rows) < v.n):
+        raise ShapeError(f"row factors must be distinct ints forming a nonempty proper "
+                         f"subset of 1..{v.n}, got {rows}")
+    axes = [i - 1 for i in range(1, v.n + 1) if i in rows]
+    nrows = prod(v.shape.dims[i] for i in axes)
+    axes += [i for i in range(v.n) if i not in axes]
     e, image = v.field.width, v.image
     entries = [image[e * o + u] for o in v.shape.offsets(axes) for u in range(e)]
     return ExactMatrix.of_image(v.field, nrows, v.shape.size // nrows, entries, v.den)
@@ -278,8 +241,8 @@ def random_tensor(shape: Shape, bound: int, seed: int, field: Field = QQ) -> Ten
 
 
 def random_invertible(d: int, bound: int, seed: int, field: Field = QQ) -> ExactMatrix:
-    """Deterministic invertible d x d matrix of entries drawn as `random_tensor`
-    draws them, by rejection sampling."""
+    """Deterministic invertible d x d matrix whose image is drawn as
+    `random_tensor` draws one, by rejection sampling."""
     if d < 1:
         raise ValueError(f"dimension must be >= 1, got {d}")
     if bound < 1:
@@ -287,6 +250,6 @@ def random_invertible(d: int, bound: int, seed: int, field: Field = QQ) -> Exact
     rng = random.Random(f"invertible|{d}|{bound}|{seed}")
     while True:
         draws = [rng.randint(-bound, bound) for _ in range(field.width * d * d)]
-        m = ExactMatrix(field, d, d, from_image(field, draws, 1))
+        m = ExactMatrix.of_image(field, d, d, draws)
         if m.rank() == d:
             return m

@@ -20,7 +20,7 @@ from entinv.suites import (
     suite_tables,
 )
 from entinv.tables import representative, table_for
-from entinv.tensors import FlatteningSpec, Shape, from_terms
+from entinv.tensors import Shape, from_terms
 
 # frozen from a standalone run of oracle_222.py
 ORACLE_HISTOGRAM_222 = {
@@ -77,7 +77,7 @@ def test_a3_bipartite_law():
             shape = Shape((d1, d2))
             for l in range(min(d1, d2) + 1):
                 v = from_terms(shape, [(j, j) for j in range(1, l + 1)])
-                k1 = kernel_dim(v, FlatteningSpec((1,), 2))
+                k1 = kernel_dim(v, (1,))
                 if k1 != d1 - l:
                     bad.append(((d1, d2), l, k1))
     _report(
@@ -147,11 +147,10 @@ def test_a7_decomposition_contract():
         for entry in table_for(shape).entries:
             v = representative(entry.label, shape)
             for factor in range(1, shape.n + 1):
-                spec = FlatteningSpec((factor,), shape.n)
-                pairs = general_form_decomposition(v, spec)
+                pairs = general_form_decomposition(v, (factor,))
                 dim_w = shape.dims[factor - 1]
-                expected = dim_w - kernel_dim(v, spec)
-                target = flatten(v, spec)
+                expected = dim_w - kernel_dim(v, (factor,))
+                target = flatten(v, (factor,))
                 recon = [zero(QQ)] * (target.rows * target.cols)
                 for w, wp in pairs:
                     for r in range(target.rows):

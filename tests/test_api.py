@@ -2,8 +2,9 @@
 
 A name that only tests call is dead weight in the library: the test keeps
 it alive but no user path runs it.  README's `## Library` block runs and
-gives the values its comments state.  And no module imports sympy or
-numpy: neither is a declared dependency, even where both are installed.
+gives the values its comments state.  No module imports sympy or numpy:
+neither is a declared dependency, even where both are installed.  And no
+module imports a name it never uses.
 """
 
 import ast
@@ -102,5 +103,44 @@ def test_no_module_imports_sympy_or_numpy():
         for top in ("src", "tests", "bench")
         for path in sorted((ROOT / top).rglob("*.py"))
         for line in _undeclared_imports(path.read_text(encoding="utf-8"))
+    ]
+    assert found == []
+
+
+def _unused_imports(source: str) -> list[str]:
+    """Names that an `import` or a `from` binds and the module never reads,
+    as "line:name".  A name is read where it is loaded, as the base of an
+    attribute too, or inside a string annotation; `__future__` imports
+    bind nothing to read."""
+    tree = ast.parse(source)
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound.update({a.asname or a.name.split(".")[0]: node.lineno for a in node.names})
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound.update({a.asname or a.name: node.lineno for a in node.names})
+    annotations = [n.annotation for n in ast.walk(tree) if isinstance(n, (ast.arg, ast.AnnAssign))]
+    annotations += [n.returns for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)]
+    quoted = [ast.parse(n.value, mode="eval") for a in annotations if a is not None
+              for n in ast.walk(a) if isinstance(n, ast.Constant) and isinstance(n.value, str)]
+    read = {n.id for t in [tree, *quoted] for n in ast.walk(t) if isinstance(n, ast.Name)}
+    return sorted(f"{line}:{name}" for name, line in bound.items() if name not in read)
+
+
+def test_unused_import_scanner():
+    source = ("from __future__ import annotations\nimport os, os.path as p\nimport a.b\n"
+              "from x import (y, z as w)\nfrom . import u\n"
+              "def f(q: 'w') -> \"list[y]\":\n    return a.b(q)\n")
+    assert _unused_imports(source) == ["2:os", "2:p", "5:u"]
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    # __init__.py imports exist to re-export
+    found = [
+        f"{path.relative_to(ROOT)}:{name}"
+        for top in ("src", "tests", "bench")
+        for path in sorted((ROOT / top).rglob("*.py"))
+        if path.name != "__init__.py"
+        for name in _unused_imports(path.read_text(encoding="utf-8"))
     ]
     assert found == []

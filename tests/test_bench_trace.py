@@ -25,7 +25,6 @@ from entinv.documents import emit_document
 from entinv.fields import QQI, GaussianRational
 from entinv.suites import suite_local_invariance
 from entinv.tensors import (
-    FlatteningSpec,
     Shape,
     apply_local,
     flatten,
@@ -90,7 +89,7 @@ def test_class_2312_state_ranks_its_concise_slices(monkeypatch, capsys):
     shape = Shape((2, 3, 12))
     bases = [random_invertible(d, 2, seed=axis) for axis, d in enumerate(shape.dims)]
     v = apply_local(from_terms(shape, [(1, 1, 1), (1, 2, 2), (2, 1, 2)]), bases)
-    r = flatten(v, FlatteningSpec((1, 2), 3)).rank()
+    r = flatten(v, (1, 2)).rank()
     assert r == 2
     cut = _classify_traced(v, monkeypatch, capsys)
     names = Counter(name for name, _, _, _ in cut["spans"])

@@ -16,6 +16,7 @@ from entinv.documents import (
 from entinv.cli import main
 from entinv.fields import GF, QQ, QQI, field_from_descriptor
 from entinv.invariants import signature
+from entinv.linalg import CHUNK
 from entinv.tables import ClassificationGapError
 from entinv.tensors import Shape, Tensor, from_terms, random_tensor
 from elements import parse, zero
@@ -182,6 +183,24 @@ def test_many_denominators_past_the_image_cap_exit_1(field, d3, monkeypatch, cap
     err = captured.err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: <stdin>: ")
     assert err[0].endswith("pass the cap of 268435456 bits on an image")
+
+
+@pytest.mark.parametrize("sparse", [False, True], ids=["dense", "sparse"])
+def test_image_cap_refuses_before_every_scalar_is_read(sparse, monkeypatch):
+    """Entries 1/1, 1/2, ... of a (2,2,262144) state: the common denominator
+    of the first CHUNK of them, lcm(1, ..., 4096), already gives 2**20
+    integers about 5,900 bits each, so no scalar after them is read.  A
+    sparse document is checked in the order it lists its entries."""
+    calls, parse_image = [], QQ.parse_image
+    monkeypatch.setattr(QQ, "parse_image", lambda text: calls.append(text) or parse_image(text))
+    entries = [f"1/{k}" for k in range(1, 2**20 + 1)]
+    if sparse:
+        entries = [{"index": [1, 1, 8191 - k], "value": entries[k]} for k in range(8192)]
+    doc = json.dumps({"field": "rational", "dims": [2, 2, 2**18], "entries": entries})
+    with pytest.raises(DocumentError, match=r"^<input>: 1048576 integers over one denominator "
+                                            r"of 5\d{3}\+ bits pass the cap of 268435456 bits"):
+        parse_document(doc)
+    assert len(calls) == CHUNK < len(entries)
 
 
 def test_many_denominators_within_the_image_cap_are_read_exactly():

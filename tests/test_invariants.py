@@ -5,6 +5,7 @@ import pytest
 from entinv import invariants
 from entinv.fields import GF, QQ, QQI, GaussianRational, field_from_descriptor
 from entinv.invariants import (
+    KERNELS,
     InvariantSignature,
     general_form_decomposition,
     kernel_dim,
@@ -16,7 +17,6 @@ from entinv.linalg import ExactMatrix, InternalConsistencyError, to_image
 from entinv.tables import table_for
 from entinv.tensors import (
     ArityError,
-    FlatteningSpec,
     Shape,
     Tensor,
     apply_local,
@@ -31,27 +31,24 @@ from oracle_linalg import ring, rref_of
 S222 = Shape((2, 2, 2))
 GHZ = from_terms(S222, [(1, 1, 1), (2, 2, 2)])
 
-# every proper bipartition, singles first, in increasing factor order
-SPECS = {
-    2: [FlatteningSpec((1,), 2), FlatteningSpec((2,), 2)],
-    3: [FlatteningSpec(rows, 3) for rows in ((1,), (2,), (3,), (1, 2), (1, 3), (2, 3))],
-}
+# the row factors of every proper bipartition, singles first
+FLATTENINGS = {2: KERNELS[:2], 3: KERNELS}
 
 
 class TestKernelDim:
     def test_zero_tensor_single_factor(self):
         for d in (2, 3, 5):
             v = from_terms(Shape((2, 2, d)), [], field=QQ)
-            assert kernel_dim(v, FlatteningSpec((1,), 3)) == 2
-            assert kernel_dim(v, FlatteningSpec((3,), 3)) == d
+            assert kernel_dim(v, (1,)) == 2
+            assert kernel_dim(v, (3,)) == d
 
     def test_ghz_third_factor(self):
-        assert kernel_dim(GHZ, FlatteningSpec((3,), 3)) == 0
+        assert kernel_dim(GHZ, (3,)) == 0
 
     def test_product_state_pair(self):
         one = from_terms(S222, [(1, 1, 1)])
         for rows in ((1, 2), (1, 3), (2, 3)):
-            assert kernel_dim(one, FlatteningSpec(rows, 3)) == 3
+            assert kernel_dim(one, rows) == 3
 
 
 class TestTripleConstraintMatrix:
@@ -149,7 +146,7 @@ class TestTripleKernelDim:
                         for axis, dim in enumerate(shape.dims)
                     ]
                     v = apply_local(from_terms(shape, entry.terms, field=field), bases)
-                    slices = rref_of(flatten(v, FlatteningSpec((1, 2), 3)))[1]
+                    slices = rref_of(flatten(v, (1, 2)))[1]
                     if not 0 < len(slices) < 2 * base:
                         continue
                     concise = Tensor(field, Shape((2, base, len(slices))), [
@@ -225,7 +222,7 @@ class TestTripleKernelDim:
 
 def _slices(v):
     """Pivot columns of the (1,2) flattening: the concise slices of `v`."""
-    return flatten(v, FlatteningSpec((1, 2), 3)).pivots()
+    return flatten(v, (1, 2)).pivots()
 
 
 def _concise_rows(v):
@@ -421,7 +418,7 @@ class TestSignature:
 
 def _six_rank_signature(v):
     """Every kernel from its own flattening, k123 from the stacked system."""
-    ks = tuple(kernel_dim(v, spec) for spec in SPECS[v.n])
+    ks = tuple(kernel_dim(v, rows) for rows in FLATTENINGS[v.n])
     if v.n == 2:
         return InvariantSignature(dims=v.shape.dims, singles=ks)
     k123 = v.shape.size - triple_constraint_matrix(v).rank()
@@ -440,18 +437,16 @@ def _expand(pairs, nrows, ncols):
 class TestDecomposition:
     def test_zero_tensor_empty(self):
         zero = from_terms(S222, [], field=QQ)
-        assert general_form_decomposition(zero, FlatteningSpec((1,), 3)) == []
+        assert general_form_decomposition(zero, (1,)) == []
 
     def test_epr_two_pairs(self):
         epr = from_terms(Shape((2, 2)), [(1, 1), (2, 2)])
-        spec = FlatteningSpec((1,), 2)
-        pairs = general_form_decomposition(epr, spec)
+        pairs = general_form_decomposition(epr, (1,))
         assert len(pairs) == 2
         assert _expand(pairs, 2, 2) == list(epr.coeffs)
 
     def test_ghz_pairs_are_independent(self):
-        spec = FlatteningSpec((1,), 3)
-        pairs = general_form_decomposition(GHZ, spec)
+        pairs = general_form_decomposition(GHZ, (1,))
         assert len(pairs) == 2
         assert from_rows(QQ, [w for w, _ in pairs]).rank() == 2
         assert from_rows(QQ, [wp for _, wp in pairs]).rank() == 2
@@ -462,18 +457,18 @@ class TestDecomposition:
         shape = Shape(dims)
         for seed in range(15):
             v = random_tensor(shape, 4, seed=seed)
-            for spec in SPECS[shape.n]:
+            for rows in FLATTENINGS[shape.n]:
                 m_rows = 1
-                for i in spec.row_factors:
+                for i in rows:
                     m_rows *= dims[i - 1]
                 m_cols = shape.size // m_rows
-                pairs = general_form_decomposition(v, spec)
-                assert len(pairs) == m_rows - kernel_dim(v, spec)
+                pairs = general_form_decomposition(v, rows)
+                assert len(pairs) == m_rows - kernel_dim(v, rows)
                 flat = _expand(pairs, m_rows, m_cols)
                 # reassemble in tensor coefficient order
                 from entinv.tensors import flatten
 
-                target = flatten(v, spec)
+                target = flatten(v, rows)
                 assert flat == target.entries
 
     # the w'_i are the nonzero rows of the flattening's reduced row echelon
@@ -491,10 +486,10 @@ class TestDecomposition:
             if field != GF(7):  # denominators in the state and in D
                 states = [v.scale(Fraction(2, 3)) if n % 2 else v for n, v in enumerate(states)]
             for v in states:
-                for spec in SPECS[shape.n]:
-                    m = flatten(v, spec)
+                for rows in FLATTENINGS[shape.n]:
+                    m = flatten(v, rows)
                     reduced, pivots = rref_of(m)
-                    pairs = general_form_decomposition(v, spec)
+                    pairs = general_form_decomposition(v, rows)
                     assert [R.rows([wp])[0] for _, wp in pairs] == reduced[: len(pivots)]
                     assert [w for w, _ in pairs] == [[m[i, p] for i in range(m.rows)]
                                                      for p in pivots]
@@ -504,8 +499,8 @@ class TestDecomposition:
 
     def test_span_dimensions_match_rank(self):
         v = random_tensor(Shape((2, 3, 4)), 3, seed=21)
-        for spec in SPECS[3]:
-            pairs = general_form_decomposition(v, spec)
+        for rows in KERNELS:
+            pairs = general_form_decomposition(v, rows)
             if not pairs:
                 continue
             left = from_rows(QQ, [w for w, _ in pairs])

@@ -18,7 +18,7 @@ from entinv.linalg import (
     image_kernel,
     to_image,
 )
-from entinv.tensors import FlatteningSpec, Shape, Tensor, apply_local, flatten, from_terms
+from entinv.tensors import Shape, Tensor, apply_local, flatten, from_terms
 from elements import from_rows, zero
 from oracle_linalg import det, ring, rref, rref_of
 
@@ -57,7 +57,7 @@ def _random_low_rank(field, rows, cols, r, rng):
         bases.append(b)
     terms = [(j, j) for j in range(1, r + 1)]
     v = apply_local(from_terms(Shape((rows, cols)), terms, field=field), bases)
-    return flatten(v, FlatteningSpec((1,), 2))
+    return flatten(v, (1,))
 
 
 _SCALARS = {
@@ -357,7 +357,7 @@ class TestRank:
         for _ in range(200):
             m = _random_matrix(field, rng.randint(1, 8), rng.randint(1, 8), rng)
             # the complementary flattening of the same entries is the transpose
-            t = flatten(Tensor(field, Shape((m.rows, m.cols)), m.entries), FlatteningSpec((2,), 2))
+            t = flatten(Tensor(field, Shape((m.rows, m.cols)), m.entries), (2,))
             assert m.rank() == t.rank()
 
     @pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.descriptor)

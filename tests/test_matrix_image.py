@@ -1,12 +1,14 @@
 """Matrices built from a tensor's image against the element route.
 
 `flatten`, `triple_constraint_matrix`, `general_form_decomposition` and
-`apply_local` read the integer image a tensor or a map holds.  Here each
+`apply_local` read the integer image a tensor or a map holds, and
+`random_invertible` draws one.  Here each
 is compared with the matrix or the state built from field values, entry
 by entry, with the arithmetic of `oracle_linalg`, on states whose
 entries carry denominators (1/2, 2/3 and 1/5 i) over Q, GF(101) and Q(i).
 """
 
+import random
 from fractions import Fraction
 from itertools import product
 
@@ -14,17 +16,14 @@ import pytest
 
 from elements import from_rows, zero
 from entinv.fields import GF, QQ, QQI, GaussianRational
-from entinv.invariants import general_form_decomposition, triple_constraint_matrix
-from entinv.linalg import ExactMatrix, to_image
-from entinv.tensors import FlatteningSpec, Shape, Tensor, apply_local, flatten
+from entinv.invariants import KERNELS, general_form_decomposition, triple_constraint_matrix
+from entinv.linalg import ExactMatrix, from_image, to_image
+from entinv.tensors import Shape, Tensor, apply_local, flatten, random_invertible
 from oracle_linalg import local_action, ring, rref
 
 FIELDS = [QQ, GF(101), QQI]
 IDS = [f.descriptor for f in FIELDS]
-SPECS = {
-    2: [FlatteningSpec((1,), 2), FlatteningSpec((2,), 2)],
-    3: [FlatteningSpec(rows, 3) for rows in ((1,), (2,), (3,), (1, 2), (1, 3), (2, 3))],
-}
+FLATTENINGS = {2: KERNELS[:2], 3: KERNELS}
 HALF, TWO_THIRDS = Fraction(1, 2), Fraction(2, 3)
 
 
@@ -56,17 +55,19 @@ def _states(field):
             for dims in [(2, 3), (3, 3), (2, 2, 2), (2, 3, 4)] for seed in range(3)]
 
 
-def _element_flattening(v, spec):
-    """The flattening of `v` as field values, read index by index."""
+def _element_flattening(v, factors):
+    """The flattening of `v` with the row factors `factors` as field values,
+    read index by index."""
     dims = v.shape.dims
-    row_side, col_side = (list(product(*(range(dims[f - 1]) for f in factors)))
-                          for factors in (spec.row_factors, spec.col_factors))
+    others = tuple(f for f in range(1, len(dims) + 1) if f not in factors)
+    row_side, col_side = (list(product(*(range(dims[f - 1]) for f in side)))
+                          for side in (factors, others))
     rows = []
     for row_index in row_side:
         row = []
         for col_index in col_side:
             index = [0] * len(dims)
-            for f, i in zip(spec.row_factors + spec.col_factors, row_index + col_index):
+            for f, i in zip(factors + others, row_index + col_index):
                 index[f - 1] = i
             row.append(v.coeffs[v.shape.offset(index)])
         rows.append(row)
@@ -99,9 +100,9 @@ def test_states_carry_denominators():
 @pytest.mark.parametrize("field", FIELDS, ids=IDS)
 def test_flatten_matches_element_route(field):
     for v in _states(field):
-        for spec in SPECS[v.n]:
-            m = flatten(v, spec)
-            rows = _element_flattening(v, spec)
+        for factors in FLATTENINGS[v.n]:
+            m = flatten(v, factors)
+            rows = _element_flattening(v, factors)
             assert m == from_rows(field, rows)
             assert [m.row(i) for i in range(m.rows)] == rows
             assert m.entries == [x for row in rows for x in row]
@@ -120,10 +121,10 @@ def test_triple_constraint_matrix_matches_element_route(field):
 def test_decomposition_matches_element_route(field):
     R = ring(field)
     for v in _states(field):
-        for spec in SPECS[v.n]:
-            rows = R.rows(_element_flattening(v, spec))
+        for factors in FLATTENINGS[v.n]:
+            rows = R.rows(_element_flattening(v, factors))
             reduced, pivots = rref(R, rows)
-            pairs = general_form_decomposition(v, spec)
+            pairs = general_form_decomposition(v, factors)
             assert R.rows([w for w, _ in pairs]) == [[row[p] for row in rows] for p in pivots]
             assert R.rows([wp for _, wp in pairs]) == reduced[: len(pivots)]
 
@@ -154,3 +155,16 @@ def test_values_and_image_give_one_matrix(field):
     for key in [(0, 4), (3, 0), (-1, 3), (0, -1)]:
         with pytest.raises(IndexError):
             m[key]
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=IDS)
+def test_random_invertible_matches_value_route(field):
+    # the same draws, turned into field values and imaged again
+    for d, seed in product((1, 2, 3, 5), range(6)):
+        rng = random.Random(f"invertible|{d}|2|{seed}")
+        while True:
+            draws = [rng.randint(-2, 2) for _ in range(field.width * d * d)]
+            want = ExactMatrix(field, d, d, from_image(field, draws, 1))
+            if want.rank() == d:
+                break
+        assert random_invertible(d, 2, seed, field) == want

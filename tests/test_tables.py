@@ -6,7 +6,7 @@ import pytest
 
 from entinv import tables
 from entinv.documents import document_dict
-from entinv.invariants import signature
+from entinv.invariants import KERNELS, signature
 from entinv.linalg import InternalConsistencyError
 from entinv.suites import suite_tables
 from entinv.tables import (
@@ -23,16 +23,12 @@ from entinv.tables import (
     tripartite_shape,
 )
 from entinv.tensors import (
-    FlatteningSpec,
     Shape,
     flatten,
     from_terms,
     random_invertible,
 )
 from entinv.fields import QQ
-
-SPECS_3 = [FlatteningSpec(rows, 3) for rows in ((1,), (2,), (3,), (1, 2), (1, 3), (2, 3))]
-
 
 class TestTableFor:
     def test_222_has_seven_classes(self):
@@ -221,11 +217,9 @@ class TestRepresentative:
                 shape = Shape((2, base, d))
                 for entry in table_for(shape).entries:
                     v = from_terms(shape, entry.terms)
-                    for spec in SPECS_3:
-                        projections = {
-                            tuple(t[i - 1] for i in spec.row_factors) for t in entry.terms
-                        }
-                        assert flatten(v, spec).rank() <= len(projections)
+                    for rows in KERNELS:
+                        projections = {tuple(t[i - 1] for i in rows) for t in entry.terms}
+                        assert flatten(v, rows).rank() <= len(projections)
 
 
 # two (2,3,d) states in different orbits that share C12's signature at every d >= 3

@@ -7,11 +7,11 @@ import pytest
 
 from entinv.documents import parse_document
 from entinv.fields import GF, QQ, QQI, GaussianRational
+from entinv.invariants import KERNELS, general_form_decomposition, kernel_dim
 from entinv.linalg import ExactMatrix
 from entinv.tables import representative
 from entinv.tensors import (
     BasisError,
-    FlatteningSpec,
     Shape,
     ShapeError,
     Tensor,
@@ -27,11 +27,9 @@ from oracle_linalg import local_action, ring, rref_of
 FIELDS = [QQ, GF(7), QQI]
 GHZ_TERMS = [(1, 1, 1), (2, 2, 2)]
 
-# every proper bipartition, singles first, in increasing factor order
-SPECS = {
-    2: [FlatteningSpec((1,), 2), FlatteningSpec((2,), 2)],
-    3: [FlatteningSpec(rows, 3) for rows in ((1,), (2,), (3,), (1, 2), (1, 3), (2, 3))],
-}
+# the row factors of every proper bipartition, singles first, each
+# complement its mirror
+FLATTENINGS = {2: KERNELS[:2], 3: KERNELS}
 
 
 def _identity(field, n):
@@ -60,26 +58,14 @@ class TestShape:
             Shape(dims)
 
 
-class TestFlatteningSpec:
-    def test_complement(self):
-        spec = FlatteningSpec((1, 3), 3)
-        assert spec.col_factors == (2,)
-        assert spec.complement().row_factors == (2,)
-
-    @pytest.mark.parametrize("rows,n", [((), 3), ((1, 2, 3), 3), ((0,), 3), ((4,), 3), ((1, 1), 3)])
-    def test_rejects_bad_specs(self, rows, n):
-        with pytest.raises(ShapeError):
-            FlatteningSpec(rows, n)
-
-
 class TestFlatten:
     def test_epr_is_identity(self):
         epr = from_terms(Shape((2, 2)), [(1, 1), (2, 2)])
-        assert flatten(epr, FlatteningSpec((1,), 2)) == _identity(QQ, 2)
+        assert flatten(epr, (1,)) == _identity(QQ, 2)
 
     def test_ghz_single_factor(self):
         ghz = from_terms(Shape((2, 2, 2)), GHZ_TERMS)
-        m = flatten(ghz, FlatteningSpec((1,), 3))
+        m = flatten(ghz, (1,))
         assert m == from_rows(QQ, [[1, 0, 0, 0], [0, 0, 0, 1]])
 
     def test_complement_is_transpose(self):
@@ -87,8 +73,8 @@ class TestFlatten:
             shape = Shape(dims)
             for i in range(5):
                 v = random_tensor(shape, 4, seed=i)
-                for spec in SPECS[shape.n]:
-                    m, t = flatten(v, spec), flatten(v, spec.complement())
+                for rows, cols in zip(FLATTENINGS[shape.n], FLATTENINGS[shape.n][::-1]):
+                    m, t = flatten(v, rows), flatten(v, cols)
                     assert (t.rows, t.cols) == (m.cols, m.rows)
                     for r in range(m.rows):
                         for c in range(m.cols):
@@ -99,25 +85,41 @@ class TestFlatten:
         # each side's indices enumerated row-major, and v read through the
         # validated Shape.offset, not through Shape.offsets
         v = random_tensor(Shape(dims), 9, seed=1)
-        for spec in SPECS[len(dims)]:
-            m = flatten(v, spec)
+        for rows in FLATTENINGS[len(dims)]:
+            m = flatten(v, rows)
+            cols = tuple(f for f in range(1, len(dims) + 1) if f not in rows)
             row_side, col_side = (
                 list(product(*(range(dims[f - 1]) for f in factors)))
-                for factors in (spec.row_factors, spec.col_factors)
+                for factors in (rows, cols)
             )
             assert (m.rows, m.cols) == (len(row_side), len(col_side))
             for (r, row_index), (c, col_index) in product(
                 enumerate(row_side), enumerate(col_side)
             ):
                 index = [0] * len(dims)
-                for f, i in zip(spec.row_factors + spec.col_factors, row_index + col_index):
+                for f, i in zip(rows + cols, row_index + col_index):
                     index[f - 1] = i
                 assert m[r, c] == v[index]
 
     def test_wrong_arity_rejected(self):
+        # a bipartite state has no third factor
         v = random_tensor(Shape((2, 2)), 2, seed=0)
         with pytest.raises(ShapeError):
-            flatten(v, FlatteningSpec((1,), 3))
+            flatten(v, (3,))
+
+    @pytest.mark.parametrize("rows", [(1.9,), (True,), ("1",), (), (1, 2, 3), (0,), (4,), (1, 1)],
+                             ids=repr)
+    def test_rejects_bad_row_factors(self, rows):
+        # row factors are distinct ints forming a nonempty proper subset of
+        # 1..n; none is truncated or converted
+        v = random_tensor(Shape((2, 2, 2)), 2, seed=0)
+        for route in (flatten, kernel_dim, general_form_decomposition):
+            with pytest.raises(ShapeError, match=r"^row factors must be distinct ints"):
+                route(v, rows)
+
+    def test_row_factors_in_any_order(self):
+        v = random_tensor(Shape((2, 3, 4)), 4, seed=3)
+        assert flatten(v, (3, 1)) == flatten(v, (1, 3)) == flatten(v, [1, 3])
 
 
 class TestFromTerms:
@@ -240,8 +242,8 @@ class TestApplyLocal:
                 v = random_tensor(shape, 4, seed=rng.randint(0, 10**6))
                 maps = [random_invertible(d, 2, seed=rng.randint(0, 10**6)) for d in dims]
                 w = apply_local(v, maps)
-                for spec in SPECS[shape.n]:
-                    assert flatten(v, spec).rank() == flatten(w, spec).rank()
+                for rows in FLATTENINGS[shape.n]:
+                    assert flatten(v, rows).rank() == flatten(w, rows).rank()
 
 
 class TestRankDuality:
@@ -251,8 +253,8 @@ class TestRankDuality:
         for i in range(200):
             v = random_tensor(shape, 5, seed=i)
             for factor in range(1, shape.n + 1):
-                spec = FlatteningSpec((factor,), shape.n)
-                assert flatten(v, spec).rank() == flatten(v, spec.complement()).rank()
+                cols = tuple(f for f in range(1, shape.n + 1) if f != factor)
+                assert flatten(v, (factor,)).rank() == flatten(v, cols).rank()
 
 
 class TestRandomSources:
@@ -310,14 +312,14 @@ class TestRandomSources:
 
 def test_tensor_over_gf_field():
     v = from_terms(Shape((2, 2, 2)), GHZ_TERMS, field=GF(3))
-    assert flatten(v, FlatteningSpec((1,), 3)).rank() == 2
+    assert flatten(v, (1,)).rank() == 2
 
 
 def test_scale_preserves_flattening_kernels():
     v = random_tensor(Shape((2, 3, 4)), 3, seed=4)
     w = v.scale(parse(QQ, "-5/3"))
-    for spec in SPECS[3]:
-        assert rref_of(flatten(v, spec)) == rref_of(flatten(w, spec))
+    for rows in KERNELS:
+        assert rref_of(flatten(v, rows)) == rref_of(flatten(w, rows))
 
 
 # the scalar's image times the image, against the oracle's products
