@@ -23,7 +23,7 @@ from __future__ import annotations
 import json
 
 from .fields import Field, field_from_descriptor
-from .linalg import CHUNK, capped, cleared
+from .linalg import CHUNK, capped, over_den
 from .tensors import Shape, ShapeError, Tensor
 
 
@@ -117,9 +117,9 @@ def parse_document(text: str, source: str = "<input>") -> Tensor:
             f"got {len(entries)}"
         )
     # the flat pairs n, d of each scalar's `parse_image`, at its offset; the
-    # denominators are `capped` as each CHUNK of them is read
+    # denominators are `capped` as each CHUNK of them is read, and at the last
     e, parse, seen, den, dens = 2 * field.width, field.parse_image, set(), 1, []
-    pairs = [0, 1] * (field.width * shape.size)
+    pairs, last = [0, 1] * (field.width * shape.size), len(entries) - 1
     for pos, item in enumerate(entries):
         if dense:
             off, value = pos, item
@@ -151,16 +151,12 @@ def parse_document(text: str, source: str = "<input>") -> Tensor:
         except ValueError as exc:
             raise DocumentError(f"{source}: entries[{pos}]: {exc}") from exc
         dens += got[1::2]
-        if len(dens) == CHUNK:
+        if len(dens) == CHUNK or pos == last:
             try:
                 den, dens = capped(len(pairs) // 2, den, dens), []
             except ValueError as exc:
                 raise DocumentError(f"{source}: {exc}") from exc
-    try:
-        image, den = cleared(pairs)
-    except ValueError as exc:
-        raise DocumentError(f"{source}: {exc}") from exc
-    return Tensor.of_image(field, shape, image, den)
+    return Tensor.of_image(field, shape, over_den(pairs, den), den)
 
 
 def document_dict(tensor: Tensor, sparse: bool = False) -> dict:

@@ -8,9 +8,9 @@ denominator, the entry a + bi stored as the two integers a, b.
 `to_image` and `from_image` are the one way between values and image,
 each with one branch per field.  A tensor and a matrix hold their image
 in lowest terms (`lowest_terms`), and a matrix is eliminated on the rows
-of the image it holds.  `eliminate` finds pivots by fraction-free Bareiss
-elimination over Z for Q and over the Gaussian integers Z[i] for Q(i),
-and on residues over GF(p); there are no tolerances, and the pivot is
+of the image it holds.  `eliminate` finds pivots by one fraction-free
+Bareiss elimination, over Z for Q, over the Gaussian integers Z[i] for
+Q(i) and over Z/p for GF(p); there are no tolerances, and the pivot is
 the first nonzero entry in column order.
 That these are the pivots of plain Gauss-Jordan elimination is tested
 against the oracle in the tests, not assumed.
@@ -19,6 +19,7 @@ against the oracle in the tests, not assumed.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import partial
 from math import gcd, lcm
 from operator import mul
 from typing import Sequence
@@ -181,18 +182,70 @@ def scaled(image: list[int], s: list[int]) -> list[int]:
 
 
 def eliminate(field: Field, image: list[list[int]], cols: int, jordan: bool = False) -> list[int]:
-    """Pivot columns of a matrix with `cols` columns, eliminating its image.
+    """Pivot columns of a matrix with `cols` columns, by fraction-free
+    (Bareiss) elimination of its image, which is overwritten; the pivot
+    is the first nonzero entry in column order.
 
-    Bareiss over Z or, over Q(i), over Z[i]; residues over GF(p).  The
-    image is overwritten; with `jordan`, it is left in Gauss-Jordan form:
-    D times its reduced row echelon form, where D is the last Bareiss
-    pivot (a Gaussian integer over Q(i)), or 1 over GF(p).
+    Bareiss's elimination is exact over any integral domain: Z for Q, the
+    Gaussian integers Z[i] for Q(i), and Z/p for GF(p), whose rows are
+    reduced mod p as they enter (the k123 system holds unreduced dot
+    products).  Entries stay minors of the input, so intermediate growth
+    is polynomial and every division is exact; a nonzero remainder would
+    mean a bug, not a data issue.  Each ring supplies two row kernels.
+
+    A row whose entry in the pivot column is 0 is left alone: a Bareiss
+    step would only scale it by p / prev, and those factors telescope.
+    So a row last written at the step whose pivot was den[i] holds its
+    Bareiss value times den[i] / prev.  Its next write divides by den[i]
+    instead of prev, and a row that becomes the pivot row is first scaled
+    by prev / den[i]; both results are the Bareiss values themselves, so
+    both divisions are exact and the pivots are those of the full loop.
+
+    With `jordan`, each step also clears the pivot column above the pivot
+    row (Gauss-Jordan), by the same rule, and the pivot rows are finally
+    scaled to the last pivot D: the image is left as D times its reduced
+    row echelon form (D a Gaussian integer over Q(i), a residue over
+    GF(p)), whose entries are again minors.
     """
+    e = field.width  # integers per entry: entry c of a row x is x[e c : e c + e]
     if isinstance(field, PrimeField):
-        return _pivots_prime(image, cols, field.p, jordan)
-    if isinstance(field, RationalField):
-        return _pivots_bareiss(image, cols, jordan)
-    return _pivots_gauss(image, cols, jordan)
+        m = field.p
+        write, scale = partial(_write_zp, m), partial(_scale_zp, m)
+        for row in image:
+            row[:] = [x % m for x in row]
+    elif e == 1:
+        write, scale = _write_z, _scale_z
+    else:
+        write, scale = _write_zi, _scale_zi
+    nr, last, one = len(image), e - 1, 1 if e == 1 else (1, 0)
+    den, pivots, prev = [one] * nr, [], one
+    for c in range(cols):
+        rank, k = len(pivots), e * c
+        for piv in range(rank, nr):
+            if image[piv][k] or image[piv][k + last]:
+                break
+        else:
+            continue
+        image[rank], image[piv] = image[piv], image[rank]
+        den[rank], den[piv] = den[piv], den[rank]
+        rp = image[rank]
+        if den[rank] != prev:
+            scale(rp, prev, den[rank], k)
+        # a pivot row is not written at its own step: its Bareiss value
+        # at this step is its value now
+        p = den[rank] = rp[k] if e == 1 else (rp[k], rp[k + 1])
+        for i in range(0 if jordan else rank + 1, nr):
+            ri = image[i]
+            if i != rank and (ri[k] or ri[k + last]):
+                # a row below the pivot row is 0 left of column c
+                write(ri, rp, k, p, den[i], 0 if i < rank else k + e)
+                den[i] = p
+        prev = p
+        pivots.append(c)
+    for i in range(len(pivots) if jordan else 0):
+        if den[i] != prev:
+            scale(image[i], prev, den[i], 0)
+    return pivots
 
 
 def image_kernel(field: Field, image: list[list[int]], cols: int) -> list[list[int]]:
@@ -235,78 +288,34 @@ def cleared(pairs: Sequence[int]) -> tuple[list[int], int]:
     count, den = len(pairs) // 2, 1
     for k in range(1, 2 * count, 2 * CHUNK):
         den = capped(count, den, pairs[k : k + 2 * CHUNK : 2])
+    return over_den(pairs, den), den
+
+
+def over_den(pairs: Sequence[int], den: int) -> list[int]:
+    """The integers n / d, given as the flat pairs n, d, ..., over `den`,
+    a common multiple of the d."""
     it = iter(pairs)
     # an integer already over den is kept, not copied
-    return [n if d == den else n * (den // d) for n, d in zip(it, it)], den
+    return [n if d == den else n * (den // d) for n, d in zip(it, it)]
 
 
-def _pivots_bareiss(rows: list[list[int]], cols: int, jordan: bool = False) -> list[int]:
-    """Pivot columns of an integer matrix by fraction-free (Bareiss) elimination.
-
-    Entries stay exact minors of the input, so intermediate growth is
-    polynomial and every division below is exact; a nonzero remainder
-    would mean a bug, not a data issue.
-
-    A row whose entry in the pivot column is 0 is left alone: a Bareiss
-    step would only scale it by p / prev, and those factors telescope.
-    So a row last written at the step whose pivot was den[i] holds its
-    Bareiss value times den[i] / prev.  Its next write divides by den[i]
-    instead of prev, and a row that becomes the pivot row is first scaled
-    by prev / den[i]; both results are the Bareiss values themselves, so
-    both divisions are exact and the pivots are those of the full loop.
-
-    With `jordan`, each step also clears the pivot column above the pivot
-    row (Gauss-Jordan), by the same rule, and the pivot rows are finally
-    scaled to the last pivot D: the rows become D times the reduced row
-    echelon form, whose entries are again minors of the input.
-    """
-    nr = len(rows)
-    den = [1] * nr
-    pivots = []
-    prev = 1
-    for c in range(cols):
-        rank = len(pivots)
-        piv = None
-        for i in range(rank, nr):
-            if rows[i][c]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        den[rank], den[piv] = den[piv], den[rank]
-        rp = rows[rank]
-        if den[rank] != prev:
-            _scale(rp, prev, den[rank], c)
-        p = rp[c]
-        # a pivot row is not written at its own step: its Bareiss value
-        # at this step is its value now
-        den[rank] = p
-        for i in range(0 if jordan else rank + 1, nr):
-            ri = rows[i]
-            f = ri[c]
-            if f == 0 or i == rank:
-                continue
-            d = den[i]
-            # a row below the pivot row is 0 left of column c
-            for j in range(0 if i < rank else c + 1, cols):
-                q, rem = divmod(p * ri[j] - f * rp[j], d)
-                if rem:
-                    raise InternalConsistencyError("inexact division in Bareiss step")
-                ri[j] = q
-            ri[c] = 0
-            den[i] = p
-        prev = p
-        pivots.append(c)
-    if jordan:
-        for i in range(len(pivots)):
-            if den[i] != prev:
-                _scale(rows[i], prev, den[i], 0)
-    return pivots
+# -- the row kernels of `eliminate`: write(ri, rp, k, p, d, start) sets
+# ri[start:] to (p ri - f rp) / d and zeroes f, the entry of ri at k, and
+# scale(row, num, den, start) multiplies row[start:] by num / den; over
+# Z/m, m prime, each takes m first and divides by an inverse mod m
 
 
-def _scale(row: list[int], num: int, den: int, start: int) -> None:
-    """Multiply row[start:] by num / den in place, checking exactness."""
+def _write_z(ri: list[int], rp: list[int], k: int, p: int, d: int, start: int) -> None:
+    f = ri[k]
+    for j in range(start, len(ri)):
+        q, rem = divmod(p * ri[j] - f * rp[j], d)
+        if rem:
+            raise InternalConsistencyError("inexact division in Bareiss step")
+        ri[j] = q
+    ri[k] = 0
+
+
+def _scale_z(row: list[int], num: int, den: int, start: int) -> None:
     for j in range(start, len(row)):
         q, rem = divmod(num * row[j], den)
         if rem:
@@ -314,104 +323,45 @@ def _scale(row: list[int], num: int, den: int, start: int) -> None:
         row[j] = q
 
 
-def _pivots_gauss(rows: list[list[int]], cols: int, jordan: bool = False) -> list[int]:
-    """`_pivots_bareiss` over the Gaussian integers, for `to_image` rows over Q(i).
-
-    Bareiss's elimination is fraction-free over any integral domain, and
-    Z[i] is one: entries stay minors of the input, now Gaussian, and the
-    pivot rule, the rows left alone, their den, the Gauss-Jordan clearing
-    and the final scaling to D are those of `_pivots_bareiss`.  Entry c of
-    a row x is x[2c] + x[2c + 1] i.  A division x / d is x conj(d) / |d|^2
-    in integers, and both remainders are checked.
-    """
-    nr = len(rows)
-    den = [(1, 0)] * nr
-    pivots = []
-    prev = (1, 0)
-    for c in range(cols):
-        rank = len(pivots)
-        k = 2 * c
-        piv = None
-        for i in range(rank, nr):
-            if rows[i][k] or rows[i][k + 1]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        den[rank], den[piv] = den[piv], den[rank]
-        rp = rows[rank]
-        if den[rank] != prev:
-            _scale_gauss(rp, prev, den[rank], k)
-        p = pr, pi = rp[k], rp[k + 1]
-        den[rank] = p
-        for i in range(0 if jordan else rank + 1, nr):
-            ri = rows[i]
-            fr, fi = ri[k], ri[k + 1]
-            if not (fr or fi) or i == rank:
-                continue
-            # (p x - f y) / d is (a x - b y) / n for x and y the entries of
-            # ri and rp, a = p conj(d), b = f conj(d) and n = |d|^2
-            dr, di = den[i]
-            n = dr * dr + di * di
-            ar, ai = pr * dr + pi * di, pi * dr - pr * di
-            br, bi = fr * dr + fi * di, fi * dr - fr * di
-            for j in range(0 if i < rank else k + 2, 2 * cols, 2):
-                xr, xi, yr, yi = ri[j], ri[j + 1], rp[j], rp[j + 1]
-                qr, er = divmod(ar * xr - ai * xi - br * yr + bi * yi, n)
-                qi, ei = divmod(ar * xi + ai * xr - br * yi - bi * yr, n)
-                if er or ei:
-                    raise InternalConsistencyError("inexact division in Bareiss step")
-                ri[j] = qr
-                ri[j + 1] = qi
-            ri[k] = ri[k + 1] = 0
-            den[i] = p
-        prev = p
-        pivots.append(c)
-    if jordan:
-        for i in range(len(pivots)):
-            if den[i] != prev:
-                _scale_gauss(rows[i], prev, den[i], 0)
-    return pivots
+def _write_zi(ri: list[int], rp: list[int], k: int, p: tuple[int, int], d: tuple[int, int],
+              start: int) -> None:
+    # (p x - f y) / d is (a x - b y) / n for x and y the entries of ri and
+    # rp, a = p conj(d), b = f conj(d) and n = |d|^2; both remainders count
+    (pr, pi), (dr, di), fr, fi = p, d, ri[k], ri[k + 1]
+    n, ar, ai = dr * dr + di * di, pr * dr + pi * di, pi * dr - pr * di
+    br, bi = fr * dr + fi * di, fi * dr - fr * di
+    for j in range(start, len(ri), 2):
+        xr, xi, yr, yi = ri[j], ri[j + 1], rp[j], rp[j + 1]
+        qr, er = divmod(ar * xr - ai * xi - br * yr + bi * yi, n)
+        qi, ei = divmod(ar * xi + ai * xr - br * yi - bi * yr, n)
+        if er or ei:
+            raise InternalConsistencyError("inexact division in Bareiss step")
+        ri[j], ri[j + 1] = qr, qi
+    ri[k] = ri[k + 1] = 0
 
 
-def _scale_gauss(row: list[int], num: tuple[int, int], den: tuple[int, int], start: int) -> None:
-    """Multiply the Gaussian entries of row[start:] by num / den in place,
-    checking exactness; num and den are (re, im) pairs."""
+def _scale_zi(row: list[int], num: tuple[int, int], den: tuple[int, int], start: int) -> None:
     (ur, ui), (dr, di) = num, den
-    n = dr * dr + di * di
     # num conj(den) / n, in integers
-    ur, ui = ur * dr + ui * di, ui * dr - ur * di
+    n, ur, ui = dr * dr + di * di, ur * dr + ui * di, ui * dr - ur * di
     for j in range(start, len(row), 2):
         xr, xi = row[j], row[j + 1]
         qr, er = divmod(xr * ur - xi * ui, n)
         qi, ei = divmod(xr * ui + xi * ur, n)
         if er or ei:
             raise InternalConsistencyError("inexact division in Bareiss step")
-        row[j] = qr
-        row[j + 1] = qi
+        row[j], row[j + 1] = qr, qi
 
 
-def _pivots_prime(rows: list[list[int]], cols: int, p: int, jordan: bool = False) -> list[int]:
-    """Pivot columns of a matrix of residues mod p; with `jordan`, the rows
-    are left in reduced row echelon form mod p (pivots 1)."""
-    nr = len(rows)
-    pivots = []
-    for c in range(cols):
-        rank = len(pivots)
-        piv = None
-        for i in range(rank, nr):
-            if rows[i][c] % p:
-                piv = i
-                break
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        inv = pow(rows[rank][c], -1, p)
-        rp = rows[rank] = [x * inv % p for x in rows[rank]]
-        for i in range(0 if jordan else rank + 1, nr):
-            f = rows[i][c] % p
-            if f and i != rank:
-                rows[i] = [(a - f * b) % p for a, b in zip(rows[i], rp)]
-        pivots.append(c)
-    return pivots
+def _write_zp(m: int, ri: list[int], rp: list[int], k: int, p: int, d: int, start: int) -> None:
+    inv = pow(d, -1, m)
+    a, b = p * inv % m, ri[k] * inv % m
+    for j in range(start, len(ri)):
+        ri[j] = (a * ri[j] - b * rp[j]) % m
+    ri[k] = 0
+
+
+def _scale_zp(m: int, row: list[int], num: int, den: int, start: int) -> None:
+    s = num * pow(den, -1, m) % m
+    for j in range(start, len(row)):
+        row[j] = row[j] * s % m

@@ -46,9 +46,11 @@ class Shape:
     __slots__ = ("dims",)
 
     def __init__(self, dims: Sequence[int]):
-        dims = tuple(int(d) for d in dims)
+        dims = tuple(dims)
         if not 2 <= len(dims) <= 3:
             raise ShapeError(f"supported tensors have 2 or 3 factors, got {len(dims)}")
+        if not all(type(d) is int for d in dims):
+            raise ShapeError(f"factor dimensions must be ints: {dims}")
         if any(d < 1 for d in dims):
             raise ShapeError(f"factor dimensions must be >= 1: {dims}")
         self.dims = dims
@@ -62,7 +64,9 @@ class Shape:
         return prod(self.dims)
 
     def offset(self, index: Sequence[int]) -> int:
-        """Row-major offset of a 0-based multi-index."""
+        """Row-major offset of a 0-based multi-index of n ints."""
+        if len(index) != len(self.dims) or not all(type(i) is int for i in index):
+            raise ShapeError(f"index {tuple(index)} is not {self.n} ints for {self.dims}")
         off = 0
         for d, i in zip(self.dims, index):
             if not 0 <= i < d:

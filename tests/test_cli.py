@@ -28,15 +28,25 @@ def _main_peak(argv):
         tracemalloc.stop()
 
 
+def _drop_last_pivot(monkeypatch, where):
+    """Drop the last pivot of every matrix of `rows` rows and `cols` columns
+    for which `where(rows, cols)` holds, in the one elimination loop that
+    every rank, over every field, calls: `eliminate` as `linalg` and
+    `invariants` see it."""
+    eliminate = linalg.eliminate
+
+    def short(field, rows, cols, jordan=False):
+        drop = where(len(rows), cols)
+        pivots = eliminate(field, rows, cols, jordan)
+        return pivots[:-1] if drop else pivots
+
+    for module in (linalg, invariants):
+        monkeypatch.setattr(module, "eliminate", short)
+
+
 def _rank_short_on_tall(monkeypatch):
-    """Make the rank of every tall rational matrix one short, in the Bareiss
-    routine that both the flattening ranks and the k123 rank call."""
-    pivots = linalg._pivots_bareiss
-
-    def short(rows, cols, jordan=False):
-        return pivots(rows, cols, jordan)[: -1 if len(rows) > cols else None]
-
-    monkeypatch.setattr(linalg, "_pivots_bareiss", short)
+    """Make the rank of every tall matrix one short."""
+    _drop_last_pivot(monkeypatch, lambda rows, cols: rows > cols)
 
 
 def _k123_rank_short(monkeypatch):
@@ -160,25 +170,27 @@ class TestClassify:
     # a rank fault is a bug in the program: one line, exit 1, no traceback.
     # [1,1,1]+[1,2,2] with tall ranks short keeps 1 of its 2 slices, and
     # lands on no key; GHZ with every rank short keeps 1 slice, then finds
-    # no pivot in it
-    @pytest.mark.parametrize("command,entries,fault,message", [
-        ("classify", ["1", "0", "0", "1", "0", "0", "0", "0"], "tall",
+    # no pivot in it, over each field
+    @pytest.mark.parametrize("command,field,entries,fault,message", [
+        ("classify", "rational", ["1", "0", "0", "1", "0", "0", "0", "0"], "tall",
          "rank duality violated: factor 1 flattening has rank 1, its complement 0"),
-        ("classify", ["1", "0", "0", "0", "0", "0", "0", "1"], "all",
+        ("classify", "rational", ["1", "0", "0", "0", "0", "0", "0", "1"], "all",
          "rank 1 matrix has 0 pivots"),
-        ("explain3", ["1", "0", "0", "0", "0", "0", "0", "1"], "all",
+        ("explain3", "rational", ["1", "0", "0", "0", "0", "0", "0", "1"], "all",
+         "rank 1 matrix has 0 pivots"),
+        ("classify", "gf(101)", ["1", "0", "0", "0", "0", "0", "0", "1"], "all",
+         "rank 1 matrix has 0 pivots"),
+        ("classify", "gaussian-rational", ["1", "0", "0", "0", "0", "0", "0", "1"], "all",
          "rank 1 matrix has 0 pivots"),
     ])
-    def test_internal_error_is_one_line(self, command, entries, fault, message, monkeypatch,
-                                        capsys):
+    def test_internal_error_is_one_line(self, command, field, entries, fault, message,
+                                        monkeypatch, capsys):
         import io
         if fault == "tall":
             _rank_short_on_tall(monkeypatch)
         else:
-            pivots = linalg._pivots_bareiss
-            monkeypatch.setattr(linalg, "_pivots_bareiss",
-                                lambda rows, cols, jordan=False: pivots(rows, cols, jordan)[:-1])
-        doc = json.dumps({"field": "rational", "dims": [2, 2, 2], "entries": entries})
+            _drop_last_pivot(monkeypatch, lambda rows, cols: True)
+        doc = json.dumps({"field": field, "dims": [2, 2, 2], "entries": entries})
         monkeypatch.setattr("sys.stdin", io.StringIO(doc))
         assert main([command, "-"]) == 1
         captured = capsys.readouterr()

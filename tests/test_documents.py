@@ -13,6 +13,7 @@ from entinv.documents import (
     emit_document,
     parse_document,
 )
+from entinv import documents, linalg
 from entinv.cli import main
 from entinv.fields import GF, QQ, QQI, field_from_descriptor
 from entinv.invariants import signature
@@ -201,6 +202,28 @@ def test_image_cap_refuses_before_every_scalar_is_read(sparse, monkeypatch):
                                             r"of 5\d{3}\+ bits pass the cap of 268435456 bits"):
         parse_document(doc)
     assert len(calls) == CHUNK < len(entries)
+
+
+@pytest.mark.parametrize("sparse", [False, True], ids=["dense", "sparse"])
+@pytest.mark.parametrize("field", [QQ, QQI], ids=lambda f: f.descriptor)
+def test_each_denominator_is_capped_once(field, sparse, monkeypatch):
+    """With CHUNK at 10, the denominators of entries -1/1, 1/2, ..., 1/24
+    (over Q(i) each minus i/5) reach `capped` in full chunks and a
+    leftover, each once, and the document is read exactly."""
+    calls, capped = [], linalg.capped
+    for module in (documents, linalg):
+        monkeypatch.setattr(module, "capped",
+                            lambda count, den, dens: calls.extend(dens) or capped(count, den, dens))
+    monkeypatch.setattr(documents, "CHUNK", 10)
+    im = "-1/5i" if field == QQI else ""
+    scalars = [f"{(-1) ** k}/{k}{im}" for k in range(1, 25)]
+    entries = ([{"index": [o // 12, o // 4 % 3, o % 4], "value": x} for o, x in enumerate(scalars)]
+               if sparse else scalars)
+    v = parse_document(json.dumps({"field": field.descriptor, "dims": [2, 3, 4],
+                                   "entries": entries}))
+    assert calls == [d for k in range(1, 25) for d in ((k, 5) if im else (k,))]
+    assert v == Tensor(field, v.shape, [parse(field, x) for x in scalars])
+    assert v.den == 5354228880
 
 
 def test_many_denominators_within_the_image_cap_are_read_exactly():

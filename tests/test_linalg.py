@@ -9,10 +9,8 @@ from entinv.fields import GF, QQ, QQI, FieldMismatchError, GaussianRational
 from entinv.linalg import (
     ExactMatrix,
     InternalConsistencyError,
-    _pivots_bareiss,
-    _pivots_gauss,
-    _scale,
-    _scale_gauss,
+    _scale_z,
+    _scale_zi,
     eliminate,
     from_image,
     image_kernel,
@@ -191,6 +189,8 @@ class TestPivots:
     #   step 1, so its den must move with it;
     # - column 1 holds no pivot, row 2 is twice row 0 and vanishes, and row 1
     #   is a stale pivot row at column 2.
+    # Over GF(101) no minor of these vanishes, so each reaches the same branch.
+    @pytest.mark.parametrize("field", [QQ, GF(101)], ids=lambda f: f.descriptor)
     @pytest.mark.parametrize("rows,pivots", [
         ([[2, 1, 0], [0, 3, 1], [4, 5, 7]], [0, 1, 2]),
         ([[2, 1, 0], [0, 1, 1], [1, 0, 0]], [0, 1, 2]),
@@ -198,19 +198,20 @@ class TestPivots:
         ([[2, 0, 1, 0], [1, 0, 0, 0], [1, 0, 1, 1], [0, 1, 0, 0]], [0, 1, 2, 3]),
         ([[2, 0, 2, 1], [0, 0, 1, 1], [4, 0, 4, 2]], [0, 2]),
     ])
-    def test_skipped_rows_keep_bareiss_pivots(self, rows, pivots):
-        m = from_rows(QQ, rows)
+    def test_skipped_rows_keep_bareiss_pivots(self, field, rows, pivots):
+        m = from_rows(field, rows)
         assert m.pivots() == rref_of(m)[1] == pivots
         # each pivot is the minor on the rows chosen so far, in their order,
-        # and the pivot columns: a row scaled by the wrong factor shows here
+        # and the pivot columns (mod p over GF(p)): a row scaled by the wrong
+        # factor shows here
         work = [list(row) for row in rows]
         start = {id(row): i for i, row in enumerate(work)}
-        assert _pivots_bareiss(work, len(rows[0])) == pivots
+        assert eliminate(field, work, len(rows[0])) == pivots
         # rows are swapped as list objects, so each still names its input row
         chosen = [rows[start[id(row)]] for row in work]
         for k, c in enumerate(pivots):
             minor = [[row[j] for j in pivots[: k + 1]] for row in chosen[: k + 1]]
-            assert work[k][c] == det(ring(QQ), ring(QQ).rows(minor))
+            assert work[k][c] == det(ring(field), ring(field).rows(minor))
 
     # the matrices above with complex entries and the same zeros, so each
     # reaches the same branch of the elimination over Z[i]; every pivot
@@ -230,7 +231,7 @@ class TestPivots:
         # each pivot is the Gaussian minor on the rows chosen so far
         work = _image_rows(QQI, rows)
         start = {id(row): i for i, row in enumerate(work)}
-        assert _pivots_gauss(work, len(rows[0])) == pivots
+        assert eliminate(QQI, work, len(rows[0])) == pivots
         chosen = [rows[start[id(row)]] for row in work]
         for k, c in enumerate(pivots):
             minor = [[row[j] for j in pivots[: k + 1]] for row in chosen[: k + 1]]
@@ -238,37 +239,37 @@ class TestPivots:
 
     # A pivot row left stale must be scaled before it is used: without the
     # scaling, the next write of a row divides inexactly, and the guard in
-    # the inner loop fires.  Unscaled inputs reach it in both routines.  The
+    # the inner loop fires.  Unscaled inputs reach it over Z and Z[i].  The
     # first Gaussian rows are [0, 1, i], [1 + 3i, i, 2i] and [1 + 2i, 0, 0];
     # unscaled, the next two leave a remainder in the imaginary part alone
     # and in the real part alone.
-    @pytest.mark.parametrize("routine,scale,rows,cols,pivots", [
-        (_pivots_bareiss, "_scale", [[2, 1, 0, 3], [0, -1, 0, 2], [1, 0, 0, 0]], 4, [0, 1, 3]),
-        (_pivots_gauss, "_scale_gauss",
+    @pytest.mark.parametrize("field,scale,rows,cols,pivots", [
+        (QQ, "_scale_z", [[2, 1, 0, 3], [0, -1, 0, 2], [1, 0, 0, 0]], 4, [0, 1, 3]),
+        (QQI, "_scale_zi",
          [[0, 0, 1, 0, 0, 1], [1, 3, 0, 1, 0, 2], [1, 2, 0, 0, 0, 0]], 3, [0, 1, 2]),
-        (_pivots_gauss, "_scale_gauss",
+        (QQI, "_scale_zi",
          [[0, 0, 3, 0, 2, 2], [3, 3, 0, -1, 3, 0], [2, 0, -1, 0, 2, 0]], 3, [0, 1, 2]),
-        (_pivots_gauss, "_scale_gauss",
+        (QQI, "_scale_zi",
          [[0, 0, 3, 3, 0, -1], [0, 3, -1, 1, 3, 2], [-1, -1, 0, 2, -1, 0]], 3, [0, 1, 2]),
     ])
-    def test_unscaled_pivot_row_is_an_inexact_division(self, routine, scale, rows, cols, pivots,
+    def test_unscaled_pivot_row_is_an_inexact_division(self, field, scale, rows, cols, pivots,
                                                        monkeypatch):
-        assert routine([list(row) for row in rows], cols) == pivots
+        assert eliminate(field, [list(row) for row in rows], cols) == pivots
         monkeypatch.setattr(linalg, scale, lambda *args: None)
         with pytest.raises(InternalConsistencyError, match="inexact division in Bareiss step"):
-            routine([list(row) for row in rows], cols)
+            eliminate(field, [list(row) for row in rows], cols)
 
     def test_scaling_by_a_non_divisor_is_a_fault(self):
         with pytest.raises(InternalConsistencyError, match="inexact division"):
-            _scale([1, 3], 1, 2, 0)
+            _scale_z([1, 3], 1, 2, 0)
         # (1 + 3i) / (1 + i) = 2 + i, but (1 + 2i) / 2 and (2 + i) / 2 are
         # not in Z[i]: one has a real remainder, the other an imaginary one
         row = [1, 3]
-        _scale_gauss(row, (1, 0), (1, 1), 0)
+        _scale_zi(row, (1, 0), (1, 1), 0)
         assert row == [2, 1]
         for row in ([1, 2], [2, 1]):
             with pytest.raises(InternalConsistencyError, match="inexact division"):
-                _scale_gauss(row, (1, 0), (2, 0), 0)
+                _scale_zi(row, (1, 0), (2, 0), 0)
 
     def test_rows_dependent_only_through_i(self):
         # each row pair (u, i u) is independent over Q but not over Q(i)

@@ -52,10 +52,24 @@ class TestShape:
         assert s.offsets([2, 0]) == [0, 12, 1, 13, 2, 14, 3, 15]
         assert s.offsets([0, 1, 2]) == list(range(24))
 
-    @pytest.mark.parametrize("dims", [(2,), (2, 2, 2, 2), (0, 2), (2, -1)])
+    # a dimension is an int, not a bool or a float that int() would truncate
+    @pytest.mark.parametrize("dims", [(2,), (2, 2, 2, 2), (0, 2), (2, -1),
+                                      (2.9, True), (2, True), (2.0, 2), ("2", 2)])
     def test_rejects_bad_dims(self, dims):
         with pytest.raises(ShapeError):
             Shape(dims)
+
+    # the state [1,1,2]: an index of the wrong length or with a non-int entry
+    # is refused, not read as some other coefficient
+    @pytest.mark.parametrize("index", [(0,), (0, 0), (0, 0, 1, 1), (0, 0, 1.0), (0, True, 1),
+                                       ("0", 0, 1)])
+    def test_offset_rejects_a_malformed_index(self, index):
+        v = from_terms(Shape((2, 2, 2)), [(1, 1, 2)])
+        assert v[(0, 0, 1)] == QQ.coerce(1)
+        with pytest.raises(ShapeError, match=r"is not 3 ints for \(2, 2, 2\)$"):
+            v.shape.offset(index)
+        with pytest.raises(ShapeError):
+            v[index]
 
 
 class TestFlatten:
