@@ -131,11 +131,7 @@ def parse_document(text: str, source: str = "<input>") -> Tensor:
             if set(item) != _SPARSE_KEYS:
                 raise DocumentError(f"{at}need exactly 'index' and 'value'")
             index, value = item["index"], item["value"]
-            if (
-                not isinstance(index, list)
-                or len(index) != shape.n
-                or not all(isinstance(i, int) and not isinstance(i, bool) for i in index)
-            ):
+            if not isinstance(index, list):
                 raise DocumentError(f"{at}'index' must be a list of {shape.n} integers (0-based)")
             try:
                 off = shape.offset(index)

@@ -164,11 +164,11 @@ def signature(v: Tensor) -> InvariantSignature:
 
     A flattening's complement is its transpose, whose kernel follows by
     rank duality.  Bipartite, the (1)-flattening's rows are read from v's
-    image and ranked.  Tripartite, so are the slices v[:,:,k]; their
-    transpose pivots like the (1,2) flattening on the concise slices S,
-    which give r, k3 and k12.  k1 and k2 are ranked on [v_1 | ... | v_r]
-    and [v_1; ...; v_r], v_l in S.  Over Q(i) a slice is one row of
-    Gaussian integers, and its transpose keeps each entry's two together.
+    image and ranked.  Tripartite, so are the (1,2)-flattening's rows, runs
+    of e d3 integers of the image; its pivots are the concise slices
+    S = v[:,:,k], which give r, k3 and k12, and only those r slices are
+    read, each one row of e d1 d2 integers.  k1 and k2 are ranked on
+    [v_1 | ... | v_r] and [v_1; ...; v_r], v_l in S.
     """
     d, field, flat = v.shape.dims, v.field, v.image
     e = field.width
@@ -178,13 +178,10 @@ def signature(v: Tensor) -> InvariantSignature:
         k1 = d[0] - len(eliminate(field, rows, d[1]))
         return InvariantSignature(d, (k1, d[1] - d[0] + k1))
     d1, d2, d3 = d
-    spread = [e * o + u for o in v.shape.offsets((0, 1)) for u in range(e)]
-    image = [[flat[s + e * k] for s in spread] for k in range(d3)]
-    cols = [list(col) for col in zip(*image)]
-    if e == 2:  # the real and imaginary columns of an entry make one row
-        cols = [[t for ab in zip(a, b) for t in ab] for a, b in zip(cols[::2], cols[1::2])]
-    slices = eliminate(field, cols, d3)
-    r, rows = len(slices), [image[k] for k in slices]
+    w = e * d3  # a row of the (1,2)-flattening in the image
+    spread = [o + u for o in range(0, len(flat), w) for u in range(e)]
+    slices = eliminate(field, [list(flat[o : o + w]) for o in spread[::e]], d3)
+    r, rows = len(slices), [[flat[s + e * k] for s in spread] for k in slices]
     w = e * d2  # a row of a slice in the image
     k1 = d1 - len(eliminate(field, [[t for x in rows for t in x[w * i : w * (i + 1)]]
                                     for i in range(d1)], d2 * r))

@@ -11,7 +11,9 @@ in lowest terms (`lowest_terms`), and a matrix is eliminated on the rows
 of the image it holds.  `eliminate` finds pivots by one fraction-free
 Bareiss elimination, over Z for Q, over the Gaussian integers Z[i] for
 Q(i) and over Z/p for GF(p); there are no tolerances, and the pivot is
-the first nonzero entry in column order.
+the first nonzero entry in column order.  Each ring supplies one row
+kernel, the Bareiss step (p x - f y) / d, which with f = 0 is the exact
+scaling p x / d.
 That these are the pivots of plain Gauss-Jordan elimination is tested
 against the oracle in the tests, not assumed.
 """
@@ -191,7 +193,8 @@ def eliminate(field: Field, image: list[list[int]], cols: int, jordan: bool = Fa
     reduced mod p as they enter (the k123 system holds unreduced dot
     products).  Entries stay minors of the input, so intermediate growth
     is polynomial and every division is exact; a nonzero remainder would
-    mean a bug, not a data issue.  Each ring supplies two row kernels.
+    mean a bug, not a data issue.  Each ring supplies one row kernel, the
+    step, and every scaling below is that step with f = 0.
 
     A row whose entry in the pivot column is 0 is left alone: a Bareiss
     step would only scale it by p / prev, and those factors telescope.
@@ -210,14 +213,13 @@ def eliminate(field: Field, image: list[list[int]], cols: int, jordan: bool = Fa
     e = field.width  # integers per entry: entry c of a row x is x[e c : e c + e]
     if isinstance(field, PrimeField):
         m = field.p
-        write, scale = partial(_write_zp, m), partial(_scale_zp, m)
+        step = partial(_step_zp, m)
         for row in image:
             row[:] = [x % m for x in row]
-    elif e == 1:
-        write, scale = _write_z, _scale_z
     else:
-        write, scale = _write_zi, _scale_zi
-    nr, last, one = len(image), e - 1, 1 if e == 1 else (1, 0)
+        step = _step_z if e == 1 else _step_zi
+    nr, last = len(image), e - 1
+    one, zero = (1, 0) if e == 1 else ((1, 0), (0, 0))
     den, pivots, prev = [one] * nr, [], one
     for c in range(cols):
         rank, k = len(pivots), e * c
@@ -230,21 +232,24 @@ def eliminate(field: Field, image: list[list[int]], cols: int, jordan: bool = Fa
         den[rank], den[piv] = den[piv], den[rank]
         rp = image[rank]
         if den[rank] != prev:
-            scale(rp, prev, den[rank], k)
+            step(rp, rp, zero, prev, den[rank], k)
         # a pivot row is not written at its own step: its Bareiss value
         # at this step is its value now
         p = den[rank] = rp[k] if e == 1 else (rp[k], rp[k + 1])
         for i in range(0 if jordan else rank + 1, nr):
             ri = image[i]
             if i != rank and (ri[k] or ri[k + last]):
-                # a row below the pivot row is 0 left of column c
-                write(ri, rp, k, p, den[i], 0 if i < rank else k + e)
+                # the step makes column c 0; a row below the pivot row is
+                # 0 left of it, so its step starts right of it
+                step(ri, rp, ri[k] if e == 1 else (ri[k], ri[k + 1]), p, den[i],
+                     0 if i < rank else k + e)
+                ri[k] = ri[k + last] = 0
                 den[i] = p
         prev = p
         pivots.append(c)
     for i in range(len(pivots) if jordan else 0):
         if den[i] != prev:
-            scale(image[i], prev, den[i], 0)
+            step(image[i], image[i], zero, prev, den[i], 0)
     return pivots
 
 
@@ -299,35 +304,25 @@ def over_den(pairs: Sequence[int], den: int) -> list[int]:
     return [n if d == den else n * (den // d) for n, d in zip(it, it)]
 
 
-# -- the row kernels of `eliminate`: write(ri, rp, k, p, d, start) sets
-# ri[start:] to (p ri - f rp) / d and zeroes f, the entry of ri at k, and
-# scale(row, num, den, start) multiplies row[start:] by num / den; over
-# Z/m, m prime, each takes m first and divides by an inverse mod m
+# -- the row kernel of `eliminate`, one per ring: step(ri, rp, f, p, d,
+# start) sets ri[start:] to (p ri - f rp) / d, the Bareiss step, and with
+# f = 0 and rp = ri scales ri[start:] by p / d; over Z/m, m prime, it takes
+# m first and divides by an inverse mod m
 
 
-def _write_z(ri: list[int], rp: list[int], k: int, p: int, d: int, start: int) -> None:
-    f = ri[k]
+def _step_z(ri: list[int], rp: list[int], f: int, p: int, d: int, start: int) -> None:
     for j in range(start, len(ri)):
         q, rem = divmod(p * ri[j] - f * rp[j], d)
         if rem:
             raise InternalConsistencyError("inexact division in Bareiss step")
         ri[j] = q
-    ri[k] = 0
 
 
-def _scale_z(row: list[int], num: int, den: int, start: int) -> None:
-    for j in range(start, len(row)):
-        q, rem = divmod(num * row[j], den)
-        if rem:
-            raise InternalConsistencyError("inexact division in Bareiss step")
-        row[j] = q
-
-
-def _write_zi(ri: list[int], rp: list[int], k: int, p: tuple[int, int], d: tuple[int, int],
-              start: int) -> None:
+def _step_zi(ri: list[int], rp: list[int], f: tuple[int, int], p: tuple[int, int],
+             d: tuple[int, int], start: int) -> None:
     # (p x - f y) / d is (a x - b y) / n for x and y the entries of ri and
     # rp, a = p conj(d), b = f conj(d) and n = |d|^2; both remainders count
-    (pr, pi), (dr, di), fr, fi = p, d, ri[k], ri[k + 1]
+    (fr, fi), (pr, pi), (dr, di) = f, p, d
     n, ar, ai = dr * dr + di * di, pr * dr + pi * di, pi * dr - pr * di
     br, bi = fr * dr + fi * di, fi * dr - fr * di
     for j in range(start, len(ri), 2):
@@ -337,31 +332,10 @@ def _write_zi(ri: list[int], rp: list[int], k: int, p: tuple[int, int], d: tuple
         if er or ei:
             raise InternalConsistencyError("inexact division in Bareiss step")
         ri[j], ri[j + 1] = qr, qi
-    ri[k] = ri[k + 1] = 0
 
 
-def _scale_zi(row: list[int], num: tuple[int, int], den: tuple[int, int], start: int) -> None:
-    (ur, ui), (dr, di) = num, den
-    # num conj(den) / n, in integers
-    n, ur, ui = dr * dr + di * di, ur * dr + ui * di, ui * dr - ur * di
-    for j in range(start, len(row), 2):
-        xr, xi = row[j], row[j + 1]
-        qr, er = divmod(xr * ur - xi * ui, n)
-        qi, ei = divmod(xr * ui + xi * ur, n)
-        if er or ei:
-            raise InternalConsistencyError("inexact division in Bareiss step")
-        row[j], row[j + 1] = qr, qi
-
-
-def _write_zp(m: int, ri: list[int], rp: list[int], k: int, p: int, d: int, start: int) -> None:
+def _step_zp(m: int, ri: list[int], rp: list[int], f: int, p: int, d: int, start: int) -> None:
     inv = pow(d, -1, m)
-    a, b = p * inv % m, ri[k] * inv % m
+    a, b = p * inv % m, f * inv % m
     for j in range(start, len(ri)):
         ri[j] = (a * ri[j] - b * rp[j]) % m
-    ri[k] = 0
-
-
-def _scale_zp(m: int, row: list[int], num: int, den: int, start: int) -> None:
-    s = num * pow(den, -1, m) % m
-    for j in range(start, len(row)):
-        row[j] = row[j] * s % m

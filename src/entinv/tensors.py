@@ -182,16 +182,15 @@ def from_terms(shape: Shape, terms: Sequence[Sequence[int]], field: Field = QQ) 
 
     Term (j1, ..., jn) is the standard basis vector e_{j1} x ... x e_{jn},
     so each distinct term lands as a single unit coefficient.  To write
-    the state in other bases, act on it with `apply_local`.
+    the state in other bases, act on it with `apply_local`.  A term whose
+    0-based index `Shape.offset` refuses raises its ShapeError, naming the term.
     """
     counts = [0] * (field.width * shape.size)
     for term in terms:
-        if len(term) != shape.n:
-            raise ShapeError(f"term {tuple(term)} has wrong arity for {shape.dims}")
-        for j, d in zip(term, shape.dims):
-            if not 1 <= j <= d:
-                raise ShapeError(f"term index {tuple(term)} out of range for {shape.dims}")
-        counts[field.width * shape.offset(tuple(j - 1 for j in term))] += 1
+        try:
+            counts[field.width * shape.offset([j - 1 for j in term])] += 1
+        except ShapeError as exc:
+            raise ShapeError(f"term {tuple(term)} (1-based): {exc}") from exc
     return Tensor.of_image(field, shape, counts)
 
 

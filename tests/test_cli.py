@@ -7,7 +7,7 @@ from entinv import invariants, linalg
 from entinv.cli import build_parser, main
 from entinv.documents import parse_document
 from entinv.linalg import ExactMatrix
-from entinv.suites import suite_local_invariance
+from entinv.suites import run_suite, suite_local_invariance
 from entinv.tables import ClassTable, classify, table_for
 from entinv.tensors import Shape
 
@@ -16,6 +16,9 @@ GHZ_DOC = json.dumps(
     {"field": "rational", "dims": [2, 2, 2],
      "entries": ["1", "0", "0", "0", "0", "0", "0", "1"]}
 )
+# a binary state with no class over gf(2), whose signature is GHZ's but for k123
+GAP_DOC = {"field": "gf(2)", "dims": [2, 2, 2],
+           "entries": ["0", "1", "1", "0", "1", "0", "0", "1"]}
 
 
 def _main_peak(argv):
@@ -116,6 +119,19 @@ class TestClassify:
         monkeypatch.setattr("sys.stdin", io.StringIO(GHZ_DOC))
         assert main(["classify", "-"]) == 0
         assert "class: C6" in capsys.readouterr().out
+
+    def test_gap_is_exit_2_with_the_state_in_the_report(self, monkeypatch, capsys):
+        import io
+        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(GAP_DOC)))
+        assert main(["classify", "-"]) == 2
+        captured = capsys.readouterr()
+        data = json.loads(captured.out)
+        signature = {"n": 3, "dims": [2, 2, 2], "singles": [0, 0, 0], "pairs": [2, 2, 2],
+                     "triple": 2}
+        assert data["class"] is None and data["signature"] == signature
+        assert data["gap"] == {**GAP_DOC, "signature": signature}
+        [line] = captured.err.splitlines()
+        assert line.startswith("classification gap: signature (0,0,0;2,2,2;2) on shape (2, 2, 2)")
 
     def test_deeply_nested_json(self, monkeypatch, capsys):
         import io
@@ -264,6 +280,12 @@ class TestTable:
 
     def test_missing_d(self, capsys):
         assert main(["table", "--family", "22d"]) == 1
+
+    def test_bipartite_needs_both_dims(self, capsys):
+        assert main(["table", "--family", "bipartite", "--d1", "2"]) == 1
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == (
+            "", "usage error: family bipartite needs --d1 and --d2\n")
 
     @pytest.mark.parametrize("command", ["table", "representative"])
     @pytest.mark.parametrize("family,flags,unread", [
@@ -497,6 +519,9 @@ class TestVerify:
 
     def test_unknown_suite_rejected(self, capsys):
         assert main(["verify", "--suite", "everything"]) == 1
+        # the parser lists the suites, so only a library call reaches run_suite's own check
+        with pytest.raises(ValueError, match="^unknown suite 'everything'; choose from tables, "):
+            run_suite("everything")
 
     def test_local_invariance_caps_d_max_itself(self):
         assert suite_local_invariance(draws=0, d_max=8).title == (

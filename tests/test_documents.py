@@ -109,7 +109,9 @@ def test_dense_document_errors(mutate, fragment):
     [
         ([{"index": [0, 0], "value": "1", "x": 1}], "unknown field"),
         ([{"index": [0, 0]}], "need exactly"),
-        ([{"index": [0], "value": "1"}], "list of 2 integers"),
+        ([{"index": 0, "value": "1"}], "list of 2 integers"),
+        ([{"index": [0], "value": "1"}], "index (0,) is not 2 ints for (2, 2)"),
+        ([{"index": [0, True], "value": "1"}], "index (0, True) is not 2 ints"),
         ([{"index": [0, 5], "value": "1"}], "out of range"),
         ([{"index": [0, 0], "value": "1"}, {"index": [0, 0], "value": "2"}], "duplicate index"),
         ([{"index": [0, 0], "value": 1}], "scalar string"),

@@ -290,6 +290,9 @@ GOLDEN = {
         "8e76aa3fd5ecbc491f2b07ae51d67c796bb337719dc0aaee127b7d253cb448fd",
     "verify --suite survey --samples 20 --field gaussian-rational --format json":
         "b797fa60f31f4c16cbd032b7d2451523fd03f9078ec3346d5ef24ee9937c60e7",
+    # one binary state at (2, 2, 2) has no class over gf(2): exit 2 with the gap's detail
+    "verify --suite survey --samples 5 --field gf(2)":
+        "45e6aef2a899146668149b2a6e1017e7d9814ac42e0926c78402d44b4e0a9dd0",
     "verify --suite exhaustive-222 --field gaussian-rational":
         "5a6aad93fa590bb8097566ba2605db6a89fdfd30e62591669058599303d19926",
     "suite_local_invariance(draws=2, d_max=2).to_dict()":

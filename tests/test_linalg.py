@@ -9,8 +9,8 @@ from entinv.fields import GF, QQ, QQI, FieldMismatchError, GaussianRational
 from entinv.linalg import (
     ExactMatrix,
     InternalConsistencyError,
-    _scale_z,
-    _scale_zi,
+    _step_z,
+    _step_zi,
     eliminate,
     from_image,
     image_kernel,
@@ -161,6 +161,16 @@ class TestRref:
         with pytest.raises(FieldMismatchError):
             ExactMatrix(GF(5), 1, 1, [Fraction(1, 2)])
 
+    @pytest.mark.parametrize("rows,cols,values,message", [
+        (-1, 2, [], "matrix dimensions must be non-negative"),
+        (1, -1, [], "matrix dimensions must be non-negative"),
+        (2, 2, [1, 0, 0], "expected 4 entries for 2x2, got 3"),
+        (1, 1, [1, 0], "expected 1 entries for 1x1, got 2"),
+    ])
+    def test_malformed_dimensions_rejected(self, rows, cols, values, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            ExactMatrix(QQ, rows, cols, values)
+
 
 class TestPivots:
     @pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.descriptor)
@@ -242,34 +252,39 @@ class TestPivots:
     # the inner loop fires.  Unscaled inputs reach it over Z and Z[i].  The
     # first Gaussian rows are [0, 1, i], [1 + 3i, i, 2i] and [1 + 2i, 0, 0];
     # unscaled, the next two leave a remainder in the imaginary part alone
-    # and in the real part alone.
-    @pytest.mark.parametrize("field,scale,rows,cols,pivots", [
-        (QQ, "_scale_z", [[2, 1, 0, 3], [0, -1, 0, 2], [1, 0, 0, 0]], 4, [0, 1, 3]),
-        (QQI, "_scale_zi",
+    # and in the real part alone.  A scaling is the ring's step of a row
+    # with itself, so the patched kernel skips only those.
+    @pytest.mark.parametrize("field,step,rows,cols,pivots", [
+        (QQ, "_step_z", [[2, 1, 0, 3], [0, -1, 0, 2], [1, 0, 0, 0]], 4, [0, 1, 3]),
+        (QQI, "_step_zi",
          [[0, 0, 1, 0, 0, 1], [1, 3, 0, 1, 0, 2], [1, 2, 0, 0, 0, 0]], 3, [0, 1, 2]),
-        (QQI, "_scale_zi",
+        (QQI, "_step_zi",
          [[0, 0, 3, 0, 2, 2], [3, 3, 0, -1, 3, 0], [2, 0, -1, 0, 2, 0]], 3, [0, 1, 2]),
-        (QQI, "_scale_zi",
+        (QQI, "_step_zi",
          [[0, 0, 3, 3, 0, -1], [0, 3, -1, 1, 3, 2], [-1, -1, 0, 2, -1, 0]], 3, [0, 1, 2]),
     ])
-    def test_unscaled_pivot_row_is_an_inexact_division(self, field, scale, rows, cols, pivots,
+    def test_unscaled_pivot_row_is_an_inexact_division(self, field, step, rows, cols, pivots,
                                                        monkeypatch):
         assert eliminate(field, [list(row) for row in rows], cols) == pivots
-        monkeypatch.setattr(linalg, scale, lambda *args: None)
+        kernel = getattr(linalg, step)
+        monkeypatch.setattr(linalg, step,
+                            lambda ri, rp, *args: None if ri is rp else kernel(ri, rp, *args))
         with pytest.raises(InternalConsistencyError, match="inexact division in Bareiss step"):
             eliminate(field, [list(row) for row in rows], cols)
 
     def test_scaling_by_a_non_divisor_is_a_fault(self):
+        # a scaling is the step with f = 0 of a row with itself
+        row = [1, 3]
         with pytest.raises(InternalConsistencyError, match="inexact division"):
-            _scale_z([1, 3], 1, 2, 0)
+            _step_z(row, row, 0, 1, 2, 0)
         # (1 + 3i) / (1 + i) = 2 + i, but (1 + 2i) / 2 and (2 + i) / 2 are
         # not in Z[i]: one has a real remainder, the other an imaginary one
         row = [1, 3]
-        _scale_zi(row, (1, 0), (1, 1), 0)
+        _step_zi(row, row, (0, 0), (1, 0), (1, 1), 0)
         assert row == [2, 1]
         for row in ([1, 2], [2, 1]):
             with pytest.raises(InternalConsistencyError, match="inexact division"):
-                _scale_zi(row, (1, 0), (2, 0), 0)
+                _step_zi(row, row, (0, 0), (1, 0), (2, 0), 0)
 
     def test_rows_dependent_only_through_i(self):
         # each row pair (u, i u) is independent over Q but not over Q(i)

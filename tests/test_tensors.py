@@ -71,6 +71,12 @@ class TestShape:
         with pytest.raises(ShapeError):
             v[index]
 
+    @pytest.mark.parametrize("count", [3, 5])
+    def test_tensor_refuses_the_wrong_coefficient_count(self, count):
+        with pytest.raises(ShapeError,
+                           match=f"^expected 4 coefficients for shape \\(2, 2\\), got {count}$"):
+            Tensor(QQ, Shape((2, 2)), [0] * count)
+
 
 class TestFlatten:
     def test_epr_is_identity(self):
@@ -159,10 +165,13 @@ class TestFromTerms:
         F = GF(2)
         assert from_terms(Shape((2, 2)), terms, field=F).coeffs == tuple(map(F.coerce, (0, 0, 1, 0)))
 
+    # `Shape.offset` checks the 0-based index; the message names the term too
     def test_out_of_range_term(self):
-        with pytest.raises(ShapeError):
-            from_terms(Shape((2, 2, 2)), [(1, 1, 3)])
-        with pytest.raises(ShapeError):
+        with pytest.raises(ShapeError, match=r"^term \(1, 1, 3\) \(1-based\): index \(0, 0, 2\) "
+                                             r"out of range for \(2, 2, 2\)$"):
+            from_terms(Shape((2, 2, 2)), [(1, 1, 2), (1, 1, 3)])
+        with pytest.raises(ShapeError, match=r"^term \(1, 1\) \(1-based\): index \(0, 0\) "
+                                             r"is not 3 ints for \(2, 2, 2\)$"):
             from_terms(Shape((2, 2, 2)), [(1, 1)])
 
     def test_singular_basis_rejected(self):
@@ -219,6 +228,12 @@ class TestApplyLocal:
         v = random_tensor(Shape((2, 2)), 2, seed=3)
         with pytest.raises(ShapeError):
             apply_local(v, [_identity(QQ, 3), _identity(QQ, 2)])
+
+    @pytest.mark.parametrize("count", [1, 3])
+    def test_wrong_number_of_maps_rejected(self, count):
+        v = random_tensor(Shape((2, 2)), 2, seed=3)
+        with pytest.raises(ShapeError, match=f"^need 2 local maps, got {count}$"):
+            apply_local(v, [_identity(QQ, 2)] * count)
 
     # elements define no arithmetic, so this check is all that stops a
     # map's image from being read in another field's layout
@@ -292,6 +307,15 @@ class TestRandomSources:
             assert m.rank() == 3
         one = random_invertible(1, 5, seed=0)
         assert one.entries[0] != zero(QQ)
+
+    @pytest.mark.parametrize("d,bound,message", [
+        (0, 3, "dimension must be >= 1, got 0"),
+        (2, 0, "bound must be >= 1, got 0"),
+        (2, -1, "bound must be >= 1, got -1"),
+    ])
+    def test_random_invertible_refuses_bad_arguments(self, d, bound, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            random_invertible(d, bound, seed=0)
 
     def test_random_invertible_over_gf(self):
         m = random_invertible(4, 3, seed=2, field=GF(5))
