@@ -93,7 +93,7 @@ def parse_document(text: str, source: str = "<input>") -> Tensor:
         raise DocumentError(f"{source}: {exc}") from exc
 
     dims = data["dims"]
-    if not isinstance(dims, list) or not all(isinstance(d, int) and not isinstance(d, bool) for d in dims):
+    if not isinstance(dims, list):
         raise DocumentError(f"{source}: 'dims' must be a list of integers")
     try:
         shape = Shape(dims)

@@ -10,8 +10,8 @@ from __future__ import annotations
 
 from itertools import product
 
-from .invariants import KERNELS, signature, triple_constraint_matrix
-from .tables import table_for
+from .invariants import KERNELS, triple_constraint_matrix
+from .tables import ClassificationGapError, classify_full
 from .tensors import ArityError, Tensor, flatten
 
 
@@ -55,7 +55,11 @@ def explain_three_qubit(v: Tensor) -> dict:
     """Structured kernel walkthrough of a (2,2,2) state."""
     if v.shape.dims != (2, 2, 2):
         raise ArityError(f"the walkthrough covers (2,2,2) states only, got {v.shape.dims}")
-    sig = signature(v)
+    # a gap (possible over small prime fields) is unmatched; a rank fault is raised
+    try:
+        label, sig = classify_full(v)
+    except ClassificationGapError as exc:
+        label, sig = None, exc.signature
 
     coeff_names = []
     for index, c in zip(v.shape.indices(), v.coeffs):
@@ -87,11 +91,6 @@ def explain_three_qubit(v: Tensor) -> dict:
     triple_equations = [
         _equation(v.field, triple_m.row(i), triple_vars) for i in range(triple_m.rows)
     ]
-
-    # a signature outside the table (possible over small prime fields) is
-    # reported as unmatched rather than raised as a gap
-    entry = table_for(v.shape).lookup(sig.key())
-    label = entry.label if entry is not None else None
 
     return {
         "field": v.field.descriptor,

@@ -44,7 +44,7 @@ class ExactMatrix:
     """A rows x cols matrix over one exact field, held as the image of its
     entries row by row in lowest terms, as a `Tensor` holds its coefficients."""
 
-    __slots__ = ("field", "rows", "cols", "image", "den", "_pivots")
+    __slots__ = ("field", "rows", "cols", "image", "den", "_rank")
 
     def __init__(self, field: Field, rows: int, cols: int, values: Sequence):
         if rows < 0 or cols < 0:
@@ -54,14 +54,14 @@ class ExactMatrix:
         # `to_image` of field values is in lowest terms already
         image, den = to_image(field, [field.coerce(x) for x in values])
         self.field, self.rows, self.cols, self.image, self.den = field, rows, cols, tuple(image), den
-        self._pivots = None
+        self._rank = None
 
     @classmethod
     def of_image(cls, field: Field, rows: int, cols: int, image: Sequence[int],
                  den: int = 1) -> "ExactMatrix":
         """The matrix whose entries, row by row, have the image `image` over `den > 0`."""
         m = cls.__new__(cls)
-        m.field, m.rows, m.cols, m._pivots = field, rows, cols, None
+        m.field, m.rows, m.cols, m._rank = field, rows, cols, None
         m.image, m.den = lowest_terms(field, image, den)
         return m
 
@@ -100,19 +100,13 @@ class ExactMatrix:
 
     # -- elimination ---------------------------------------------------
 
-    def pivots(self) -> list[int]:
-        """The pivot columns of the reduced row echelon form, by integer
-        elimination of the image on the first call.
-
-        The image is never mutated, so the pivot list is kept for later calls.
-        """
-        if self._pivots is None:
-            self._pivots = eliminate(self.field, self.image_rows(), self.cols)
-        return list(self._pivots)
-
     def rank(self) -> int:
-        """Number of pivot columns of the reduced row echelon form."""
-        return len(self.pivots())
+        """Number of pivot columns of the reduced row echelon form, by integer
+        elimination of the image on the first call and kept, as the image is
+        never mutated."""
+        if self._rank is None:
+            self._rank = len(eliminate(self.field, self.image_rows(), self.cols))
+        return self._rank
 
 
 # -- integer elimination -----------------------------------------------

@@ -32,9 +32,6 @@ class Report:
     def add(self, name: str, passed: bool, detail: str = "", repro: str = "", gap: bool = False):
         self.checks.append(Check(name, passed, detail, repro, gap))
 
-    def note(self, text: str):
-        self.notes.append(text)
-
     def render_text(self) -> str:
         lines = [f"== {self.title} =="]
         for note in self.notes:

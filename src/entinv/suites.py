@@ -17,7 +17,6 @@ from .reporting import Report
 from .tables import (
     TRIPARTITE_DIMS,
     ClassificationGapError,
-    classify,
     classify_full,
     expected_count,
     representative,
@@ -100,8 +99,6 @@ def suite_tables(d_max: int = 8) -> Report:
 def suite_duality(samples: int = 200, seed: int = 0, field: Field = QQ) -> Report:
     """Complementary flattenings of random states, each ranked on its own, agree."""
     report = Report(title=f"duality ({samples} samples per shape, seed {seed})")
-    if field != QQ:
-        report.note(f"field {field.descriptor}: results are field-dependent")
     for dims in DUALITY_SHAPES:
         shape = Shape(dims)
         first_fail = ""
@@ -159,30 +156,33 @@ def suite_local_invariance(draws: int = 100, d_max: int = 5, seed: int = 0) -> R
     return report
 
 
+def _census(states) -> tuple[dict[str, int], list[tuple[int, ClassificationGapError]]]:
+    """Classify each state: the class histogram by label number, and each gap as (index, error)."""
+    hist: dict[str, int] = {}
+    gaps = []
+    for i, v in enumerate(states):
+        try:
+            label, _ = classify_full(v)
+            hist[label] = hist.get(label, 0) + 1
+        except ClassificationGapError as exc:
+            gaps.append((i, exc))
+    return {k: hist[k] for k in sorted(hist, key=lambda s: int(s[1:]))}, gaps
+
+
 def suite_exhaustive_222(field: Field = QQ) -> Report:
     """Classify all 256 binary (2,2,2) states; report the class histogram."""
     report = Report(title="exhaustive binary (2,2,2) census")
-    if field != QQ:
-        report.note(f"field {field.descriptor}: results are field-dependent")
     shape = Shape((2, 2, 2))
-    hist: dict[str, int] = {}
-    gaps = []
-    for mask in range(256):
-        bits = [(mask >> (7 - i)) & 1 for i in range(8)]
-        v = Tensor(field, shape, bits)
-        try:
-            label = classify(v)
-        except ClassificationGapError as exc:
-            gaps.append((bits, str(exc.signature)))
-            continue
-        hist[label] = hist.get(label, 0) + 1
+    states = [[(mask >> (7 - i)) & 1 for i in range(8)] for mask in range(256)]
+    hist, gaps = _census(Tensor(field, shape, bits) for bits in states)
+    first = (states[gaps[0][0]], str(gaps[0][1].signature)) if gaps else ""
     report.add(
         "zero classification gaps over 256 binary states",
         not gaps,
-        detail=f"{len(gaps)} gaps, first: {gaps[0] if gaps else ''}",
+        detail=f"{len(gaps)} gaps, first: {first}",
         gap=bool(gaps),
     )
-    report.data["histogram"] = {k: hist[k] for k in sorted(hist, key=lambda s: int(s[1:]))}
+    report.data["histogram"] = hist
     report.data["total"] = sum(hist.values())
     return report
 
@@ -190,25 +190,18 @@ def suite_exhaustive_222(field: Field = QQ) -> Report:
 def suite_survey(samples: int = 1000, seed: int = 0, field: Field = QQ) -> Report:
     """Random states with integer entries in [-3, 3] must classify without gaps."""
     report = Report(title=f"survey ({samples} samples per shape, bound 3, seed {seed})")
-    if field != QQ:
-        report.note(f"field {field.descriptor}: results are field-dependent")
     histogram: dict[str, dict[str, int]] = {}
     for dims in SURVEY_SHAPES:
         shape = Shape(dims)
-        gaps = []
-        hist: dict[str, int] = {}
-        for i in range(samples):
-            v = random_tensor(shape, 3, seed=_child(seed, "survey", dims, i), field=field)
-            try:
-                label, _ = classify_full(v)
-            except ClassificationGapError as exc:
-                gaps.append((i, str(exc.signature), exc.payload()))
-                continue
-            hist[label] = hist.get(label, 0) + 1
+        histogram[str(dims)], gaps = _census(
+            random_tensor(shape, 3, seed=_child(seed, "survey", dims, i), field=field)
+            for i in range(samples)
+        )
         detail = ""
         if gaps:
-            i, sig, payload = gaps[0]
-            detail = f"{len(gaps)} gaps; first at sample {i}: signature {sig}, state {payload}"
+            i, exc = gaps[0]
+            detail = (f"{len(gaps)} gaps; first at sample {i}: signature {exc.signature}, "
+                      f"state {exc.payload()}")
         report.add(
             f"zero gaps on {dims}",
             not gaps,
@@ -217,7 +210,6 @@ def suite_survey(samples: int = 1000, seed: int = 0, field: Field = QQ) -> Repor
             f"--field {field.descriptor}",
             gap=bool(gaps),
         )
-        histogram[str(dims)] = {k: hist[k] for k in sorted(hist, key=lambda s: int(s[1:]))}
     report.data["histograms"] = histogram
     return report
 
@@ -264,12 +256,15 @@ def run_suite(
             f"suite {name} runs over the rationals only, got --field {field.descriptor}"
         )
     try:
-        return SUITES[name](**kwargs)
+        report = SUITES[name](**kwargs)
     except (InternalConsistencyError, ClassificationGapError) as exc:
         report = Report(title=name)
         gap = isinstance(exc, ClassificationGapError)
         report.add(f"suite {name} ran to the end", False, detail=str(exc), gap=gap)
         return report
+    if field != QQ:
+        report.notes.append(f"field {field.descriptor}: results are field-dependent")
+    return report
 
 
 def _child(seed: int, *tags) -> int:

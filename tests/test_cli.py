@@ -198,6 +198,8 @@ class TestClassify:
          "rank 1 matrix has 0 pivots"),
         ("classify", "gaussian-rational", ["1", "0", "0", "0", "0", "0", "0", "1"], "all",
          "rank 1 matrix has 0 pivots"),
+        ("explain3", "rational", ["1", "0", "0", "1", "0", "0", "0", "0"], "tall",
+         "rank duality violated: factor 1 flattening has rank 1, its complement 0"),
     ])
     def test_internal_error_is_one_line(self, command, field, entries, fault, message,
                                         monkeypatch, capsys):
@@ -217,11 +219,12 @@ class TestClassify:
         import io
         _k123_rank_short(monkeypatch)
         doc = json.dumps({"field": "rational", "dims": [2, 2, 2], "entries": ["1"] + ["0"] * 7})
-        monkeypatch.setattr("sys.stdin", io.StringIO(doc))
-        assert main(["classify", "-"]) == 1
-        captured = capsys.readouterr()
-        assert (captured.out, captured.err) == (
-            "", "internal error: signature gives k123 = 5, its recomputation 4\n")
+        for command in ("classify", "explain3"):
+            monkeypatch.setattr("sys.stdin", io.StringIO(doc))
+            assert main([command, "-"]) == 1
+            captured = capsys.readouterr()
+            assert (captured.out, captured.err) == (
+                "", "internal error: signature gives k123 = 5, its recomputation 4\n")
 
 
 class TestTable:

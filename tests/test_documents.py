@@ -90,7 +90,7 @@ def test_sparse_defaults_to_zero():
         (lambda d: d.pop("dims"), "missing field"),
         (lambda d: d.update(field="float64"), "unknown field descriptor"),
         (lambda d: d.update(dims=[2]), "2 or 3 factors"),
-        (lambda d: d.update(dims=[2, 2.5]), "list of integers"),
+        (lambda d: d.update(dims=[2, 2.5]), "must be ints"),
         (lambda d: d.update(entries=["1", "0"]), "dense entries need 4"),
         (lambda d: d.update(entries=["1", "0", "1.5", "0"]), "entries[2]"),
         (lambda d: d.update(entries="10"), "must be a list"),

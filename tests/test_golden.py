@@ -295,6 +295,11 @@ GOLDEN = {
         "45e6aef2a899146668149b2a6e1017e7d9814ac42e0926c78402d44b4e0a9dd0",
     "verify --suite exhaustive-222 --field gaussian-rational":
         "5a6aad93fa590bb8097566ba2605db6a89fdfd30e62591669058599303d19926",
+    # 54 of the 256 binary states have no class over gf(2): the count and the first gap
+    "verify --suite exhaustive-222 --field gf(2)":
+        "5d4d51fd1f52696899cdc6a7041b12ab123e1763c26d92f33dc118749c5d802b",
+    "verify --suite exhaustive-222 --field gf(2) --format json":
+        "be2ebeb9aa3fb7f7382be089b0fc985e32d239bae2350d05cb5c0f026b570dbb",
     "suite_local_invariance(draws=2, d_max=2).to_dict()":
         "21f069a1f77d6ae469fa96eae29cee2198ee48d4f37faef0d741df6bb7a4e4a1",
 }
