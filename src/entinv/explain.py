@@ -43,6 +43,12 @@ def _equation(field, row, variables) -> str:
     return out + " = 0"
 
 
+def _equations(m, variables) -> list[str]:
+    """One equation per row of the matrix m, on the unknowns `variables`."""
+    entries, c = m.entries, m.cols
+    return [_equation(m.field, entries[c * i : c * (i + 1)], variables) for i in range(m.rows)]
+
+
 def _variables(positions: tuple[int, ...]) -> list[str]:
     # for (2,2,2) every factor has dimension 2
     names = []
@@ -71,11 +77,8 @@ def explain_three_qubit(v: Tensor) -> dict:
     # the constraint system on w in the row-side space of a kernel is the
     # complementary flattening
     for rows, cols, dim in zip(KERNELS, KERNELS[::-1], sig.singles + sig.pairs):
-        constraints = flatten(v, cols)
         variables = _variables(rows)
-        equations = [
-            _equation(v.field, constraints.row(i), variables) for i in range(constraints.rows)
-        ]
+        equations = _equations(flatten(v, cols), variables)
         systems.append(
             {
                 "kernel": "K" + "".join(map(str, rows)),
@@ -86,11 +89,7 @@ def explain_three_qubit(v: Tensor) -> dict:
             }
         )
 
-    triple_m = triple_constraint_matrix(v)
-    triple_vars = _variables((1, 2, 3))
-    triple_equations = [
-        _equation(v.field, triple_m.row(i), triple_vars) for i in range(triple_m.rows)
-    ]
+    triple_equations = _equations(triple_constraint_matrix(v), _variables((1, 2, 3)))
 
     return {
         "field": v.field.descriptor,

@@ -21,7 +21,7 @@ from typing import Optional, Sequence
 
 from .linalg import (ExactMatrix, InternalConsistencyError, eliminate, from_image, gaussian_rows,
                      image_kernel, scaled)
-from .tensors import ArityError, Tensor, flatten
+from .tensors import ArityError, Shape, Tensor, flatten
 
 
 # row factors of the six kernels in a signature's order; KERNELS[5 - k] is KERNELS[k]'s complement
@@ -194,7 +194,10 @@ def slow_route_fault(v: Tensor, sig: Optional[InvariantSignature] = None) -> str
     """What ranking every flattening through its own `ExactMatrix` finds
     wrong, or "": first a single factor whose flattening and complement
     differ in rank, then, given `sig`, the first of its kernels that
-    differs, with k123 from `triple_constraint_matrix`."""
+    differs, with k123 from `triple_constraint_matrix` of the concise
+    state v|S, S the pivots of the (1,2) flattening's image, plus
+    (d3 - r)(d1 d2 - r) for the zero slices it drops (see
+    `triple_kernel_dim`): r^2 + d1^2 + d2^2 rows, whatever d3 is."""
     names = list(KERNELS[: 2 if v.n == 2 else 6])
     slow = [kernel_dim(v, rows) for rows in names]
     ranks = [prod(v.shape.dims[i - 1] for i in rows) - k for rows, k in zip(names, slow)]
@@ -205,8 +208,15 @@ def slow_route_fault(v: Tensor, sig: Optional[InvariantSignature] = None) -> str
     if sig is None:
         return ""
     if v.n == 3:
+        (d1, d2, d3), e, m = v.shape.dims, v.field.width, flatten(v, (1, 2))
+        rows, S = m.image_rows(), eliminate(v.field, m.image_rows(), d3)
+        k123, r = v.shape.size, len(S)
+        if S:
+            vs = Tensor.of_image(v.field, Shape((d1, d2, r)),
+                                 [x[e * k + u] for x in rows for k in S for u in range(e)], m.den)
+            k123 = (d3 - r) * (d1 * d2 - r) + vs.shape.size - triple_constraint_matrix(vs).rank()
         names.append((1, 2, 3))
-        slow.append(v.shape.size - triple_constraint_matrix(v).rank())
+        slow.append(k123)
     for rows, k, s in zip(names, [*sig.singles, *(sig.pairs or ()), sig.triple], slow):
         if k != s:
             return f"signature gives k{''.join(map(str, rows))} = {k}, its recomputation {s}"

@@ -1,4 +1,5 @@
-"""Exact matrices, and the integer image in which all their arithmetic runs.
+"""Exact tensors and matrices, and the integer image in which all their
+arithmetic runs.
 
 Field elements are parsed, compared and printed, never multiplied: each
 computation runs on an image of integers, one per field.  A vector's
@@ -6,9 +7,9 @@ image is its residues over GF(p) and its numerators over one common
 denominator over Q; over Q(i) it is Gaussian integers over one common
 denominator, the entry a + bi stored as the two integers a, b.
 `to_image` and `from_image` are the one way between values and image,
-each with one branch per field.  A tensor and a matrix hold their image
-in lowest terms (`lowest_terms`), and a matrix is eliminated on the rows
-of the image it holds.  `eliminate` finds pivots by one fraction-free
+each with one branch per field.  A tensor holds its image in lowest
+terms (`Tensor.of_image`); a matrix is a two-factor tensor, eliminated
+on the rows of the image it holds.  `eliminate` finds pivots by one fraction-free
 Bareiss elimination, over Z for Q, over the Gaussian integers Z[i] for
 Q(i) and over Z/p for GF(p); there are no tolerances, and the pivot is
 the first nonzero entry in column order.  Each ring supplies one row
@@ -22,7 +23,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import partial
-from math import gcd, lcm
+from itertools import product
+from math import gcd, lcm, prod
 from operator import mul
 from typing import Sequence
 
@@ -40,65 +42,169 @@ MAX_IMAGE_BITS = 2**28
 CHUNK = 4096
 
 
-class ExactMatrix:
-    """A rows x cols matrix over one exact field, held as the image of its
-    entries row by row in lowest terms, as a `Tensor` holds its coefficients."""
+class ShapeError(ValueError):
+    """A shape, an index, or the row factors of a flattening are inconsistent."""
 
-    __slots__ = ("field", "rows", "cols", "image", "den", "_rank")
+
+class Shape:
+    """Factor dimensions (d1, ..., dn) with n in {2, 3} and every di >= 1."""
+
+    __slots__ = ("dims",)
+
+    def __init__(self, dims: Sequence[int]):
+        dims = tuple(dims)
+        if not 2 <= len(dims) <= 3:
+            raise ShapeError(f"supported tensors have 2 or 3 factors, got {len(dims)}")
+        if not all(type(d) is int for d in dims):
+            raise ShapeError(f"factor dimensions must be ints: {dims}")
+        if any(d < 1 for d in dims):
+            raise ShapeError(f"factor dimensions must be >= 1: {dims}")
+        self.dims = dims
+
+    @property
+    def n(self) -> int:
+        return len(self.dims)
+
+    @property
+    def size(self) -> int:
+        return prod(self.dims)
+
+    def offset(self, index: Sequence[int]) -> int:
+        """Row-major offset of a 0-based multi-index of n ints."""
+        if len(index) != len(self.dims) or not all(type(i) is int for i in index):
+            raise ShapeError(f"index {tuple(index)} is not {self.n} ints for {self.dims}")
+        off = 0
+        for d, i in zip(self.dims, index):
+            if not 0 <= i < d:
+                raise ShapeError(f"index {tuple(index)} out of range for {self.dims}")
+            off = off * d + i
+        return off
+
+    def offsets(self, axes: Sequence[int]) -> list[int]:
+        """Row-major offsets of the indices running over `axes`, others held at 0.
+
+        Axes are 0-based and the first one is outermost, so the offsets of
+        every axis in some order list the coefficients in that order.
+        """
+        out = [0]
+        for axis in axes:
+            stride = prod(self.dims[axis + 1 :])
+            out = [o + i * stride for o in out for i in range(self.dims[axis])]
+        return out
+
+    def indices(self):
+        """All 0-based multi-indices in row-major order."""
+        return product(*(range(d) for d in self.dims))
+
+    def __eq__(self, other):
+        return isinstance(other, Shape) and self.dims == other.dims
+
+    def __hash__(self):
+        return hash(self.dims)
+
+    def __repr__(self):
+        return f"Shape{self.dims}"
+
+
+class Tensor:
+    """Immutable dense tensor over one exact field, held as the image of its
+    coefficients in lowest terms, so equal tensors have equal `image` and `den`."""
+
+    __slots__ = ("field", "shape", "image", "den")
+
+    def __init__(self, field: Field, shape: Shape, coeffs: Sequence):
+        if len(coeffs) != shape.size:
+            raise ShapeError(
+                f"expected {shape.size} coefficients for shape {shape.dims}, got {len(coeffs)}"
+            )
+        # `to_image` of field values is in lowest terms already
+        image, self.den = to_image(field, [field.coerce(c) for c in coeffs])
+        self.field, self.shape, self.image = field, shape, tuple(image)
+
+    @classmethod
+    def of_image(cls, field: Field, shape: Shape, image: Sequence[int], den: int = 1) -> "Tensor":
+        """The tensor whose coefficients have the image `image` over `den > 0`,
+        brought to lowest terms: residues over 1 over GF(p), else integers
+        over a den sharing no prime with all of them."""
+        if isinstance(field, PrimeField):
+            inv = pow(den, -1, field.p)
+            image, den = [x * inv % field.p for x in image], 1
+        elif den > 1 and (g := gcd(den, *image)) > 1:
+            image, den = [x // g for x in image], den // g
+        v = cls.__new__(cls)
+        # tuple() of a list allocates the exact size once, keeping the heap compact
+        v.field, v.shape, v.image, v.den = field, shape, tuple(image), den
+        return v
+
+    @property
+    def n(self) -> int:
+        return self.shape.n
+
+    @property
+    def coeffs(self) -> tuple:
+        """The coefficients as field values, converted from the image on each call."""
+        return tuple(from_image(self.field, self.image, self.den))
+
+    def __getitem__(self, index) -> object:
+        e = self.field.width
+        k = e * self.shape.offset(index)
+        return from_image(self.field, self.image[k : k + e], self.den)[0]
+
+    def scale(self, scalar) -> "Tensor":
+        """This tensor times a scalar: the scalar's image multiplies every entry of its image."""
+        field = self.field
+        s, den = to_image(field, [field.coerce(scalar)])
+        return Tensor.of_image(field, self.shape, scaled(self.image, s), den * self.den)
+
+    def __eq__(self, other):
+        return (
+            isinstance(other, Tensor)
+            and self.field == other.field
+            and self.shape == other.shape
+            and self.den == other.den
+            and self.image == other.image
+        )
+
+    def __repr__(self):
+        vals = ", ".join(self.field.format(c) for c in self.coeffs)
+        return f"{type(self).__name__}({self.shape.dims} over {self.field.descriptor}: [{vals}])"
+
+
+class ExactMatrix(Tensor):
+    """A rows x cols matrix over one exact field: a tensor of shape
+    (rows, cols), whose rank is computed on the first call and kept."""
+
+    __slots__ = ("_rank",)
 
     def __init__(self, field: Field, rows: int, cols: int, values: Sequence):
-        if rows < 0 or cols < 0:
-            raise ValueError("matrix dimensions must be non-negative")
-        if len(values) != rows * cols:
-            raise ValueError(f"expected {rows * cols} entries for {rows}x{cols}, got {len(values)}")
-        # `to_image` of field values is in lowest terms already
-        image, den = to_image(field, [field.coerce(x) for x in values])
-        self.field, self.rows, self.cols, self.image, self.den = field, rows, cols, tuple(image), den
+        super().__init__(field, Shape((rows, cols)), values)
         self._rank = None
 
     @classmethod
     def of_image(cls, field: Field, rows: int, cols: int, image: Sequence[int],
                  den: int = 1) -> "ExactMatrix":
         """The matrix whose entries, row by row, have the image `image` over `den > 0`."""
-        m = cls.__new__(cls)
-        m.field, m.rows, m.cols, m._rank = field, rows, cols, None
-        m.image, m.den = lowest_terms(field, image, den)
+        m = super().of_image(field, Shape((rows, cols)), image, den)
+        m._rank = None
         return m
+
+    @property
+    def rows(self) -> int:
+        return self.shape.dims[0]
+
+    @property
+    def cols(self) -> int:
+        return self.shape.dims[1]
 
     @property
     def entries(self) -> list:
         """The entries as field values, row by row, converted from the image on each call."""
         return from_image(self.field, self.image, self.den)
 
-    def __getitem__(self, key):
-        i, j = key
-        if not (0 <= i < self.rows and 0 <= j < self.cols):
-            raise IndexError(f"index {key} out of range for {self.rows}x{self.cols}")
-        e = self.field.width
-        k = e * (i * self.cols + j)
-        return from_image(self.field, self.image[k : k + e], self.den)[0]
-
-    def row(self, i: int) -> list:
-        """Row i as field values; only its own entries are converted."""
-        w = self.field.width * self.cols
-        return from_image(self.field, self.image[w * i : w * (i + 1)], self.den)
-
     def image_rows(self) -> list[list[int]]:
         """The image row by row, as fresh lists that elimination may overwrite."""
         w = self.field.width * self.cols
         return [list(self.image[w * i : w * (i + 1)]) for i in range(self.rows)]
-
-    def __eq__(self, other):
-        return isinstance(other, ExactMatrix) and all(
-            getattr(self, a) == getattr(other, a) for a in ("field", "rows", "cols", "den", "image"))
-
-    def __repr__(self):
-        body = "; ".join(
-            " ".join(self.field.format(x) for x in self.row(i)) for i in range(self.rows)
-        )
-        return f"ExactMatrix({self.rows}x{self.cols} over {self.field.descriptor}: {body})"
-
-    # -- elimination ---------------------------------------------------
 
     def rank(self) -> int:
         """Number of pivot columns of the reduced row echelon form, by integer
@@ -135,18 +241,6 @@ def from_image(field: Field, image: list[int], den: int) -> list:
         return [Fraction(x, den) for x in image]
     return [GaussianRational(Fraction(a, den), Fraction(b, den))
             for a, b in zip(image[::2], image[1::2])]
-
-
-def lowest_terms(field: Field, image: Sequence[int], den: int = 1) -> tuple[tuple[int, ...], int]:
-    """The image `image` over `den > 0` in lowest terms: residues over 1 over
-    GF(p), else integers over a den sharing no prime with all of them."""
-    if isinstance(field, PrimeField):
-        inv = pow(den, -1, field.p)
-        image, den = [x * inv % field.p for x in image], 1
-    elif den > 1 and (g := gcd(den, *image)) > 1:
-        image, den = [x // g for x in image], den // g
-    # tuple() of a list allocates the exact size once, keeping the heap compact
-    return tuple(image), den
 
 
 def action_rows(rows: list[list[int]]) -> list[list[int]]:

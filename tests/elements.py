@@ -3,7 +3,8 @@
 The package reads a scalar string straight into its integer image and
 builds a matrix from flat values or from an image.  These helpers build
 the same objects from the forms the tests use: a scalar string as its
-element, a field's zero, and a matrix from a list of rows.
+element, a field's zero, and a matrix from a list of rows, and read a
+matrix back as its rows.
 """
 
 from entinv.linalg import ExactMatrix, cleared, from_image
@@ -24,3 +25,9 @@ def from_rows(field, rows) -> ExactMatrix:
     if any(len(row) != cols for row in rows):
         raise ValueError("ragged rows")
     return ExactMatrix(field, len(rows), cols, [x for row in rows for x in row])
+
+
+def rows_of(m) -> list[list]:
+    """The rows of a matrix as lists of values, sliced from `entries`."""
+    entries, cols = m.entries, m.cols
+    return [entries[cols * i : cols * (i + 1)] for i in range(m.rows)]

@@ -16,6 +16,8 @@ from fractions import Fraction
 from functools import cache
 from itertools import product
 
+from elements import rows_of
+
 
 class Ring:
     """Exact arithmetic of the field with the given descriptor."""
@@ -41,7 +43,7 @@ class Ring:
 
     def rows(self, m):
         """The rows of an `ExactMatrix`, or of a list of rows, lifted."""
-        rows = [m.row(i) for i in range(m.rows)] if hasattr(m, "row") else m
+        rows = rows_of(m) if hasattr(m, "entries") else m
         return [[self.lift(x) for x in row] for row in rows]
 
     def add(self, a, b):

@@ -1,5 +1,6 @@
 import json
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -9,7 +10,7 @@ from entinv.documents import parse_document
 from entinv.linalg import ExactMatrix
 from entinv.suites import run_suite, suite_local_invariance
 from entinv.tables import ClassTable, classify, table_for
-from entinv.tensors import Shape
+from entinv.tensors import Shape, Tensor
 
 
 GHZ_DOC = json.dumps(
@@ -132,6 +133,26 @@ class TestClassify:
         assert data["gap"] == {**GAP_DOC, "signature": signature}
         [line] = captured.err.splitlines()
         assert line.startswith("classification gap: signature (0,0,0;2,2,2;2) on shape (2, 2, 2)")
+
+    def test_miss_check_ranks_the_concise_state(self, monkeypatch, capsys):
+        # the gap padded with zero slices to (2,2,40): the miss check's k123
+        # system has at most r^2 + d1^2 + d2^2 = 12 rows, not 40^2 + 8
+        import io
+        build, built = invariants.triple_constraint_matrix, []
+
+        def recorded(v):
+            built.append(build(v))
+            return built[-1]
+
+        monkeypatch.setattr(invariants, "triple_constraint_matrix", recorded)
+        entries = [GAP_DOC["entries"][2 * ij + k] if k < 2 else "0"
+                   for ij in range(4) for k in range(40)]
+        doc = {**GAP_DOC, "dims": [2, 2, 40], "entries": entries}
+        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(doc)))
+        assert main(["classify", "-"]) == 2
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith("classification gap: signature (0,0,38;2,78,78;78) on shape")
+        assert built and max(m.rows for m in built) <= 12
 
     def test_deeply_nested_json(self, monkeypatch, capsys):
         import io
@@ -530,6 +551,26 @@ class TestVerify:
         assert suite_local_invariance(draws=0, d_max=8).title == (
             "local invariance (0 draws per class, d up to 5)"
         )
+
+    @pytest.mark.parametrize("only,detail", [
+        (None, "(2, 2, 2) C1 scaled by -3/7"),
+        (Fraction(-7, 3), "random tensor 0 on (2, 2, 2)"),
+    ])
+    def test_local_invariance_names_the_first_scaling_that_moves(self, only, detail,
+                                                                 monkeypatch):
+        # a scaling to the zero tensor moves every nonzero state's signature;
+        # with only -7/3 broken, the class representatives all pass
+        scale = Tensor.scale
+
+        def broken(v, c):
+            if only is None or c == only:
+                return Tensor.of_image(v.field, v.shape, [0] * len(v.image))
+            return scale(v, c)
+
+        monkeypatch.setattr(Tensor, "scale", broken)
+        report = suite_local_invariance(draws=1, d_max=2)
+        assert [(c.name, c.detail) for c in report.checks if not c.passed] == [
+            ("nonzero scaling fixes every signature", detail)]
 
 
 class TestUsage:

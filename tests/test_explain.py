@@ -40,6 +40,12 @@ def test_ghz():
     assert data["triple_system"]["dim"] == 0
 
 
+def test_minus_ghz_prints_bare_minus_signs():
+    data = explain_three_qubit(from_terms(S222, [(1, 1, 1), (2, 2, 2)]).scale(-1))
+    assert data["systems"][0]["equations"] == ["-w1 = 0", "0 = 0", "0 = 0", "-w2 = 0"]
+    assert (data["class"], data["case"]) == ("C6", "3.2")
+
+
 def test_case_23_labels():
     for terms, case_class in [
         ([(1, 1, 1), (2, 2, 1)], "C2"),

@@ -25,7 +25,7 @@ from entinv.tensors import (
     random_invertible,
     random_tensor,
 )
-from elements import from_rows, parse, zero
+from elements import from_rows, parse, rows_of, zero
 from oracle_linalg import ring, rref_of
 
 S222 = Shape((2, 2, 2))
@@ -97,7 +97,7 @@ class TestTripleConstraintMatrix:
                 + [sum(v[i, j, k] * w[l, j, k] for j in range(d2) for k in range(d3))
                    for i in range(d1) for l in range(d1)]
             )
-            applied = [sum(a * b for a, b in zip(m.row(r), w.coeffs)) for r in range(m.rows)]
+            applied = [sum(a * b for a, b in zip(row, w.coeffs)) for row in rows_of(m)]
             assert applied == sums
 
 

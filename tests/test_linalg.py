@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -16,8 +17,8 @@ from entinv.linalg import (
     image_kernel,
     to_image,
 )
-from entinv.tensors import Shape, Tensor, apply_local, flatten, from_terms
-from elements import from_rows, zero
+from entinv.tensors import Shape, ShapeError, Tensor, apply_local, flatten, from_terms
+from elements import from_rows, rows_of, zero
 from oracle_linalg import det, ring, rref, rref_of
 
 FIELDS = [QQ, GF(7), QQI]
@@ -71,12 +72,12 @@ _SCALARS = {
 
 @st.composite
 def _matrices(draw, field):
-    """Matrices with 0 to 5 rows and columns, plus rows that are multiples
+    """Matrices with 1 to 5 rows and columns, plus rows that are multiples
     of others (over Q(i) also i times another row), so that pivots skip."""
     scalars, R = _SCALARS[field], ring(field)
-    cols = draw(st.integers(0, 5))
-    rows = draw(st.lists(st.lists(scalars, min_size=cols, max_size=cols), max_size=5))
-    for _ in range(draw(st.integers(0, 3)) if rows else 0):
+    cols = draw(st.integers(1, 5))
+    rows = draw(st.lists(st.lists(scalars, min_size=cols, max_size=cols), min_size=1, max_size=5))
+    for _ in range(draw(st.integers(0, 3))):
         j = draw(st.integers(0, len(rows) - 1))
         c = R.lift(draw(scalars))
         rows.insert(draw(st.integers(0, len(rows))),
@@ -86,11 +87,12 @@ def _matrices(draw, field):
 
 @st.composite
 def _sparse_matrices(draw, field):
-    """Matrices up to 8 x 8 with at most a third of the entries nonzero, so
-    that elimination leaves rows alone and stale rows become pivot rows."""
-    rows, cols = draw(st.integers(0, 8)), draw(st.integers(0, 8))
+    """Matrices from 1 x 1 to 8 x 8 with at most a third of the entries
+    nonzero, so that elimination leaves rows alone and stale rows become
+    pivot rows."""
+    rows, cols = draw(st.integers(1, 8)), draw(st.integers(1, 8))
     entries = [zero(field)] * (rows * cols)
-    at = st.integers(0, max(rows * cols - 1, 0))
+    at = st.integers(0, rows * cols - 1)
     for k, x in draw(st.dictionaries(at, _SCALARS[field], max_size=rows * cols // 3)).items():
         entries[k] = x
     return ExactMatrix(field, rows, cols, entries)
@@ -162,17 +164,26 @@ class TestRref:
             ExactMatrix(GF(5), 1, 1, [Fraction(1, 2)])
 
     @pytest.mark.parametrize("rows,cols,values,message", [
-        (-1, 2, [], "matrix dimensions must be non-negative"),
-        (1, -1, [], "matrix dimensions must be non-negative"),
-        (2, 2, [1, 0, 0], "expected 4 entries for 2x2, got 3"),
-        (1, 1, [1, 0], "expected 1 entries for 1x1, got 2"),
+        (-1, 2, [], "factor dimensions must be >= 1: (-1, 2)"),
+        (1, -1, [], "factor dimensions must be >= 1: (1, -1)"),
+        (0, 3, [], "factor dimensions must be >= 1: (0, 3)"),
+        (2, 2, [1, 0, 0], "expected 4 coefficients for shape (2, 2), got 3"),
+        (1, 1, [1, 0], "expected 1 coefficients for shape (1, 1), got 2"),
     ])
     def test_malformed_dimensions_rejected(self, rows, cols, values, message):
-        with pytest.raises(ValueError, match=f"^{message}$"):
+        # a matrix is a two-factor tensor: its Shape and Tensor checks apply
+        with pytest.raises(ShapeError, match=f"^{re.escape(message)}$"):
             ExactMatrix(QQ, rows, cols, values)
 
 
 class TestPivots:
+    @pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.descriptor)
+    @pytest.mark.parametrize("jordan", [False, True])
+    def test_empty_image_has_no_pivots(self, field, jordan):
+        # no ExactMatrix is empty, but the zero state's signature ranks
+        # both: its k1 system has rows of 0 columns, its k2 system no rows
+        assert eliminate(field, [], 3, jordan) == []
+        assert eliminate(field, [[], []], 0, jordan) == []
     @pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.descriptor)
     @given(data=st.data())
     def test_integer_elimination_matchesrref_of(self, field, data):
@@ -291,7 +302,7 @@ class TestPivots:
         rng, R = random.Random(3), ring(QQI)
         for _ in range(40):
             m = _random_matrix(QQI, rng.randint(1, 4), rng.randint(1, 6), rng)
-            rows = [row for u in [m.row(i) for i in range(m.rows)]
+            rows = [row for u in rows_of(m)
                     for row in (u, [_value(QQI, R.mul(R.lift(I), R.lift(x))) for x in u])]
             doubled = from_rows(QQI, rows)
             pivots = eliminate(m.field, m.image_rows(), m.cols)
@@ -334,7 +345,7 @@ class TestImageKernel:
         m = data.draw(st.one_of(_matrices(field), _sparse_matrices(field)))
         R = ring(field)
         reduced, pivots = rref_of(m)
-        image = _image_rows(field, [m.row(i) for i in range(m.rows)])
+        image = _image_rows(field, rows_of(m))
         assert eliminate(field, image, m.cols, jordan=True) == pivots
         d = R.lift(_entries(field, image[0])[pivots[0]]) if pivots else R.one
         for i in range(m.rows):
@@ -348,7 +359,7 @@ class TestImageKernel:
             m = _random_matrix(field, rng.randint(1, cols - 1), cols, rng)
             if len(rref_of(m)[1]) < m.rows:
                 continue
-            image = _image_rows(field, [m.row(i) for i in range(m.rows)])
+            image = _image_rows(field, rows_of(m))
             basis = image_kernel(field, [list(row) for row in image], cols)
             # one basis row per column, in the image's layout: over Q(i),
             # a Gaussian integer is two integers; its rank is over the field

@@ -18,7 +18,7 @@ from elements import from_rows, zero
 from entinv.fields import GF, QQ, QQI, GaussianRational
 from entinv.invariants import KERNELS, general_form_decomposition, triple_constraint_matrix
 from entinv.linalg import ExactMatrix, from_image, to_image
-from entinv.tensors import Shape, Tensor, apply_local, flatten, random_invertible
+from entinv.tensors import Shape, ShapeError, Tensor, apply_local, flatten, random_invertible
 from oracle_linalg import local_action, ring, rref
 
 FIELDS = [QQ, GF(101), QQI]
@@ -104,7 +104,6 @@ def test_flatten_matches_element_route(field):
             m = flatten(v, factors)
             rows = _element_flattening(v, factors)
             assert m == from_rows(field, rows)
-            assert [m.row(i) for i in range(m.rows)] == rows
             assert m.entries == [x for row in rows for x in row]
 
 
@@ -153,7 +152,7 @@ def test_values_and_image_give_one_matrix(field):
     assert [m[i, j] for i in range(3) for j in range(4)] == values
     assert ExactMatrix.of_image(field, 4, 3, image, den) != m
     for key in [(0, 4), (3, 0), (-1, 3), (0, -1)]:
-        with pytest.raises(IndexError):
+        with pytest.raises(ShapeError, match="out of range"):
             m[key]
 
 
