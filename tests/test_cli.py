@@ -11,15 +11,13 @@ from entinv.linalg import ExactMatrix
 from entinv.suites import run_suite, suite_local_invariance
 from entinv.tables import ClassTable, classify, table_for
 from entinv.tensors import Shape, Tensor
+from elements import GAP_DOC, padded_gap
 
 
 GHZ_DOC = json.dumps(
     {"field": "rational", "dims": [2, 2, 2],
      "entries": ["1", "0", "0", "0", "0", "0", "0", "1"]}
 )
-# a binary state with no class over gf(2), whose signature is GHZ's but for k123
-GAP_DOC = {"field": "gf(2)", "dims": [2, 2, 2],
-           "entries": ["0", "1", "1", "0", "1", "0", "0", "1"]}
 
 
 def _main_peak(argv):
@@ -145,10 +143,7 @@ class TestClassify:
             return built[-1]
 
         monkeypatch.setattr(invariants, "triple_constraint_matrix", recorded)
-        entries = [GAP_DOC["entries"][2 * ij + k] if k < 2 else "0"
-                   for ij in range(4) for k in range(40)]
-        doc = {**GAP_DOC, "dims": [2, 2, 40], "entries": entries}
-        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(doc)))
+        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(padded_gap(40))))
         assert main(["classify", "-"]) == 2
         [line] = capsys.readouterr().err.splitlines()
         assert line.startswith("classification gap: signature (0,0,38;2,78,78;78) on shape")

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import re
 from fractions import Fraction
 
@@ -28,7 +29,7 @@ from entinv.tensors import (
     from_terms,
     random_invertible,
 )
-from entinv.fields import QQ
+from entinv.fields import GF, QQ, QQI
 
 class TestTableFor:
     def test_222_has_seven_classes(self):
@@ -273,6 +274,49 @@ class TestC12HoldsTwoOrbits:
         jordan = from_terms(shape, C12_JORDAN)
         kronecker = from_terms(shape, C12_KRONECKER)
         assert classify(jordan) != classify(kronecker)
+
+
+_GATE_FIELDS = [QQ, QQI] + [GF(p) for p in range(2, 100) if all(p % q for q in range(2, p))]
+
+
+@functools.cache
+def _misread_representatives(field):
+    """The valid representatives at 22d and 23d, d = 2..7, that do not
+    classify as their own label over `field`: (family, d, label, what it
+    classifies as), the last None for a gap."""
+    misread = set()
+    for family in TRIPARTITE_DIMS:
+        for d in range(2, 8):
+            shape = tripartite_shape(family, d)
+            for entry in table_for(shape).entries:
+                try:
+                    label = classify(representative(entry.label, shape, field=field))
+                except ClassificationGapError:
+                    label = None
+                if label != entry.label:
+                    misread.add((family, d, entry.label, label))
+    return misread
+
+
+class TestEveryRepresentativeClassifiesAsItself:
+    @pytest.mark.parametrize("field", [
+        pytest.param(field, marks=pytest.mark.xfail(
+            field.descriptor in ("gf(2)", "gf(3)"), strict=True, raises=AssertionError,
+            reason="the stored keys are characteristic-0 values, and over gf(2) and "
+                   "gf(3) some representatives have others (ROADMAP item 9)"))
+        for field in _GATE_FIELDS
+    ], ids=lambda field: field.descriptor)
+    def test_own_label(self, field):
+        assert _misread_representatives(field) == set()
+
+    def test_what_gf2_and_gf3_read_today(self):
+        # over gf(2): the W orbit's C5 is a gap in both families, C19 is a gap
+        # and C15 reads as C14; over gf(3): C14 reads as C13
+        gf2 = ({(family, d, "C5", None) for family in TRIPARTITE_DIMS for d in range(2, 8)}
+               | {("23d", d, "C19", None) for d in range(4, 8)}
+               | {("23d", d, "C15", "C14") for d in range(3, 8)})
+        assert _misread_representatives(GF(2)) == gf2
+        assert _misread_representatives(GF(3)) == {("23d", d, "C14", "C13") for d in range(3, 8)}
 
 
 class TestThreeQubitPairKernels:
