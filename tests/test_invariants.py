@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from entinv import invariants
-from entinv.fields import GF, QQ, QQI, GaussianRational, field_from_descriptor
+from entinv.fields import GF, QQ, QQI, GaussianRational, PrimeField, field_from_descriptor
 from entinv.invariants import (
     KERNELS,
     InvariantSignature,
@@ -25,7 +25,7 @@ from entinv.tensors import (
     random_invertible,
     random_tensor,
 )
-from elements import from_rows, parse, rows_of, zero
+from elements import DENOMINATOR_FIELDS, denominator_states, from_rows, parse, zero
 from oracle_linalg import ring, rref_of
 
 S222 = Shape((2, 2, 2))
@@ -80,25 +80,36 @@ class TestTripleConstraintMatrix:
         with pytest.raises(ArityError):
             triple_constraint_matrix(random_tensor(Shape((2, 2)), 2, seed=1))
 
-    def test_rows_are_the_docstring_sums(self):
+    @pytest.mark.parametrize("field", DENOMINATOR_FIELDS, ids=lambda f: f.descriptor)
+    def test_rows_are_the_docstring_sums(self, field):
         # row r applied to each unit vector w must equal the r-th sum of the
-        # docstring, evaluated directly, so any misplaced or reordered row fails
-        shape = Shape((2, 3, 4))
-        d1, d2, d3 = shape.dims
-        v = random_tensor(shape, 5, seed=3)
-        m = triple_constraint_matrix(v)
-        for unit in shape.indices():
-            w = Tensor(QQ, shape, [int(index == unit) for index in shape.indices()])
+        # docstring, taken in the oracle's arithmetic, so any misplaced or
+        # reordered row fails; and the rank is plain elimination's
+        R = ring(field)
+        states = [random_tensor(Shape((2, 3, 4)), 5, seed=3, field=field)]
+        states += [v for v in denominator_states(field) if v.n == 3]
+        for v in states:
+            d1, d2, d3 = v.shape.dims
+            x = {index: R.lift(v[index]) for index in v.shape.indices()}
             sums = (
-                [sum(v[i, j, k] * w[i, j, l] for i in range(d1) for j in range(d2))
+                [[((i, j, k), (i, j, l)) for i in range(d1) for j in range(d2)]
                  for k in range(d3) for l in range(d3)]
-                + [sum(v[i, j, k] * w[i, l, k] for i in range(d1) for k in range(d3))
+                + [[((i, j, k), (i, l, k)) for i in range(d1) for k in range(d3)]
                    for j in range(d2) for l in range(d2)]
-                + [sum(v[i, j, k] * w[l, j, k] for j in range(d2) for k in range(d3))
+                + [[((i, j, k), (l, j, k)) for j in range(d2) for k in range(d3)]
                    for i in range(d1) for l in range(d1)]
             )
-            applied = [sum(a * b for a, b in zip(row, w.coeffs)) for row in rows_of(m)]
-            assert applied == sums
+            # the sum of terms v[a] w[b] at the unit vector w with its 1 at
+            # index b is the sum of v[a] over the terms with that b
+            want = []
+            for terms in sums:
+                row = dict.fromkeys(v.shape.indices(), R.zero)
+                for a, b in terms:
+                    row[b] = R.add(row[b], x[a])
+                want.append(list(row.values()))
+            m = triple_constraint_matrix(v)
+            assert R.rows(m) == want
+            assert m.rank() == len(rref_of(m)[1])
 
 
 class TestTripleKernelDim:
@@ -453,59 +464,30 @@ class TestDecomposition:
         assert from_rows(QQ, [w for w, _ in pairs]).rank() == 2
         assert from_rows(QQ, [wp for _, wp in pairs]).rank() == 2
 
-    @pytest.mark.parametrize("dims", [(2, 3), (2, 2, 2), (2, 3, 4)])
-    def test_reconstruction_oracle_on_random_tensors(self, dims):
-        # multiply the pairs back out by hand and compare coefficient arrays
-        shape = Shape(dims)
-        for seed in range(15):
-            v = random_tensor(shape, 4, seed=seed)
-            for rows in FLATTENINGS[shape.n]:
-                m_rows = 1
-                for i in rows:
-                    m_rows *= dims[i - 1]
-                m_cols = shape.size // m_rows
-                pairs = general_form_decomposition(v, rows)
-                assert len(pairs) == m_rows - kernel_dim(v, rows)
-                flat = _expand(pairs, m_rows, m_cols)
-                # reassemble in tensor coefficient order
-                from entinv.tensors import flatten
-
-                target = flatten(v, rows)
-                assert flat == target.entries
-
     # the w'_i are the nonzero rows of the flattening's reduced row echelon
     # form and the w_i its pivot columns, here against the oracle's
-    # reduction, and sum_i w_i x w'_i is the flattening in its arithmetic
-    @pytest.mark.parametrize("descriptor", ["rational", "gf(7)", "gaussian-rational"])
+    # reduction, so each set is independent and there are rank-many pairs;
+    # and sum_i w_i x w'_i is the flattening in its arithmetic
+    @pytest.mark.parametrize("descriptor", ["rational", "gf(7)", "gf(101)", "gaussian-rational"])
     def test_matches_element_arithmetic_oracle(self, descriptor):
         field = field_from_descriptor(descriptor)
         R = ring(field)
+        states = denominator_states(field)
         for dims in [(2, 3), (3, 3), (2, 2, 2), (2, 3, 4)]:
             shape = Shape(dims)
-            states = [random_tensor(shape, 1, seed=seed, field=field) for seed in range(6)]
+            drawn = [random_tensor(shape, 1, seed=seed, field=field) for seed in range(6)]
             if shape.n == 3:
-                states += [_few_slices(shape, t, seed, field) for t in (1, 2) for seed in range(2)]
-            if field != GF(7):  # denominators in the state and in D
-                states = [v.scale(Fraction(2, 3)) if n % 2 else v for n, v in enumerate(states)]
-            for v in states:
-                for rows in FLATTENINGS[shape.n]:
-                    m = flatten(v, rows)
-                    reduced, pivots = rref_of(m)
-                    pairs = general_form_decomposition(v, rows)
-                    assert [R.rows([wp])[0] for _, wp in pairs] == reduced[: len(pivots)]
-                    assert [w for w, _ in pairs] == [[m[i, p] for i in range(m.rows)]
-                                                     for p in pivots]
-                    ws, wps = R.rows([w for w, _ in pairs]), R.rows([wp for _, wp in pairs])
-                    assert [[R.dot([w[r] for w in ws], [wp[c] for wp in wps])
-                             for c in range(m.cols)] for r in range(m.rows)] == R.rows(m)
-
-    def test_span_dimensions_match_rank(self):
-        v = random_tensor(Shape((2, 3, 4)), 3, seed=21)
-        for rows in KERNELS:
-            pairs = general_form_decomposition(v, rows)
-            if not pairs:
-                continue
-            left = from_rows(QQ, [w for w, _ in pairs])
-            right = from_rows(QQ, [wp for _, wp in pairs])
-            assert left.rank() == len(pairs)
-            assert right.rank() == len(pairs)
+                drawn += [_few_slices(shape, t, seed, field) for t in (1, 2) for seed in range(2)]
+            if not isinstance(field, PrimeField):  # denominators in the state and in D
+                drawn = [v.scale(Fraction(2, 3)) if n % 2 else v for n, v in enumerate(drawn)]
+            states += drawn + [random_tensor(shape, 4, seed=seed, field=field) for seed in range(15)]
+        for v in states:
+            for rows in FLATTENINGS[v.n]:
+                m = flatten(v, rows)
+                reduced, pivots = rref_of(m)
+                pairs = general_form_decomposition(v, rows)
+                assert [R.rows([wp])[0] for _, wp in pairs] == reduced[: len(pivots)]
+                assert [w for w, _ in pairs] == [[m[i, p] for i in range(m.rows)] for p in pivots]
+                ws, wps = R.rows([w for w, _ in pairs]), R.rows([wp for _, wp in pairs])
+                assert [[R.dot([w[r] for w in ws], [wp[c] for wp in wps])
+                         for c in range(m.cols)] for r in range(m.rows)] == R.rows(m)

@@ -18,7 +18,7 @@ from entinv.linalg import (
     to_image,
 )
 from entinv.tensors import Shape, ShapeError, Tensor, apply_local, flatten, from_terms
-from elements import from_rows, rows_of, zero
+from elements import DENOMINATOR_FIELDS, denominator_values, from_rows, rows_of, zero
 from oracle_linalg import det, ring, rref, rref_of
 
 FIELDS = [QQ, GF(7), QQI]
@@ -334,6 +334,21 @@ class TestImage:
         z = [GaussianRational(Fraction(1, 2), -1), GaussianRational(0, Fraction(1, 3))]
         assert to_image(QQI, z) == ([3, -6, 0, 2], 6)
         assert from_image(QQI, [3, -6, 0, 2], 6) == z
+
+    @pytest.mark.parametrize("field", DENOMINATOR_FIELDS, ids=lambda f: f.descriptor)
+    def test_values_and_image_give_one_matrix(self, field):
+        values = denominator_values(field, 12)
+        image, den = to_image(field, values)
+        m = ExactMatrix(field, 3, 4, values)
+        assert m == ExactMatrix.of_image(field, 3, 4, image, den)
+        # an image not in lowest terms, over GF(p) one over a denominator too
+        assert m == ExactMatrix.of_image(field, 3, 4, [6 * x for x in image], 6 * den)
+        assert m.entries == values
+        assert [m[i, j] for i in range(3) for j in range(4)] == values
+        assert ExactMatrix.of_image(field, 4, 3, image, den) != m
+        for key in [(0, 4), (3, 0), (-1, 3), (0, -1)]:
+            with pytest.raises(ShapeError, match="out of range"):
+                m[key]
 
 
 class TestImageKernel:

@@ -1,13 +1,15 @@
 import dataclasses
 import functools
+import random
 import re
 from fractions import Fraction
+from math import prod
 
 import pytest
 
 from entinv import tables
 from entinv.documents import document_dict
-from entinv.invariants import KERNELS, signature
+from entinv.invariants import KERNELS, signature, triple_constraint_matrix
 from entinv.linalg import InternalConsistencyError
 from entinv.suites import suite_tables
 from entinv.tables import (
@@ -30,6 +32,7 @@ from entinv.tensors import (
     random_invertible,
 )
 from entinv.fields import GF, QQ, QQI
+from oracle_linalg import det, ring
 
 class TestTableFor:
     def test_222_has_seven_classes(self):
@@ -46,6 +49,8 @@ class TestTableFor:
         for d, want in zip(range(2, 9), (9, 17, 23, 25, 26, 26, 26)):
             assert len(table_for(Shape((2, 3, d))).entries) == want
             assert expected_count("23d", d) == want
+        with pytest.raises(ValueError, match="^family 22d starts at d=2, got d=1$"):
+            expected_count("22d", 1)
 
     def test_each_shape_is_built_once(self):
         for dims in ((2, 2, 2), (2, 3, 7), (3, 4)):
@@ -317,6 +322,78 @@ class TestEveryRepresentativeClassifiesAsItself:
                | {("23d", d, "C15", "C14") for d in range(3, 8)})
         assert _misread_representatives(GF(2)) == gf2
         assert _misread_representatives(GF(3)) == {("23d", d, "C14", "C13") for d in range(3, 8)}
+
+
+def _invariant_factors(rows):
+    """The nonzero invariant factors of an integer matrix, each dividing the next,
+    by Smith reduction: unimodular row and column operations down to a diagonal."""
+    a, factors = [list(row) for row in rows], []
+    while entries := [(abs(x), i, j) for i, row in enumerate(a) for j, x in enumerate(row) if x]:
+        _, i, j = min(entries)
+        a[0], a[i] = a[i], a[0]
+        for row in a:
+            row[0], row[j] = row[j], row[0]
+        p = a[0][0]
+        # clear the pivot's column and row; a remainder is a smaller entry,
+        # which the next round takes as its pivot
+        for row in a[1:]:
+            q = row[0] // p
+            row[:] = [x - q * y for x, y in zip(row, a[0])]
+        for j in range(1, len(a[0])):
+            q = a[0][j] // p
+            for row in a:
+                row[j] -= q * row[0]
+        if any(row[0] for row in a[1:]) or any(a[0][1:]):
+            continue
+        # a row with an entry that p does not divide, added to the pivot
+        # row, leaves a remainder in the next round
+        rest = next((row for row in a[1:] if any(x % p for x in row)), None)
+        if rest:
+            a[0] = [x + y for x, y in zip(a[0], rest)]
+            continue
+        factors.append(abs(p))
+        a = [row[1:] for row in a[1:]]
+    return factors
+
+
+class TestNoPrimeAboveThreeChangesAKey:
+    """Rank mod p is below rank over Q exactly when p divides the rho-th
+    determinantal divisor, the gcd of the rho x rho minors, which is the
+    product of the invariant factors.  So the divisors of each
+    representative's systems at its concise shape cover every gf(p), not
+    a sample: for p >= 5 each stored key is its representative's key."""
+
+    def test_divisor_of_a_square_matrix_is_its_determinant(self):
+        rng, R = random.Random(5), ring(QQ)
+        for n in range(1, 6):
+            for _ in range(10):
+                rows = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+                factors = _invariant_factors(rows)
+                assert (prod(factors) if len(factors) == n else 0) == abs(det(R, R.rows(rows)))
+                assert all(b % a == 0 for a, b in zip(factors, factors[1:]))
+
+    def test_divisors_of_the_representatives(self):
+        divisors = {}
+        for family in TRIPARTITE_DIMS:
+            for entry in _TRIPARTITE_ENTRIES[family]:
+                if entry.r < 1:
+                    continue
+                v = from_terms(tripartite_shape(family, entry.r), entry.terms)
+                systems = {"(1)": flatten(v, (1,)), "(2)": flatten(v, (2,)),
+                           "(1,2)": flatten(v, (1, 2)), "k123": triple_constraint_matrix(v)}
+                for name, m in systems.items():
+                    assert m.den == 1
+                    factors = _invariant_factors(m.image_rows())
+                    assert len(factors) == m.rank()
+                    divisors[family, entry.label, name] = prod(factors)
+        # every divisor but these is 1, and these are primes: 2 divides only
+        # the k123 systems of C5 (the W orbit), C15 and C19, and 3 only C14's,
+        # ROADMAP item 9's misreads over gf(2) and gf(3)
+        assert len(divisors) == 4 * 34
+        assert {key: n for key, n in divisors.items() if n != 1} == {
+            ("22d", "C5", "k123"): 2, ("23d", "C5", "k123"): 2, ("23d", "C15", "k123"): 2,
+            ("23d", "C19", "k123"): 2, ("23d", "C14", "k123"): 3,
+        }
 
 
 class TestThreeQubitPairKernels:

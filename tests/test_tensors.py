@@ -6,9 +6,9 @@ from itertools import product
 import pytest
 
 from entinv.documents import parse_document
-from entinv.fields import GF, QQ, QQI, GaussianRational
+from entinv.fields import GF, QQ, QQI, GaussianRational, PrimeField
 from entinv.invariants import KERNELS, general_form_decomposition, kernel_dim
-from entinv.linalg import ExactMatrix
+from entinv.linalg import ExactMatrix, from_image
 from entinv.tables import representative
 from entinv.tensors import (
     BasisError,
@@ -21,7 +21,7 @@ from entinv.tensors import (
     random_invertible,
     random_tensor,
 )
-from elements import from_rows, parse, zero
+from elements import DENOMINATOR_FIELDS, denominator_states, from_rows, parse, upper_map, zero
 from oracle_linalg import local_action, ring, rref_of
 
 FIELDS = [QQ, GF(7), QQI]
@@ -44,6 +44,9 @@ class TestShape:
         assert s.offset((0, 1, 0)) == 4
         assert s.offset((1, 0, 0)) == 12
         assert list(s.indices())[1] == (0, 0, 1)
+
+    def test_repr(self):
+        assert repr(Shape((2, 3))) == "Shape(2, 3)"
 
     def test_offsets_run_over_the_given_axes(self):
         s = Shape((2, 3, 4))
@@ -100,26 +103,28 @@ class TestFlatten:
                         for c in range(m.cols):
                             assert m[r, c] == t[c, r]
 
-    @pytest.mark.parametrize("dims", [(2, 2), (4, 3), (2, 3, 4), (3, 2, 5)])
-    def test_entries_are_coefficients_at_the_merged_index(self, dims):
+    @pytest.mark.parametrize("field", DENOMINATOR_FIELDS, ids=lambda f: f.descriptor)
+    @pytest.mark.parametrize("dims", [(2, 2), (4, 3), (2, 3), (3, 3), (2, 2, 2), (2, 3, 4), (3, 2, 5)])
+    def test_entries_are_coefficients_at_the_merged_index(self, dims, field):
         # each side's indices enumerated row-major, and v read through the
-        # validated Shape.offset, not through Shape.offsets
-        v = random_tensor(Shape(dims), 9, seed=1)
-        for rows in FLATTENINGS[len(dims)]:
-            m = flatten(v, rows)
-            cols = tuple(f for f in range(1, len(dims) + 1) if f not in rows)
-            row_side, col_side = (
-                list(product(*(range(dims[f - 1]) for f in factors)))
-                for factors in (rows, cols)
-            )
-            assert (m.rows, m.cols) == (len(row_side), len(col_side))
-            for (r, row_index), (c, col_index) in product(
-                enumerate(row_side), enumerate(col_side)
-            ):
-                index = [0] * len(dims)
-                for f, i in zip(rows + cols, row_index + col_index):
-                    index[f - 1] = i
-                assert m[r, c] == v[index]
+        # validated Shape.offset, not through Shape.offsets; the matrix of
+        # those values is the flattening, image and denominator alike
+        carried = [v for v in denominator_states(field) if v.shape.dims == dims]
+        assert isinstance(field, PrimeField) or all(v.den > 1 for v in carried)
+        for v in [random_tensor(Shape(dims), 9, seed=1, field=field)] + carried:
+            for rows in FLATTENINGS[v.n]:
+                m = flatten(v, rows)
+                cols = tuple(f for f in range(1, v.n + 1) if f not in rows)
+                row_side, col_side = (
+                    list(product(*(range(dims[f - 1]) for f in factors)))
+                    for factors in (rows, cols)
+                )
+                # the merged index, its entries sorted back into factor order
+                want = [[v[[i for _, i in sorted(zip(rows + cols, row_index + col_index))]]
+                         for col_index in col_side] for row_index in row_side]
+                assert m == from_rows(field, want)
+                assert m.entries == [x for row in want for x in row]
+                assert [[m[r, c] for c in range(m.cols)] for r in range(m.rows)] == want
 
     def test_wrong_arity_rejected(self):
         # a bipartite state has no third factor
@@ -245,23 +250,33 @@ class TestApplyLocal:
             apply_local(v, [_identity(field, 2), _identity(other, 3)])
 
     # the integer-image action against the element-arithmetic one it replaced
-    @pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.descriptor)
+    @pytest.mark.parametrize("field", FIELDS + [GF(101)], ids=lambda f: f.descriptor)
     def test_matches_element_arithmetic_oracle(self, field):
         R = ring(field)
+        prime = isinstance(field, PrimeField)
+        cases = []
         for dims in [(2, 2), (3, 2), (2, 2, 2), (2, 3, 4), (3, 1, 2)]:
             for seed in range(6):
                 v = random_tensor(Shape(dims), 3, seed=seed, field=field)
-                if seed % 2 and field != GF(7):  # denominators in the state
+                if seed % 2 and not prime:  # denominators in the state
                     v = v.scale(Fraction(1, 6))
                 maps = [random_invertible(d, 2, seed=10 * seed + axis, field=field)
                         for axis, d in enumerate(dims)]
-                if field != GF(7):  # denominators in a map too: a quarter of it
+                if not prime:  # denominators in a map too: a quarter of it
                     maps[0] = ExactMatrix(field, dims[0], dims[0], [
                         GaussianRational(x.re / 4, x.im / 4) if field == QQI else x / 4
                         for x in maps[0].entries])
-                want = local_action(R, dims, [R.lift(c) for c in v.coeffs],
-                                    [R.rows(a) for a in maps])
-                assert [R.lift(c) for c in apply_local(v, maps).coeffs] == want
+                cases.append((v, maps))
+        # upper-triangular maps with 1/2 and 2/3 on the diagonal: a
+        # denominator in every map
+        for n, v in enumerate(denominator_states(field)):
+            maps = [upper_map(field, d, n + axis) for axis, d in enumerate(v.shape.dims)]
+            assert prime or all(a.den > 1 for a in maps)
+            cases.append((v, maps))
+        for v, maps in cases:
+            want = local_action(R, v.shape.dims, [R.lift(c) for c in v.coeffs],
+                                [R.rows(a) for a in maps])
+            assert [R.lift(c) for c in apply_local(v, maps).coeffs] == want
 
     def test_preserves_flattening_ranks(self):
         rng = random.Random(77)
@@ -316,6 +331,18 @@ class TestRandomSources:
     def test_random_invertible_refuses_bad_arguments(self, d, bound, message):
         with pytest.raises(ValueError, match=f"^{message}$"):
             random_invertible(d, bound, seed=0)
+
+    @pytest.mark.parametrize("field", DENOMINATOR_FIELDS, ids=lambda f: f.descriptor)
+    def test_random_invertible_matches_value_route(self, field):
+        # the same draws, turned into field values and imaged again
+        for d, seed in product((1, 2, 3, 5), range(6)):
+            rng = random.Random(f"invertible|{d}|2|{seed}")
+            while True:
+                draws = [rng.randint(-2, 2) for _ in range(field.width * d * d)]
+                want = ExactMatrix(field, d, d, from_image(field, draws, 1))
+                if want.rank() == d:
+                    break
+            assert random_invertible(d, 2, seed, field) == want
 
     def test_random_invertible_over_gf(self):
         m = random_invertible(4, 3, seed=2, field=GF(5))
