@@ -13,12 +13,12 @@ signature computes them all on the first r independent slices v[:,:,k].
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Sequence
 from itertools import product
 from math import prod
 from operator import mul
-from typing import Optional, Sequence
 
+from .fields import Record
 from .linalg import (ExactMatrix, InternalConsistencyError, eliminate, from_image, gaussian_rows,
                      image_kernel, scaled)
 from .tensors import ArityError, Shape, Tensor, flatten
@@ -28,25 +28,26 @@ from .tensors import ArityError, Shape, Tensor, flatten
 KERNELS = ((1,), (2,), (3,), (1, 2), (1, 3), (2, 3))
 
 
-@dataclass(frozen=True)
-class InvariantSignature:
+class InvariantSignature(Record):
     """Kernel dimensions of a state: singles, and for n=3 pairs and triple.
 
     `singles` is (k1, ..., kn); `pairs` is (k12, k13, k23) and `triple`
     the intersection-kernel dimension, both None for n=2.
     """
 
-    dims: tuple[int, ...]
-    singles: tuple[int, ...]
-    pairs: Optional[tuple[int, int, int]] = None
-    triple: Optional[int] = None
+    __slots__ = _fields = ("dims", "singles", "pairs", "triple")
 
-    def __post_init__(self):
-        for k_i, d_i in zip(self.singles, self.dims):
+    def __init__(self, dims: tuple[int, ...], singles: tuple[int, ...],
+                 pairs: tuple[int, int, int] | None = None, triple: int | None = None):
+        for k_i, d_i in zip(singles, dims):
             if not 0 <= k_i <= d_i:
                 raise InternalConsistencyError(f"single kernel dim {k_i} out of [0, {d_i}]")
-        if self.triple is not None and not 0 <= self.triple <= prod(self.dims):
-            raise InternalConsistencyError(f"triple kernel dim {self.triple} out of range")
+        if triple is not None and not 0 <= triple <= prod(dims):
+            raise InternalConsistencyError(f"triple kernel dim {triple} out of range")
+        object.__setattr__(self, "dims", dims)
+        object.__setattr__(self, "singles", singles)
+        object.__setattr__(self, "pairs", pairs)
+        object.__setattr__(self, "triple", triple)
 
     @property
     def n(self) -> int:
@@ -190,7 +191,7 @@ def signature(v: Tensor) -> InvariantSignature:
     return InvariantSignature(d, (k1, k2, d3 - r), pairs, triple_kernel_dim(v, rows))
 
 
-def slow_route_fault(v: Tensor, sig: Optional[InvariantSignature] = None) -> str:
+def slow_route_fault(v: Tensor, sig: InvariantSignature | None = None) -> str:
     """What ranking every flattening through its own `ExactMatrix` finds
     wrong, or "": first a single factor whose flattening and complement
     differ in rank, then, given `sig`, the first of its kernels that

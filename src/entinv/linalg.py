@@ -21,12 +21,12 @@ against the oracle in the tests, not assumed.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from fractions import Fraction
 from functools import partial
 from itertools import product
 from math import gcd, lcm, prod
 from operator import mul
-from typing import Sequence
 
 from .fields import Field, GaussianRational, GFElement, PrimeField, RationalField
 

@@ -2,24 +2,21 @@
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
 
-
-@dataclass
 class Check:
-    name: str
-    passed: bool
-    detail: str = ""
-    repro: str = ""
-    gap: bool = False  # failure caused by a classification gap
+    """One line of a report; `gap` marks a failure caused by a classification gap."""
+
+    __slots__ = ("name", "passed", "detail", "repro", "gap")
+
+    def __init__(self, name: str, passed: bool, detail: str, repro: str, gap: bool):
+        self.name, self.passed, self.detail, self.repro, self.gap = name, passed, detail, repro, gap
 
 
-@dataclass
 class Report:
-    title: str
-    checks: list[Check] = field(default_factory=list)
-    notes: list[str] = field(default_factory=list)
-    data: dict = field(default_factory=dict)
+    __slots__ = ("title", "checks", "notes", "data")
+
+    def __init__(self, title: str):
+        self.title, self.checks, self.notes, self.data = title, [], [], {}
 
     @property
     def passed(self) -> bool:
@@ -61,6 +58,6 @@ class Report:
             "title": self.title,
             "passed": self.passed,
             "notes": list(self.notes),
-            "checks": [asdict(c) for c in self.checks],
+            "checks": [{name: getattr(c, name) for name in Check.__slots__} for c in self.checks],
             "data": self.data,
         }

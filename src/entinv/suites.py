@@ -8,7 +8,6 @@ over inputs.
 
 from __future__ import annotations
 
-import inspect
 from fractions import Fraction
 
 from .fields import Field, QQ
@@ -243,7 +242,8 @@ def run_suite(
         raise SuiteFlagError(f"--samples must be >= 1, got {samples}")
     if d_max is not None and d_max < 2:
         raise SuiteFlagError(f"--d-max must be >= 2, got {d_max}")
-    reads = inspect.signature(SUITES[name]).parameters
+    code = SUITES[name].__code__
+    reads = code.co_varnames[: code.co_argcount]
     given = {"samples": samples, "seed": seed, "d_max": d_max}
     kwargs = {param: value for param, value in given.items() if value is not None}
     for param in kwargs:

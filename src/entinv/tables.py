@@ -15,14 +15,12 @@ entry is valid at a shape exactly when its representative fits in it.
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import re
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from collections.abc import Sequence
 
 from .documents import document_dict
-from .fields import Field, QQ
+from .fields import Field, QQ, Record
 from .invariants import InvariantSignature, slow_route_fault, signature
 from .linalg import ExactMatrix, InternalConsistencyError
 from .tensors import Shape, Tensor, apply_local, from_terms
@@ -112,26 +110,23 @@ class ClassificationGapError(RuntimeError):
         return {**document_dict(self.tensor), "signature": self.signature.as_dict()}
 
 
-@dataclass(frozen=True)
-class ClassEntry:
+class ClassEntry(Record):
     """One class: its label, the invariants of its concise state, and its representative.
 
     `concise` is (k1, k2, k123) at d = r for a tripartite entry and empty
     for a bipartite one.
     """
 
-    label: str
-    concise: tuple[int, ...]
-    terms: tuple[tuple[int, ...], ...]
+    _fields = ("label", "concise", "terms")
     # derived from `terms` once, as every lookup reads them: the smallest
     # dims the representative fits in (none for the zero state), and r
-    extent: tuple[int, ...] = dataclasses.field(init=False, repr=False)
-    r: int = dataclasses.field(init=False, repr=False)
+    __slots__ = _fields + ("extent", "r")
 
-    def __post_init__(self):
-        extent = tuple(map(max, zip(*self.terms)))
-        object.__setattr__(self, "extent", extent)
-        object.__setattr__(self, "r", extent[-1] if extent else 0)
+    def __init__(self, label: str, concise: tuple[int, ...], terms: tuple[tuple[int, ...], ...]):
+        extent = tuple(map(max, zip(*terms)))
+        values = label, concise, terms, extent, extent[-1] if extent else 0
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
 
     def invariants_at(self, shape: Shape) -> tuple[int, ...]:
         """The signature key this entry predicts at a concrete shape.
@@ -155,19 +150,17 @@ class ClassEntry:
         return "+".join("[" + ",".join(str(j) for j in t) + "]" for t in self.terms)
 
 
-@dataclass(frozen=True)
-class ClassTable:
-    family: str
-    shape: Shape
-    entries: tuple[ClassEntry, ...]
+class ClassTable(Record):
+    _fields = ("family", "shape", "entries")
     # signature key -> entry; table_for refuses a table with a repeated key
-    by_key: dict = dataclasses.field(init=False, compare=False, repr=False)
+    __slots__ = _fields + ("by_key",)
 
-    def __post_init__(self):
-        by_key = {e.invariants_at(self.shape): e for e in self.entries}
-        object.__setattr__(self, "by_key", by_key)
+    def __init__(self, family: str, shape: Shape, entries: tuple[ClassEntry, ...]):
+        by_key = {e.invariants_at(shape): e for e in entries}
+        for name, value in zip(self.__slots__, (family, shape, entries, by_key)):
+            object.__setattr__(self, name, value)
 
-    def lookup(self, key: tuple[int, ...]) -> Optional[ClassEntry]:
+    def lookup(self, key: tuple[int, ...]) -> ClassEntry | None:
         return self.by_key.get(key)
 
 
@@ -253,7 +246,7 @@ def classify_full(v: Tensor) -> tuple[str, InvariantSignature]:
 def representative(
     label: str,
     shape: Shape,
-    bases: Optional[Sequence[ExactMatrix]] = None,
+    bases: Sequence[ExactMatrix] | None = None,
     field: Field = QQ,
 ) -> Tensor:
     """The representative state of a class, optionally in generic bases.

@@ -19,9 +19,9 @@ their image too: `flatten` slices the tensor's, and a map acts with its own.
 from __future__ import annotations
 
 import random
+from collections.abc import Sequence
 from math import prod
 from operator import mul
-from typing import Sequence
 
 from .fields import QQ, Field
 from .linalg import ExactMatrix, Shape, ShapeError, Tensor, action_rows

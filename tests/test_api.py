@@ -3,13 +3,16 @@
 A name that only tests call is dead weight in the library: the test keeps
 it alive but no user path runs it.  README's `## Library` block runs and
 gives the values its comments state.  No module imports sympy or numpy:
-neither is a declared dependency, even where both are installed.  And no
-module imports a name it never uses.
+neither is a declared dependency, even where both are installed.  No
+module imports a name it never uses.  And importing the package and its
+CLI loads no module that only reflection or typing would need.
 """
 
 import ast
 import inspect
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import entinv
@@ -144,3 +147,18 @@ def test_no_module_imports_a_name_it_never_uses():
         for name in _unused_imports(path.read_text(encoding="utf-8"))
     ]
     assert found == []
+
+
+# modules that a one-shot CLI process would import only to build classes,
+# read signatures or annotate, with what they pull in (ast, dis, tokenize)
+_START_UP_UNUSED = ("dataclasses", "inspect", "typing", "ast", "dis", "tokenize")
+
+
+def test_import_loads_no_reflection_or_typing_modules():
+    # -I -S: no site preloads, which may import typing themselves, and only
+    # src/ ahead of the standard library on sys.path
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import entinv, entinv.cli; "
+            f"print([m for m in {_START_UP_UNUSED!r} if m in sys.modules])")
+    done = subprocess.run([sys.executable, "-I", "-S", "-c", code, str(ROOT / "src")],
+                          capture_output=True, text=True, timeout=60, check=True)
+    assert done.stdout.strip() == "[]"

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import pytest
@@ -210,6 +211,24 @@ class TestEquality:
         assert QQI.coerce(3) != 3 and QQI.coerce(3) not in {3}
         assert x == GF(7).coerce(10) == parse(GF(7), "10") and GF(7).coerce(10) in {x}
         assert x != GF(5).coerce(3) and QQI.coerce(3) == GaussianRational(3, 0)
+
+    @pytest.mark.parametrize("x,text", [
+        (GFElement(3, 7), "GFElement(value=3, p=7)"),
+        (GaussianRational(Fraction(1, 2), Fraction(-1)),
+         "GaussianRational(re=Fraction(1, 2), im=Fraction(-1, 1))"),
+        (GaussianRational(0.1, 0), "GaussianRational(re=0.1, im=0)"),
+    ], ids=["gf", "gaussian", "gaussian-float-part"])
+    def test_frozen_and_shown_as_a_dataclass(self, x, text):
+        # error messages quote the repr, so it is output
+        assert repr(x) == text
+        with pytest.raises(FieldMismatchError, match=re.escape(f"not a rational scalar: {text}")):
+            QQ.coerce(x)
+        for name in re.findall(r"(\w+)=", text):
+            with pytest.raises(AttributeError):
+                setattr(x, name, 1)
+            with pytest.raises(AttributeError):
+                delattr(x, name)
+        assert repr(x) == text
 
     def test_coerce_reduces_a_residue(self):
         assert GF(7).coerce(GFElement(10, 7)) == GFElement(3, 7)

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import pytest
@@ -14,7 +15,7 @@ from entinv.invariants import (
     triple_kernel_dim,
 )
 from entinv.linalg import ExactMatrix, InternalConsistencyError, eliminate, to_image
-from entinv.tables import table_for
+from entinv.tables import ClassEntry, table_for
 from entinv.tensors import (
     ArityError,
     Shape,
@@ -298,6 +299,23 @@ class TestSignature:
                 InvariantSignature(dims=(2, 2, 2), singles=(0, 0, 0), pairs=(2, 2, 2),
                                    triple=triple)
         assert InvariantSignature(dims=(2, 2, 2), singles=(2, 2, 2), pairs=(4, 4, 4), triple=8)
+
+    @pytest.mark.parametrize("x,text", [
+        (InvariantSignature(dims=(2, 2), singles=(1, 1)),
+         "InvariantSignature(dims=(2, 2), singles=(1, 1), pairs=None, triple=None)"),
+        (InvariantSignature((2, 2, 2), (0, 0, 0), (2, 2, 2), 0),
+         "InvariantSignature(dims=(2, 2, 2), singles=(0, 0, 0), pairs=(2, 2, 2), triple=0)"),
+        (ClassEntry("C6", (0, 0, 0), ((1, 1, 1), (2, 2, 2))),
+         "ClassEntry(label='C6', concise=(0, 0, 0), terms=((1, 1, 1), (2, 2, 2)))"),
+    ], ids=["bipartite", "tripartite", "class-entry"])
+    def test_records_are_frozen_and_shown_as_a_dataclass(self, x, text):
+        assert repr(x) == text
+        for name in re.findall(r"(\w+)=", text) + ["r", "extent"]:
+            with pytest.raises(AttributeError):
+                setattr(x, name, 1)
+            with pytest.raises(AttributeError):
+                delattr(x, name)
+        assert repr(x) == text
 
     def test_zero_234(self):
         sig = signature(from_terms(Shape((2, 3, 4)), [], field=QQ))

@@ -1,4 +1,3 @@
-import dataclasses
 import functools
 import random
 import re
@@ -15,6 +14,7 @@ from entinv.suites import suite_tables
 from entinv.tables import (
     _TRIPARTITE_ENTRIES,
     TRIPARTITE_DIMS,
+    ClassEntry,
     ClassificationGapError,
     LabelValidityError,
     UnsupportedShapeError,
@@ -119,7 +119,7 @@ class TestTableSelfChecks:
         # C6 replaced by a relabelled copy of C2: the count still holds at
         # d = 2, but two valid entries share C2's key
         entries = _TRIPARTITE_ENTRIES["22d"]
-        copy = dataclasses.replace(entries[2], label="C6")
+        copy = ClassEntry("C6", entries[2].concise, entries[2].terms)
         monkeypatch.setitem(tables._TRIPARTITE_ENTRIES, "22d",
                             tuple(copy if e.label == "C6" else e for e in entries))
         with pytest.raises(InternalConsistencyError,
