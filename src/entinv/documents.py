@@ -13,14 +13,15 @@ grammar of :mod:`~entinv.fields`; anything that smells of floating point
 is rejected.  Each scalar is read straight into integers
 (`Field.parse_image`), which the tensor holds over one common
 denominator, refused past `linalg.MAX_IMAGE_BITS` as the scalars are
-read; no field element is built.  Unknown keys are rejected so that
-typos fail loudly instead of being ignored.  `admit` bounds what a state
-may cost before any of its coefficients is allocated.
+read; no field element is built.  Unknown and repeated keys are
+rejected so that typos fail loudly.  `admit` bounds what a state may
+cost before any of its coefficients is allocated.
 """
 
 from __future__ import annotations
 
 import json
+from collections import Counter
 
 from .fields import Field, field_from_descriptor
 from .linalg import CHUNK, capped, over_den
@@ -68,10 +69,18 @@ def admit(shape: Shape, field: Field, bases: bool = False, where: str = "") -> N
             )
 
 
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object's dict, refused by a ValueError if a name occurs twice."""
+    if len(data := dict(pairs)) < len(pairs):
+        [(name, _)] = Counter(k for k, _ in pairs).most_common(1)
+        raise ValueError(f"duplicate key {name!r}")
+    return data
+
+
 def parse_document(text: str, source: str = "<input>") -> Tensor:
     try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
+        data = json.loads(text, object_pairs_hook=_unique_keys)
+    except ValueError as exc:  # also a repeated name, or an integer past 4300 digits
         raise DocumentError(f"{source}: not valid JSON: {exc}") from exc
     except RecursionError as exc:
         raise DocumentError(f"{source}: JSON nested too deeply to parse") from exc

@@ -13,8 +13,8 @@ on the rows of the image it holds.  `eliminate` finds pivots by one fraction-fre
 Bareiss elimination, over Z for Q, over the Gaussian integers Z[i] for
 Q(i) and over Z/p for GF(p); there are no tolerances, and the pivot is
 the first nonzero entry in column order.  Each ring supplies one row
-kernel, the Bareiss step (p x - f y) / d, which with f = 0 is the exact
-scaling p x / d.
+kernel, the Bareiss step (p x - f y) / d, which for a row with f = 0 in
+the pivot column is the exact scaling p x / d.
 That these are the pivots of plain Gauss-Jordan elimination is tested
 against the oracle in the tests, not assumed.
 """
@@ -279,24 +279,17 @@ def eliminate(field: Field, image: list[list[int]], cols: int, jordan: bool = Fa
     Bareiss's elimination is exact over any integral domain: Z for Q, the
     Gaussian integers Z[i] for Q(i), and Z/p for GF(p), whose rows are
     reduced mod p as they enter (the k123 system holds unreduced dot
-    products).  Entries stay minors of the input, so intermediate growth
-    is polynomial and every division is exact; a nonzero remainder would
-    mean a bug, not a data issue.  Each ring supplies one row kernel, the
-    step, and every scaling below is that step with f = 0.
+    products).  At each pivot p every other row x is written once by the
+    ring's step (p x - f y) / prev, with y the pivot row, f the entry of
+    x in the pivot column and prev the previous pivot; a row with f = 0
+    is scaled by p / prev.  Entries stay minors of the input, so
+    intermediate growth is polynomial and every division is exact; a
+    nonzero remainder would mean a bug, not a data issue.
 
-    A row whose entry in the pivot column is 0 is left alone: a Bareiss
-    step would only scale it by p / prev, and those factors telescope.
-    So a row last written at the step whose pivot was den[i] holds its
-    Bareiss value times den[i] / prev.  Its next write divides by den[i]
-    instead of prev, and a row that becomes the pivot row is first scaled
-    by prev / den[i]; both results are the Bareiss values themselves, so
-    both divisions are exact and the pivots are those of the full loop.
-
-    With `jordan`, each step also clears the pivot column above the pivot
-    row (Gauss-Jordan), by the same rule, and the pivot rows are finally
-    scaled to the last pivot D: the image is left as D times its reduced
-    row echelon form (D a Gaussian integer over Q(i), a residue over
-    GF(p)), whose entries are again minors.
+    With `jordan`, each step also clears above the pivot (Gauss-Jordan)
+    by the same step; every pivot row ends as D times its row of the
+    reduced row echelon form, D the last pivot (a Gaussian integer over
+    Q(i), a residue over GF(p)), whose entries are again minors.
     """
     e = field.width  # integers per entry: entry c of a row x is x[e c : e c + e]
     if isinstance(field, PrimeField):
@@ -307,8 +300,7 @@ def eliminate(field: Field, image: list[list[int]], cols: int, jordan: bool = Fa
     else:
         step = _step_z if e == 1 else _step_zi
     nr, last = len(image), e - 1
-    one, zero = (1, 0) if e == 1 else ((1, 0), (0, 0))
-    den, pivots, prev = [one] * nr, [], one
+    pivots, prev = [], 1 if e == 1 else (1, 0)
     for c in range(cols):
         rank, k = len(pivots), e * c
         for piv in range(rank, nr):
@@ -317,27 +309,17 @@ def eliminate(field: Field, image: list[list[int]], cols: int, jordan: bool = Fa
         else:
             continue
         image[rank], image[piv] = image[piv], image[rank]
-        den[rank], den[piv] = den[piv], den[rank]
         rp = image[rank]
-        if den[rank] != prev:
-            step(rp, rp, zero, prev, den[rank], k)
-        # a pivot row is not written at its own step: its Bareiss value
-        # at this step is its value now
-        p = den[rank] = rp[k] if e == 1 else (rp[k], rp[k + 1])
+        p = rp[k] if e == 1 else (rp[k], rp[k + 1])
         for i in range(0 if jordan else rank + 1, nr):
-            ri = image[i]
-            if i != rank and (ri[k] or ri[k + last]):
-                # the step makes column c 0; a row below the pivot row is
-                # 0 left of it, so its step starts right of it
-                step(ri, rp, ri[k] if e == 1 else (ri[k], ri[k + 1]), p, den[i],
+            if i != rank:
+                # the step makes column c 0, so a row below, 0 left of it, starts right of it
+                ri = image[i]
+                step(ri, rp, ri[k] if e == 1 else (ri[k], ri[k + 1]), p, prev,
                      0 if i < rank else k + e)
                 ri[k] = ri[k + last] = 0
-                den[i] = p
         prev = p
         pivots.append(c)
-    for i in range(len(pivots) if jordan else 0):
-        if den[i] != prev:
-            step(image[i], image[i], zero, prev, den[i], 0)
     return pivots
 
 
@@ -393,9 +375,9 @@ def over_den(pairs: Sequence[int], den: int) -> list[int]:
 
 
 # -- the row kernel of `eliminate`, one per ring: step(ri, rp, f, p, d,
-# start) sets ri[start:] to (p ri - f rp) / d, the Bareiss step, and with
-# f = 0 and rp = ri scales ri[start:] by p / d; over Z/m, m prime, it takes
-# m first and divides by an inverse mod m
+# start) sets ri[start:] to (p ri - f rp) / d, the Bareiss step, which with
+# f = 0 (a row whose pivot-column entry is 0) scales ri[start:] by p / d;
+# over Z/m, m prime, it takes m first and divides by an inverse mod m
 
 
 def _step_z(ri: list[int], rp: list[int], f: int, p: int, d: int, start: int) -> None:

@@ -174,6 +174,29 @@ class TestClassify:
             err = captured.err.splitlines()
             assert len(err) == 1 and err[0].startswith("error: <stdin>: entries[0]: ")
 
+    # JSON that json.loads refuses with a ValueError other than a decode
+    # error: an integer literal past 4300 digits in dims or a sparse index,
+    # and a name given twice in the document or in a sparse entry
+    @pytest.mark.parametrize("doc,message", [
+        ('{"field": "rational", "dims": [2, 1%s], "entries": []}' % ("0" * 4999),
+         "Exceeds the limit (4300 digits) for integer string conversion"),
+        ('{"field": "rational", "dims": [2, 2], "entries": [{"index": [0, 1%s], "value": "1"}]}'
+         % ("0" * 4999), "Exceeds the limit (4300 digits) for integer string conversion"),
+        ('{"field": "rational", "dims": [2, 2], "entries": ["1", "0", "0", "1"], '
+         '"field": "gf(7)"}', "duplicate key 'field'"),
+        ('{"field": "rational", "dims": [2, 2], '
+         '"entries": [{"index": [0, 0], "value": "1", "value": "2"}]}', "duplicate key 'value'"),
+    ], ids=["dims-digits", "index-digits", "field-twice", "value-twice"])
+    def test_json_refused_past_the_decoder_names_its_source(self, doc, message, monkeypatch,
+                                                            capsys):
+        import io
+        monkeypatch.setattr("sys.stdin", io.StringIO(doc))
+        assert main(["classify", "-"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        [line] = captured.err.splitlines()
+        assert line.startswith(f"error: <stdin>: not valid JSON: {message}")
+
     def test_huge_dims_refused_before_allocation(self, monkeypatch, capsys):
         import io
         doc = json.dumps({"field": "rational", "dims": [2, 3, 10**9],

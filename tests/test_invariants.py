@@ -193,9 +193,9 @@ class TestTripleKernelDim:
     # and fourth, like the Q(i) ones, have k123 > 0, which a kernel basis
     # off by the factor D or by the sign of Y changes.  D is given over Q.
     # - r = 1: pivot column 1, D = 2;
-    # - r = 3 = d1 d2 - 1: a row above the pivot is left alone at step 1
-    #   and written at step 2; another is left alone at step 2 and scaled
-    #   from 2 to D = 6 at the end;
+    # - r = 3 = d1 d2 - 1: a row above the pivot has a 0 in the pivot
+    #   column at step 1, so it is scaled, and is cleared at step 2; another
+    #   has a 0 at step 2 and is scaled from 2 to D = 6;
     # - r = 5 = d1 d2 - 1: pivot columns 0, 1, 2, 3, 5 and D = 21;
     # - r = 2: pivot columns 0 and 2, D = 3;
     # - r = 2 with denominators: pivot columns 1 and 2.
