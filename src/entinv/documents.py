@@ -48,8 +48,10 @@ def admit(shape: Shape, field: Field, bases: bool = False, where: str = "") -> N
     flattening, and with `bases` each factor's d_i x d_i basis, is bounded
     by MAX_ELIMINATION.  Over Q(i) a matrix is eliminated over the Gaussian
     integers, two integers an entry and several integer products a
-    Gaussian one, so the cap counts it as twice as tall and wide.  (2,2,d)
-    and (2,3,d) states eliminate matrices at most 6 wide.
+    Gaussian one, so the cap counts it as twice as tall and wide.  At
+    (2,2,d) and (2,3,d) the widest matrix, the d1 d2 x d3 slice pivots, has
+    rows * cols * min(rows, cols) <= 36 d3 = 6 prod(dims), bounded by the
+    coefficient cap; R of k123 is at most 11 x 9, k1's d1 x d2 r, r <= d1 d2.
     """
     if shape.size > MAX_COEFFICIENTS:
         raise DocumentError(

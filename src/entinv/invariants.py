@@ -125,9 +125,10 @@ def triple_kernel_dim(v: Tensor, rows: list[list[int]]) -> int:
     k123(v|S) = 0 when r is 0 or d1 d2.  Otherwise, with w[:,:,l] =
     sum_f y[f, l] K_f over a basis K_f of K from `image_kernel` (as d1 x d2
     matrices), k123(v|S) is (d1 d2 - r) r minus the rank of blocks 2 and 3
-    in y: a (d1^2 + d2^2) x (d1 d2 - r) r system R, at most 13 x 9 for
+    in y: a (d1^2 + d2^2 - 2) x (d1 d2 - r) r system R, at most 11 x 9 for
     (2, 3, d).  Its column (l, f) holds v_l^T K_f and v_l K_f^T, v_l the
-    slice as a d1 x d2 matrix; a slice's scale in the image scales it.
+    slice as a d1 x d2 matrix; a slice's scale in the image scales it.  The
+    traces of both are <v_l, K_f> = 0, so each block drops its row (0, 0).
     Over Q(i) an entry of R is two dot products of slice integers, with
     (p, -q) and (q, p) interleaved for the kernel entries p + qi: its real
     and imaginary parts.
@@ -150,13 +151,14 @@ def triple_kernel_dim(v: Tensor, rows: list[list[int]]) -> int:
     transposed = ([[x[q] for q in spread] for x in rows], [kernel[p] for p in swap], d2, d1)
     for xs, ks, da, db in (transposed, (rows, kernel, d1, d2)):
         w = e * db  # a row of a da x db matrix in the image
-        kn = [list(zip(*ks[db * n : db * (n + 1)])) for n in range(da)]
+        kt = list(zip(*ks))  # the kernel vectors, e integers an entry
         if e == 2:  # the columns p and q of kernel entries p + qi
-            kn = [[c for p, q in zip(k[::2], k[1::2]) for c in gaussian_rows(zip(p, q))]
-                  for k in kn]
-        for m in range(da):
-            xm = [x[w * m : w * (m + 1)] for x in xs]
-            R += [[sum(map(mul, xl, c)) for xl in xm for c in k] for k in kn]
+            kt = [c for p, q in zip(kt[::2], kt[1::2]) for c in gaussian_rows(zip(p, q))]
+        kn = [[c[w * n : w * (n + 1)] for c in kt] for n in range(da)]
+        xm = [[x[w * m : w * (m + 1)] for x in xs] for m in range(da)]
+        # row (0, 0) is minus the sum of the other diagonal rows (n, n)
+        R += [[sum(map(mul, xl, c)) for xl in xm[m] for c in kn[n]]
+              for m, n in list(product(range(da), repeat=2))[1:]]
     return (d12 - r) * r - len(eliminate(v.field, R, (d12 - r) * r)) + free
 
 

@@ -12,9 +12,10 @@ terms (`Tensor.of_image`); a matrix is a two-factor tensor, eliminated
 on the rows of the image it holds.  `eliminate` finds pivots by one fraction-free
 Bareiss elimination, over Z for Q, over the Gaussian integers Z[i] for
 Q(i) and over Z/p for GF(p); there are no tolerances, and the pivot is
-the first nonzero entry in column order.  Each ring supplies one row
-kernel, the Bareiss step (p x - f y) / d, which for a row with f = 0 in
-the pivot column is the exact scaling p x / d.
+the first nonzero entry in column order.  Each ring supplies one pivot
+kernel, called once per pivot, which writes every other row by the
+Bareiss step (p x - f y) / d; for a row with f = 0 in the pivot column
+that is the exact scaling p x / d.
 That these are the pivots of plain Gauss-Jordan elimination is tested
 against the oracle in the tests, not assumed.
 """
@@ -279,12 +280,12 @@ def eliminate(field: Field, image: list[list[int]], cols: int, jordan: bool = Fa
     Bareiss's elimination is exact over any integral domain: Z for Q, the
     Gaussian integers Z[i] for Q(i), and Z/p for GF(p), whose rows are
     reduced mod p as they enter (the k123 system holds unreduced dot
-    products).  At each pivot p every other row x is written once by the
-    ring's step (p x - f y) / prev, with y the pivot row, f the entry of
-    x in the pivot column and prev the previous pivot; a row with f = 0
-    is scaled by p / prev.  Entries stay minors of the input, so
-    intermediate growth is polynomial and every division is exact; a
-    nonzero remainder would mean a bug, not a data issue.
+    products).  At each pivot p one call of the ring's kernel writes every
+    other row x once by the step (p x - f y) / prev, with y the pivot row,
+    f the entry of x in the pivot column and prev the previous pivot; a
+    row with f = 0 is scaled by p / prev.  Entries stay minors of the
+    input, so intermediate growth is polynomial and every division is
+    exact; a nonzero remainder would mean a bug, not a data issue.
 
     With `jordan`, each step also clears above the pivot (Gauss-Jordan)
     by the same step; every pivot row ends as D times its row of the
@@ -293,10 +294,9 @@ def eliminate(field: Field, image: list[list[int]], cols: int, jordan: bool = Fa
     """
     e = field.width  # integers per entry: entry c of a row x is x[e c : e c + e]
     if isinstance(field, PrimeField):
-        m = field.p
-        step = partial(_step_zp, m)
+        step = partial(_step_zp, field.p)
         for row in image:
-            row[:] = [x % m for x in row]
+            row[:] = [x % field.p for x in row]
     else:
         step = _step_z if e == 1 else _step_zi
     nr, last = len(image), e - 1
@@ -309,16 +309,7 @@ def eliminate(field: Field, image: list[list[int]], cols: int, jordan: bool = Fa
         else:
             continue
         image[rank], image[piv] = image[piv], image[rank]
-        rp = image[rank]
-        p = rp[k] if e == 1 else (rp[k], rp[k + 1])
-        for i in range(0 if jordan else rank + 1, nr):
-            if i != rank:
-                # the step makes column c 0, so a row below, 0 left of it, starts right of it
-                ri = image[i]
-                step(ri, rp, ri[k] if e == 1 else (ri[k], ri[k + 1]), p, prev,
-                     0 if i < rank else k + e)
-                ri[k] = ri[k + last] = 0
-        prev = p
+        prev = step(image[rank], image[:rank] if jordan else (), image[rank + 1 :], k, prev)
         pivots.append(c)
     return pivots
 
@@ -374,38 +365,54 @@ def over_den(pairs: Sequence[int], den: int) -> list[int]:
     return [n if d == den else n * (den // d) for n, d in zip(it, it)]
 
 
-# -- the row kernel of `eliminate`, one per ring: step(ri, rp, f, p, d,
-# start) sets ri[start:] to (p ri - f rp) / d, the Bareiss step, which with
-# f = 0 (a row whose pivot-column entry is 0) scales ri[start:] by p / d;
-# over Z/m, m prime, it takes m first and divides by an inverse mod m
+# -- the pivot kernel of `eliminate`, one per ring: step(rp, above, below,
+# k, d) sets each row x of `above`, and of `below` right of the pivot, to
+# (p x - f rp) / d, p and f the entries of rp and x at integer k and d the
+# previous pivot (f = 0 scales by p / d), leaves 0 in the pivot column and
+# returns p.  Over Z/m, m prime, it takes m first and multiplies by d^-1
 
 
-def _step_z(ri: list[int], rp: list[int], f: int, p: int, d: int, start: int) -> None:
-    for j in range(start, len(ri)):
-        q, rem = divmod(p * ri[j] - f * rp[j], d)
-        if rem:
-            raise InternalConsistencyError("inexact division in Bareiss step")
-        ri[j] = q
+def _step_z(rp: list[int], above, below, k: int, d: int) -> int:
+    p = rp[k]
+    for rows, start in ((above, 0), (below, k + 1)):
+        for ri in rows:
+            f = ri[k]
+            for j in range(start, len(ri)):
+                q, rem = divmod(p * ri[j] - f * rp[j], d)
+                if rem:
+                    raise InternalConsistencyError("inexact division in Bareiss step")
+                ri[j] = q
+            ri[k] = 0
+    return p
 
 
-def _step_zi(ri: list[int], rp: list[int], f: tuple[int, int], p: tuple[int, int],
-             d: tuple[int, int], start: int) -> None:
-    # (p x - f y) / d is (a x - b y) / n for x and y the entries of ri and
-    # rp, a = p conj(d), b = f conj(d) and n = |d|^2; both remainders count
-    (fr, fi), (pr, pi), (dr, di) = f, p, d
+def _step_zi(rp: list[int], above, below, k: int, d: tuple[int, int]) -> tuple[int, int]:
+    # (p x - f y) / d is (a x - b y) / n for x and y the entries of a row
+    # and of rp, a = p conj(d), b = f conj(d) and n = |d|^2; both remainders count
+    (pr, pi), (dr, di) = rp[k : k + 2], d
     n, ar, ai = dr * dr + di * di, pr * dr + pi * di, pi * dr - pr * di
-    br, bi = fr * dr + fi * di, fi * dr - fr * di
-    for j in range(start, len(ri), 2):
-        xr, xi, yr, yi = ri[j], ri[j + 1], rp[j], rp[j + 1]
-        qr, er = divmod(ar * xr - ai * xi - br * yr + bi * yi, n)
-        qi, ei = divmod(ar * xi + ai * xr - br * yi - bi * yr, n)
-        if er or ei:
-            raise InternalConsistencyError("inexact division in Bareiss step")
-        ri[j], ri[j + 1] = qr, qi
+    for rows, start in ((above, 0), (below, k + 2)):
+        for ri in rows:
+            fr, fi = ri[k], ri[k + 1]
+            br, bi = fr * dr + fi * di, fi * dr - fr * di
+            for j in range(start, len(ri), 2):
+                xr, xi, yr, yi = ri[j], ri[j + 1], rp[j], rp[j + 1]
+                qr, er = divmod(ar * xr - ai * xi - br * yr + bi * yi, n)
+                qi, ei = divmod(ar * xi + ai * xr - br * yi - bi * yr, n)
+                if er or ei:
+                    raise InternalConsistencyError("inexact division in Bareiss step")
+                ri[j], ri[j + 1] = qr, qi
+            ri[k] = ri[k + 1] = 0
+    return pr, pi
 
 
-def _step_zp(m: int, ri: list[int], rp: list[int], f: int, p: int, d: int, start: int) -> None:
-    inv = pow(d, -1, m)
-    a, b = p * inv % m, f * inv % m
-    for j in range(start, len(ri)):
-        ri[j] = (a * ri[j] - b * rp[j]) % m
+def _step_zp(m: int, rp: list[int], above, below, k: int, d: int) -> int:
+    p, inv = rp[k], pow(d, -1, m)
+    a = p * inv % m
+    for rows, start in ((above, 0), (below, k + 1)):
+        for ri in rows:
+            b = ri[k] * inv % m
+            for j in range(start, len(ri)):
+                ri[j] = (a * ri[j] - b * rp[j]) % m
+            ri[k] = 0
+    return p

@@ -125,6 +125,21 @@ class TestTripleKernelDim:
         v = from_terms(Shape((2, 2, 3)), [(1, 1, 1), (2, 2, 1)])
         assert triple_kernel_dim(v, _concise_rows(v)) == 6
 
+    # each block's diagonal rows sum to 0 on the kernel of the slices, so R,
+    # the one system `triple_kernel_dim` eliminates, drops row (0, 0) of
+    # both: d1^2 + d2^2 - 2 rows
+    @pytest.mark.parametrize("dims,height", [((2, 2, 3), 6), ((2, 3, 4), 11), ((3, 3, 3), 16)])
+    @pytest.mark.parametrize("descriptor", ["gf(2)", "rational", "gaussian-rational"])
+    def test_r_drops_a_trace_row_of_each_block(self, monkeypatch, dims, height, descriptor):
+        heights, eliminate = [], invariants.eliminate
+        monkeypatch.setattr(invariants, "eliminate", lambda field, rows, cols, jordan=False:
+                            heights.append(len(rows)) or eliminate(field, rows, cols, jordan))
+        v = random_tensor(Shape(dims), 1, seed=2, field=field_from_descriptor(descriptor))
+        rows = _concise_rows(v)
+        assert 0 < len(rows) < dims[0] * dims[1]
+        triple_kernel_dim(v, rows)
+        assert heights == [height]
+
     # the stacked system stays the reference for the concise-slice route
     @pytest.mark.parametrize("descriptor,d_max", [
         ("rational", 8), ("gf(101)", 8), ("gaussian-rational", 4),

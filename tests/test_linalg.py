@@ -256,18 +256,23 @@ class TestPivots:
             assert (work[k][2 * c], work[k][2 * c + 1]) == det(ring(QQI), ring(QQI).rows(minor))
 
     def test_scaling_by_a_non_divisor_is_a_fault(self):
-        # a scaling is the step with f = 0, so the pivot row passed does not matter
-        row = [1, 3]
-        with pytest.raises(InternalConsistencyError, match="inexact division"):
-            _step_z(row, row, 0, 1, 2, 0)
-        # (1 + 3i) / (1 + i) = 2 + i, but (1 + 2i) / 2 and (2 + i) / 2 are
-        # not in Z[i]: one has a real remainder, the other an imaginary one
-        row = [1, 3]
-        _step_zi(row, row, (0, 0), (1, 0), (1, 1), 0)
-        assert row == [2, 1]
-        for row in ([1, 2], [2, 1]):
-            with pytest.raises(InternalConsistencyError, match="inexact division"):
-                _step_zi(row, row, (0, 0), (1, 0), (2, 0), 0)
+        # each kernel divides by d a row with f != 0 (a step) and one with
+        # f = 0 (a scaling), above the pivot or below it; the pivot row's
+        # entries right of the pivot are 0, so a row's entry x becomes p x / d
+        for f in (0, 1):
+            row = [f, 4]
+            assert _step_z([1, 0], [], [row], 0, 2) == 1 and row == [0, 2]
+            for above, below in (([[f, 3]], []), ([], [[f, 3]])):
+                with pytest.raises(InternalConsistencyError, match="inexact division"):
+                    _step_z([1, 0], above, below, 0, 2)
+            # (1 + 3i) / (1 + i) = 2 + i, but (1 + 2i) / 2 and (2 + i) / 2 are
+            # not in Z[i]: one has a real remainder, the other an imaginary one
+            row = [f, 0, 1, 3]
+            assert _step_zi([1, 0, 0, 0], [row], [], 0, (1, 1)) == (1, 0) and row == [0, 0, 2, 1]
+            for x in ([f, 0, 1, 2], [f, 0, 2, 1]):
+                for above, below in (([list(x)], []), ([], [list(x)])):
+                    with pytest.raises(InternalConsistencyError, match="inexact division"):
+                        _step_zi([1, 0, 0, 0], above, below, 0, (2, 0))
 
     def test_rows_dependent_only_through_i(self):
         # each row pair (u, i u) is independent over Q but not over Q(i)
