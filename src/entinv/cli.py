@@ -1,7 +1,9 @@
 """Command-line front end.
 
 Subcommands: classify | table | representative | verify | explain3.
-Machine output goes to stdout, diagnostics to stderr.  Exit codes:
+`main` hands argv straight to the named subcommand's parser, so argparse
+reads each call once.  Machine output goes to stdout, diagnostics to
+stderr.  Exit codes:
 0 success, 1 usage or input error or an internal error (a failed
 self-check, which means a bug), 2 classification gap.
 """
@@ -10,11 +12,10 @@ from __future__ import annotations
 
 import argparse
 import functools
-import hashlib
-import json
 import sys
 
-from .documents import DocumentError, admit, emit_document, parse_document
+from .documents import (MAX_DOCUMENT_BYTES, DocumentError, admit, emit_document,
+                        indented_json, parse_document)
 from .explain import explain_three_qubit, render_explain_text
 from .fields import QQ, FieldMismatchError, field_from_descriptor
 from .linalg import InternalConsistencyError
@@ -29,6 +30,14 @@ from .tables import (
 )
 from .tensors import Shape, random_invertible
 
+try:  # hashlib loads OpenSSL, about 3 MB and 3 ms of start-up, for one digest
+    from _sha2 import sha256  # Python 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # Python 3.10 and 3.11
+    except ImportError:
+        from hashlib import sha256
+
 
 class _UsageError(Exception):
     pass
@@ -40,9 +49,10 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-# parsing leaves the parser unchanged, so one instance serves every main() call
+# parsing leaves the parsers unchanged, so one tree serves every main() call
 @functools.cache
-def build_parser() -> argparse.ArgumentParser:
+def build_parser() -> tuple[argparse.ArgumentParser, dict]:
+    """The top-level parser and each subcommand's parser by name."""
     parser = _Parser(
         prog="entinv",
         description="Exact kernel invariants and entanglement classes for "
@@ -90,18 +100,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(handler=_cmd_explain3)
 
-    return parser
+    return parser, sub.choices
 
 
 def _read_input(path: str) -> tuple[str, str]:
+    # one character past the cap refuses the document before it is parsed
     if path == "-":
-        text = sys.stdin.read()
-        return text, "<stdin>"
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return fh.read(), path
-    except OSError as exc:
-        raise DocumentError(f"cannot read {path}: {exc}") from exc
+        text, source = sys.stdin.read(MAX_DOCUMENT_BYTES + 1), "<stdin>"
+    else:
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                text, source = fh.read(MAX_DOCUMENT_BYTES + 1), path
+        except OSError as exc:
+            raise DocumentError(f"cannot read {path}: {exc}") from exc
+    if len(text) > MAX_DOCUMENT_BYTES:
+        raise DocumentError(f"{source}: document longer than the cap of "
+                            f"{MAX_DOCUMENT_BYTES} characters")
+    return text, source
 
 
 def _shape_for(args) -> Shape:
@@ -122,7 +137,7 @@ def _shape_for(args) -> Shape:
 
 def _cmd_classify(args) -> int:
     text, source = _read_input(args.path)
-    digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
+    digest = sha256(text.encode("utf-8")).hexdigest()
     tensor = parse_document(text, source=source)
     if args.field is not None:
         wanted = field_from_descriptor(args.field)
@@ -144,13 +159,13 @@ def _cmd_classify(args) -> int:
         report["signature"] = exc.signature.as_dict()
         report["class"] = None
         report["gap"] = exc.payload()
-        print(json.dumps(report, indent=2))
+        print(indented_json(report))
         print(f"classification gap: {exc}", file=sys.stderr)
         return 2
     report["signature"] = sig.as_dict()
     report["class"] = label
     if args.format == "json":
-        print(json.dumps(report, indent=2))
+        print(indented_json(report))
     else:
         print(f"input: {source} (sha256 {digest[:12]})")
         print(f"field: {tensor.field.descriptor}")
@@ -171,8 +186,7 @@ def _cmd_table(args) -> int:
         rows.append({"label": entry.label, "invariants": invariants,
                      "representative": entry.bracket()})
     if args.format == "json":
-        print(json.dumps({"family": table.family, "dims": list(shape.dims), "classes": rows},
-                         indent=2))
+        print(indented_json({"family": table.family, "dims": list(shape.dims), "classes": rows}))
         return 0
     heads = ["label"] + list(rows[0]["invariants"]) + ["representative"]
     cells = [[r["label"], *map(str, r["invariants"].values()), r["representative"]] for r in rows]
@@ -205,7 +219,7 @@ def _cmd_verify(args) -> int:
         args.suite, d_max=args.d_max, samples=args.samples, seed=args.seed, field=field
     )
     if args.format == "json":
-        print(json.dumps(report.to_dict(), indent=2))
+        print(indented_json(report.to_dict()))
     else:
         print(report.render_text())
     if report.passed:
@@ -218,16 +232,20 @@ def _cmd_explain3(args) -> int:
     tensor = parse_document(text, source=source)
     data = explain_three_qubit(tensor)
     if args.format == "json":
-        print(json.dumps(data, indent=2))
+        print(indented_json(data))
     else:
         print(render_explain_text(data))
     return 0
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    parser, commands = build_parser()
     try:
-        args = parser.parse_args(argv)
+        # the top-level parser reads only an empty, unknown or option-first
+        # argv, for its usage error or help
+        sub = commands.get(argv[0]) if argv else None
+        args = sub.parse_args(argv[1:]) if sub else parser.parse_args(argv)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

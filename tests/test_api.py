@@ -5,17 +5,23 @@ it alive but no user path runs it.  README's `## Library` block runs and
 gives the values its comments state.  No module imports sympy or numpy:
 neither is a declared dependency, even where both are installed.  No
 module imports a name it never uses.  And importing the package and its
-CLI loads no module that only reflection or typing would need.
+CLI loads no module that only reflection or typing would need, nor
+hashlib's OpenSSL, where the interpreter has a builtin sha256.
 """
 
 import ast
+import hashlib
+import importlib.util
 import inspect
 import re
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import entinv
+import entinv.cli
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "entinv"
@@ -154,11 +160,30 @@ def test_no_module_imports_a_name_it_never_uses():
 _START_UP_UNUSED = ("dataclasses", "inspect", "typing", "ast", "dis", "tokenize")
 
 
-def test_import_loads_no_reflection_or_typing_modules():
+def _loaded_at_import(modules) -> list[str]:
+    """Those of `modules` that `import entinv, entinv.cli` loads."""
     # -I -S: no site preloads, which may import typing themselves, and only
     # src/ ahead of the standard library on sys.path
     code = ("import sys; sys.path.insert(0, sys.argv[1]); import entinv, entinv.cli; "
-            f"print([m for m in {_START_UP_UNUSED!r} if m in sys.modules])")
+            f"print([m for m in {tuple(modules)!r} if m in sys.modules])")
     done = subprocess.run([sys.executable, "-I", "-S", "-c", code, str(ROOT / "src")],
                           capture_output=True, text=True, timeout=60, check=True)
-    assert done.stdout.strip() == "[]"
+    return ast.literal_eval(done.stdout)
+
+
+def test_import_loads_no_reflection_or_typing_modules():
+    assert _loaded_at_import(_START_UP_UNUSED) == []
+
+
+@pytest.mark.skipif(not any(importlib.util.find_spec(m) for m in ("_sha2", "_sha256")),
+                    reason="this Python has no builtin sha256 module, so the CLI takes hashlib's")
+def test_import_loads_no_openssl_hashlib():
+    # hashlib loads _hashlib, OpenSSL's libcrypto, for the one digest classify takes
+    assert _loaded_at_import(["hashlib", "_hashlib"]) == []
+
+
+@pytest.mark.parametrize("text", ["", '{"field": "rational"}', "\u00e9\u20ac\U0001f600"],
+                         ids=["empty", "ascii", "non-ascii"])
+def test_cli_sha256_is_hashlibs(text):
+    data = text.encode("utf-8")
+    assert entinv.cli.sha256(data).hexdigest() == hashlib.sha256(data).hexdigest()

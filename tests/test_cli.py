@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from entinv import invariants, linalg
+from entinv import cli, invariants, linalg
 from entinv.cli import build_parser, main
 from entinv.documents import parse_document
 from entinv.linalg import ExactMatrix
@@ -118,6 +118,45 @@ class TestClassify:
         monkeypatch.setattr("sys.stdin", io.StringIO(GHZ_DOC))
         assert main(["classify", "-"]) == 0
         assert "class: C6" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("command", ["classify", "explain3"])
+    @pytest.mark.parametrize("stdin", [True, False], ids=["stdin", "path"])
+    def test_document_past_the_length_cap_refused_unparsed(self, command, stdin, monkeypatch,
+                                                           capsys):
+        # GHZ_DOC padded with spaces to the cap reads as GHZ_DOC does; one
+        # character more exits 1 with one line, before anything is parsed
+        import io
+
+        class Stream(io.StringIO):
+            def close(self):  # keep how far the reader read
+                self.read_to = self.tell()
+                super().close()
+
+        source = "<stdin>" if stdin else "ghz.json"
+        monkeypatch.setattr(cli, "MAX_DOCUMENT_BYTES", len(GHZ_DOC) + 10)
+        streams = []
+
+        def run(text):
+            streams.append(stream := Stream(text))
+            monkeypatch.setattr("sys.stdin", stream)
+            monkeypatch.setattr(cli, "open", lambda *args, **kwargs: stream, raising=False)
+            code = main([command, "-" if stdin else source, "--format", "json"])
+            return code, capsys.readouterr()
+
+        code, at_cap = run(GHZ_DOC + " " * 10)
+        assert code == 0 and at_cap.err == ""
+        monkeypatch.setattr(cli, "MAX_DOCUMENT_BYTES", 10**9)
+        assert run(GHZ_DOC + " " * 10) == (0, at_cap)
+        monkeypatch.setattr(cli, "MAX_DOCUMENT_BYTES", len(GHZ_DOC) + 10)
+        monkeypatch.setattr(cli, "parse_document", None)
+        for pad in (11, 1000):
+            code, past = run(GHZ_DOC + " " * pad)
+            assert (code, past.out) == (1, "")
+            assert past.err == (f"error: {source}: document longer than the cap of "
+                                f"{len(GHZ_DOC) + 10} characters\n")
+        # of a longer document, one character past the cap is read
+        read_to = streams[-1].tell() if stdin else streams[-1].read_to
+        assert read_to == len(GHZ_DOC) + 11
 
     def test_gap_is_exit_2_with_the_state_in_the_report(self, monkeypatch, capsys):
         import io
@@ -601,6 +640,45 @@ class TestUsage:
 
     def test_no_command(self, capsys):
         assert main([]) == 1
+
+    @pytest.mark.parametrize("argv", [
+        [], ["frobnicate"], ["-h"], ["classify", "-h"],
+        ["classify", "GHZ", "--format", "json"], ["classify", "GHZ", "--wat"],
+        ["classify", "GHZ", "--format", "xml"], ["classify"],
+        ["table", "--family", "22d", "--d", "3", "--format", "json"],
+        ["table", "--family", "22d", "--d", "3", "--wat"],
+        ["table", "--family", "99d", "--d", "3"], ["table", "--d", "3"],
+        ["representative", "--family", "22d", "--d", "2", "--label", "C6"],
+        ["representative", "--family", "22d", "--d", "2", "--label", "C6", "--wat"],
+        ["representative", "--family", "22d", "--d", "x", "--label", "C6"],
+        ["representative", "--family", "22d", "--d", "2"],
+        ["verify", "--suite", "tables", "--d-max", "2", "--format", "json"],
+        ["verify", "--suite", "tables", "--wat"], ["verify", "--suite", "nope"], ["verify"],
+        ["explain3", "GHZ", "--format", "json"], ["explain3", "GHZ", "--wat"],
+        ["explain3", "GHZ", "--format", "xml"], ["explain3"],
+    ])
+    def test_subcommand_parser_reads_argv_as_the_top_level_route_does(
+            self, argv, ghz_path, monkeypatch, capsys):
+        # main hands argv to the subcommand's own parser; with no subcommand
+        # known to main, every argv goes through the top-level parser
+        argv = [ghz_path if a == "GHZ" else a for a in argv]
+
+        def run():
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # -h prints the help and exits 0
+                code = f"SystemExit({exc.code})"
+            return code, capsys.readouterr()
+
+        parser, commands = build_parser()
+        top, calls = parser.parse_args, []
+        monkeypatch.setattr(parser, "parse_args", lambda args: calls.append(args) or top(args))
+        direct = run()
+        assert bool(calls) == (not argv or argv[0] not in commands)
+        monkeypatch.setattr(cli, "build_parser", lambda: (parser, {}))
+        assert run() == direct
+        if "-h" in argv:
+            assert direct[0] == "SystemExit(0)" and direct[1].out.startswith("usage: entinv")
 
     def test_one_parser_serves_calls_in_sequence(self, ghz_path, capsys):
         # the parser is built once per process; each call must still read

@@ -18,6 +18,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+from entinv.documents import MAX_DOCUMENT_BYTES
 from elements import GAP_DOC, padded_gap
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -71,6 +72,22 @@ def test_padded_gap_exits_2_in_bounded_time():
     assert done.returncode == 2
     [line] = done.stderr.splitlines()
     assert line.startswith("classification gap: ")
+
+
+def test_document_one_character_past_the_cap_exits_1_with_one_line(tmp_path):
+    # a gap document that the file's NUL tail takes one character past the
+    # cap: read through a path and through stdin, refused before it is parsed
+    path = tmp_path / "long.json"
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(json.dumps(GAP_DOC))
+        fh.truncate(MAX_DOCUMENT_BYTES + 1)
+    for source in (str(path), "<stdin>"):
+        with open(path, "rb") as fh:
+            done = subprocess.run(ENTINV + ["classify", "-" if source == "<stdin>" else source],
+                                  stdin=fh, capture_output=True, text=True, env=_env(), timeout=120)
+        assert (done.returncode, done.stdout) == (1, "")
+        assert done.stderr == (f"error: {source}: document longer than the cap of "
+                               f"{MAX_DOCUMENT_BYTES} characters\n")
 
 
 def test_explain3_reports_a_gap_as_unmatched():

@@ -11,16 +11,17 @@ from entinv.documents import (
     DocumentError,
     document_dict,
     emit_document,
+    indented_json,
     parse_document,
 )
-from entinv import documents, linalg
+from entinv import cli, documents, linalg
 from entinv.cli import main
 from entinv.fields import GF, QQ, QQI, field_from_descriptor
 from entinv.invariants import signature
 from entinv.linalg import CHUNK
 from entinv.tables import ClassificationGapError
 from entinv.tensors import Shape, Tensor, from_terms, random_tensor
-from elements import parse, zero
+from elements import GAP_DOC, parse, zero
 
 
 def test_dense_round_trip():
@@ -426,3 +427,56 @@ def test_direct_parse_matches_the_element_route(doc):
     for sparse in (False, True):
         assert emit_document(got, sparse=sparse) == emit_document(want, sparse=sparse)
     assert signature(got) == signature(want)
+
+
+# strings that stress the encoder: quotes, backslashes, control and
+# non-ASCII characters, one past the BMP, and lone surrogates
+_hard_text = st.text(st.sampled_from(['"', "\\", "\x00", "\x1f", "\x7f", "\n", "a", "\u00e9",
+                                      "\u2028", "\U0001f600", "\ud800", "\udfff"]))
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.integers(-2**300, 2**300) | st.text()
+    | _hard_text,
+    lambda inner: st.lists(inner, max_size=4) | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(st.text() | _hard_text, inner, max_size=4),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(_json_values)
+def test_indented_json_is_the_text_of_json_dumps(value):
+    assert indented_json(value) == json.dumps(value, indent=2)
+
+
+@pytest.mark.parametrize("value", [1.5, [float("nan")], {"a": {1, 2}}, [b"x"], {1: "a"},
+                                   {"a": [{(1, 2): 3}]}])
+def test_indented_json_refuses_what_it_does_not_cover(value):
+    with pytest.raises(TypeError):
+        indented_json(value)
+
+
+_GHZ = {"field": "rational", "dims": [2, 2, 2], "entries": ["1", "0", "0", "0", "0", "0", "0", "1"]}
+
+
+@pytest.mark.parametrize("argv,doc", [
+    (["classify", "-", "--format", "json"], _GHZ),
+    (["classify", "-"], GAP_DOC),
+    (["table", "--family", "23d", "--d", "3", "--format", "json"], None),
+    (["verify", "--suite", "exhaustive-222", "--format", "json"], None),
+    (["explain3", "-", "--format", "json"], _GHZ),
+], ids=["classify", "gap", "table", "verify", "explain3"])
+def test_every_cli_payload_is_printed_as_json_dumps_prints_it(argv, doc, monkeypatch, capsys):
+    payloads = []
+    monkeypatch.setattr(cli, "indented_json",
+                        lambda value: payloads.append(value) or indented_json(value))
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(doc)))
+    main(argv)
+    [payload] = payloads
+    assert capsys.readouterr().out == json.dumps(payload, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("sparse", [False, True], ids=["dense", "sparse"])
+def test_emit_document_is_the_text_of_json_dumps(sparse):
+    v = random_tensor(Shape((2, 3, 4)), 3, seed=5, field=QQI).scale(parse(QQI, "1/3-2/7i"))
+    want = json.dumps(document_dict(v, sparse=sparse), indent=2) + "\n"
+    assert emit_document(v, sparse=sparse) == want
