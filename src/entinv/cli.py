@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
+from contextlib import nullcontext
 
 from .documents import (MAX_DOCUMENT_BYTES, DocumentError, admit, emit_document,
                         indented_json, parse_document)
@@ -104,19 +105,19 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
 
 
 def _read_input(path: str) -> tuple[str, str]:
-    # one character past the cap refuses the document before it is parsed
-    if path == "-":
-        text, source = sys.stdin.read(MAX_DOCUMENT_BYTES + 1), "<stdin>"
-    else:
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                text, source = fh.read(MAX_DOCUMENT_BYTES + 1), path
-        except OSError as exc:
-            raise DocumentError(f"cannot read {path}: {exc}") from exc
-    if len(text) > MAX_DOCUMENT_BYTES:
+    # in pieces: the character past the cap refuses the document as it is read
+    source, pieces, left = "<stdin>" if path == "-" else path, [], MAX_DOCUMENT_BYTES + 1
+    try:
+        with nullcontext(sys.stdin) if path == "-" else open(path, "r", encoding="utf-8") as fh:
+            while left and (piece := fh.read(min(left, 2**16))):
+                pieces.append(piece)
+                left -= len(piece)
+    except OSError as exc:
+        raise DocumentError(f"cannot read {path}: {exc}") from exc
+    if not left:
         raise DocumentError(f"{source}: document longer than the cap of "
                             f"{MAX_DOCUMENT_BYTES} characters")
-    return text, source
+    return "".join(pieces), source
 
 
 def _shape_for(args) -> Shape:

@@ -12,10 +12,10 @@ Scalars are exact strings ("a", "a/b", "a/b+c/di") in the one ASCII
 grammar of :mod:`~entinv.fields`; anything that smells of floating point
 is rejected.  Each scalar is read straight into integers
 (`Field.parse_image`), which the tensor holds over one common
-denominator, refused past `linalg.MAX_IMAGE_BITS` as the scalars are
-read; no field element is built.  Unknown and repeated keys are
-rejected so that typos fail loudly.  `admit` bounds what a state may
-cost before any of its coefficients is allocated.
+denominator; it and the numerators are refused past `MAX_IMAGE_BITS` as
+the scalars are read; no field element is built.  Unknown and repeated
+keys are rejected so that typos fail loudly.  `admit` bounds what a
+state may cost before any of its coefficients is allocated.
 
 `MAX_DOCUMENT_BYTES` bounds a document's length before it is read whole:
 an image of `MAX_IMAGE_BITS` bits takes fewer than bits * 0.30103 decimal
@@ -58,9 +58,9 @@ def admit(shape: Shape, field: Field, bases: bool = False, where: str = "") -> N
     by MAX_ELIMINATION.  Over Q(i) a matrix is eliminated over the Gaussian
     integers, two integers an entry and several integer products a
     Gaussian one, so the cap counts it as twice as tall and wide.  At
-    (2,2,d) and (2,3,d) the widest matrix, the d1 d2 x d3 slice pivots, has
-    rows * cols * min(rows, cols) <= 36 d3 = 6 prod(dims), bounded by the
-    coefficient cap; R of k123 is at most 11 x 9, k1's d1 x d2 r, r <= d1 d2.
+    (2,2,d) and (2,3,d) the widest matrix, the d1 d2 x (d3 + d1 d2) slice
+    elimination, has rows * cols * min(rows, cols) <= 36 (d3 + 6), within
+    the coefficient cap; R of k123 is at most 11 x 9, k1's d1 x d2 r.
     """
     if shape.size > MAX_COEFFICIENTS:
         raise DocumentError(
@@ -88,6 +88,26 @@ def _unique_keys(pairs: list) -> dict:
     return data
 
 
+def _sparse_offset(item: dict, shape: Shape, seen: set, at: str) -> int:
+    """The offset of a sparse entry, added to `seen`, or a DocumentError after `at`."""
+    if unknown := set(item) - _SPARSE_KEYS:
+        raise DocumentError(f"{at}unknown field(s) {sorted(unknown)}")
+    if set(item) != _SPARSE_KEYS:
+        raise DocumentError(f"{at}need exactly 'index' and 'value'")
+    if not isinstance(index := item["index"], list):
+        raise DocumentError(f"{at}'index' must be a list of {shape.n} integers (0-based)")
+    try:
+        off = shape.offset(index)
+    except ShapeError as exc:
+        raise DocumentError(f"{at}{exc}") from exc
+    if off in seen:
+        raise DocumentError(f"{at}duplicate index {index}")
+    seen.add(off)
+    if not isinstance(item["value"], str):
+        raise DocumentError(f"{at}'value' must be a scalar string")
+    return off
+
+
 def parse_document(text: str, source: str = "<input>") -> Tensor:
     try:
         data = json.loads(text, object_pairs_hook=_unique_keys)
@@ -98,11 +118,9 @@ def parse_document(text: str, source: str = "<input>") -> Tensor:
 
     if not isinstance(data, dict):
         raise DocumentError(f"{source}: document must be a JSON object")
-    unknown = set(data) - _TOP_KEYS
-    if unknown:
+    if unknown := set(data) - _TOP_KEYS:
         raise DocumentError(f"{source}: unknown field(s) {sorted(unknown)}; allowed: field, dims, entries")
-    missing = _TOP_KEYS - set(data)
-    if missing:
+    if missing := _TOP_KEYS - set(data):
         raise DocumentError(f"{source}: missing field(s) {sorted(missing)}")
 
     if not isinstance(data["field"], str):
@@ -112,8 +130,7 @@ def parse_document(text: str, source: str = "<input>") -> Tensor:
     except ValueError as exc:
         raise DocumentError(f"{source}: {exc}") from exc
 
-    dims = data["dims"]
-    if not isinstance(dims, list):
+    if not isinstance(dims := data["dims"], list):
         raise DocumentError(f"{source}: 'dims' must be a list of integers")
     try:
         shape = Shape(dims)
@@ -121,8 +138,7 @@ def parse_document(text: str, source: str = "<input>") -> Tensor:
         raise DocumentError(f"{source}: {exc}") from exc
     admit(shape, field, where=f"{source}: ")
 
-    entries = data["entries"]
-    if not isinstance(entries, list):
+    if not isinstance(entries := data["entries"], list):
         raise DocumentError(f"{source}: 'entries' must be a list")
 
     # an empty list is sparse: the zero state has no nonzero entry to list
@@ -136,42 +152,42 @@ def parse_document(text: str, source: str = "<input>") -> Tensor:
             f"{source}: dense entries need {shape.size} scalars for dims {shape.dims}, "
             f"got {len(entries)}"
         )
-    # the flat pairs n, d of each scalar's `parse_image`, at its offset; the
-    # denominators are `capped` as each CHUNK of them is read, and at the last
-    e, parse, seen, den, dens = 2 * field.width, field.parse_image, set(), 1, []
-    pairs, last = [0, 1] * (field.width * shape.size), len(entries) - 1
-    for pos, item in enumerate(entries):
-        if dense:
-            off, value = pos, item
-        else:
-            at = f"{source}: entries[{pos}]: "
-            unknown = set(item) - _SPARSE_KEYS
-            if unknown:
-                raise DocumentError(f"{at}unknown field(s) {sorted(unknown)}")
-            if set(item) != _SPARSE_KEYS:
-                raise DocumentError(f"{at}need exactly 'index' and 'value'")
-            index, value = item["index"], item["value"]
-            if not isinstance(index, list):
-                raise DocumentError(f"{at}'index' must be a list of {shape.n} integers (0-based)")
+    # the flat pairs n, d of each scalar's `parse_image`, at its offset, CHUNK
+    # denominators at a time: parsed at once, `capped`, and numerator bits summed
+    e, parse, step = 2 * field.width, field.parse_image, CHUNK // field.width
+    count, den, bits, seen = field.width * shape.size, 1, 0, set()
+    pairs = [] if dense else [0, 1] * count
+    for start in range(0, len(entries), step):
+        chunk, offs, fault = entries[start : start + step], [], None
+        if not dense:  # the entries up to the first fault, raised after their scalars
             try:
-                off = shape.offset(index)
-            except ShapeError as exc:
-                raise DocumentError(f"{at}{exc}") from exc
-            if off in seen:
-                raise DocumentError(f"{at}duplicate index {index}")
-            seen.add(off)
-            if not isinstance(value, str):
-                raise DocumentError(f"{at}'value' must be a scalar string")
+                for pos, item in enumerate(chunk, start):
+                    offs.append(_sparse_offset(item, shape, seen, f"{source}: entries[{pos}]: "))
+            except DocumentError as exc:
+                fault = exc
+            chunk = [item["value"] for item in chunk[: len(offs)]]
         try:
-            pairs[e * off : e * off + e] = got = parse(value)
+            got = [t for x in chunk for t in parse(x)]
+        except ValueError:
+            for pos, x in enumerate(chunk, start):
+                try:
+                    parse(x)
+                except ValueError as exc:
+                    raise DocumentError(f"{source}: entries[{pos}]: {exc}") from exc
+            raise
+        if fault:
+            raise fault
+        if dense:
+            pairs += got
+        for k, off in enumerate(offs):
+            pairs[e * off : e * off + e] = got[e * k : e * k + e]
+        try:
+            den = capped(count, den, got[1::2])
         except ValueError as exc:
-            raise DocumentError(f"{source}: entries[{pos}]: {exc}") from exc
-        dens += got[1::2]
-        if len(dens) == CHUNK or pos == last:
-            try:
-                den, dens = capped(len(pairs) // 2, den, dens), []
-            except ValueError as exc:
-                raise DocumentError(f"{source}: {exc}") from exc
+            raise DocumentError(f"{source}: {exc}") from exc
+        if (bits := bits + sum(map(int.bit_length, got[::2]))) > MAX_IMAGE_BITS:
+            raise DocumentError(f"{source}: numerators of {bits}+ bits pass the cap of "
+                                f"{MAX_IMAGE_BITS} bits on an image")
     return Tensor.of_image(field, shape, over_den(pairs, den), den)
 
 

@@ -8,7 +8,8 @@ the remaining factor.  The full signature collects all of these.  A
 flattening and its complement are transposes of one rank, so the
 signature derives complementary kernels by rank duality, which `verify
 --suite duality` checks with two separate eliminations.  A tripartite
-signature computes them all on the first r independent slices v[:,:,k].
+signature computes them all on the first r independent slices v[:,:,k],
+and the one elimination that finds them also gives k123 its kernel basis.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from operator import mul
 
 from .fields import Record
 from .linalg import (ExactMatrix, InternalConsistencyError, eliminate, from_image, gaussian_rows,
-                     image_kernel, scaled)
+                     scaled)
 from .tensors import ArityError, Shape, Tensor, flatten
 
 
@@ -111,50 +112,46 @@ def triple_constraint_matrix(v: Tensor) -> ExactMatrix:
     return ExactMatrix.of_image(v.field, len(out) // (e * size), size, out, v.den)
 
 
-def triple_kernel_dim(v: Tensor, rows: list[list[int]]) -> int:
+def triple_kernel_dim(v: Tensor, rows: list[list[int]], kernel: list[list[int]]) -> int:
     """Dimension of the joint kernel of the three extended pair maps.
 
     `rows` are the integer images of the concise slices v[:,:,k], k in S,
     the first r independent slices, as `signature` reads them: one row of
-    e d1 d2 integers each, e = 2 over Q(i) (Gaussian integers), else 1.
+    e d1 d2 integers each, e = 2 over Q(i) (Gaussian integers), else 1;
+    `kernel` is a basis K_f of K = ker S^T in the same layout, one row per
+    basis vector, as `signature`'s slice elimination leaves it.
     A map on V3 turns v into v|S, its (d1, d2, r) subtensor on S, padded
-    with zero slices.
-    Block 1 of `triple_constraint_matrix` puts each slice of w in
-    K = ker S^T, of dimension d1 d2 - r, and blocks 2 and 3 never see a
-    padded one, so k123(v) = k123(v|S) + (d3 - r)(d1 d2 - r), and
+    with zero slices.  Block 1 of `triple_constraint_matrix` puts each
+    slice of w in K, of dimension d1 d2 - r, and blocks 2 and 3 never see
+    a padded one, so k123(v) = k123(v|S) + (d3 - r)(d1 d2 - r), and
     k123(v|S) = 0 when r is 0 or d1 d2.  Otherwise, with w[:,:,l] =
-    sum_f y[f, l] K_f over a basis K_f of K from `image_kernel` (as d1 x d2
-    matrices), k123(v|S) is (d1 d2 - r) r minus the rank of blocks 2 and 3
-    in y: a (d1^2 + d2^2 - 2) x (d1 d2 - r) r system R, at most 11 x 9 for
+    sum_f y[f, l] K_f (K_f as d1 x d2 matrices), k123(v|S) is
+    (d1 d2 - r) r minus the rank of blocks 2 and 3 in y: a
+    (d1^2 + d2^2 - 2) x (d1 d2 - r) r system R, at most 11 x 9 for
     (2, 3, d).  Its column (l, f) holds v_l^T K_f and v_l K_f^T, v_l the
-    slice as a d1 x d2 matrix; a slice's scale in the image scales it.  The
-    traces of both are <v_l, K_f> = 0, so each block drops its row (0, 0).
-    Over Q(i) an entry of R is two dot products of slice integers, with
-    (p, -q) and (q, p) interleaved for the kernel entries p + qi: its real
-    and imaginary parts.
+    slice as a d1 x d2 matrix; a slice's or a basis vector's scale in the
+    image scales it.  The traces of both are <v_l, K_f> = 0, so each block
+    drops its row (0, 0).  Over Q(i) an entry of R is two dot products of
+    slice integers, with (p, -q) and (q, p) interleaved for the kernel
+    entries p + qi: its real and imaginary parts.
     """
     if v.n != 3:
         raise ArityError(f"triple intersection needs 3 factors, got {v.n}")
     d1, d2, d3 = v.shape.dims
-    d12 = d1 * d2
-    r = len(rows)
+    d12, r = d1 * d2, len(rows)
     free = (d3 - r) * (d12 - r)
     if r in (0, d12):
         return free
     e = len(rows[0]) // d12
-    kernel = image_kernel(v.field, [list(x) for x in rows], d12)
-    # the coordinates (i, j) of a d1 x d2 matrix, read as (j, i), and the
-    # same for its e integers an entry
-    swap = [d2 * i + j for j in range(d2) for i in range(d1)]
-    spread = [e * p + u for p in swap for u in range(e)]
+    # the e integers of each entry (i, j) of a d1 x d2 matrix, read as (j, i)
+    spread = [e * (d2 * i + j) + u for j in range(d2) for i in range(d1) for u in range(e)]
     R = []
-    transposed = ([[x[q] for q in spread] for x in rows], [kernel[p] for p in swap], d2, d1)
-    for xs, ks, da, db in (transposed, (rows, kernel, d1, d2)):
+    transposed = ([[x[q] for q in spread] for x in xs] for xs in (rows, kernel))
+    for xs, ks, da, db in ((*transposed, d2, d1), (rows, kernel, d1, d2)):
         w = e * db  # a row of a da x db matrix in the image
-        kt = list(zip(*ks))  # the kernel vectors, e integers an entry
-        if e == 2:  # the columns p and q of kernel entries p + qi
-            kt = [c for p, q in zip(kt[::2], kt[1::2]) for c in gaussian_rows(zip(p, q))]
-        kn = [[c[w * n : w * (n + 1)] for c in kt] for n in range(da)]
+        if e == 2:  # the rows of kernel entries p + qi
+            ks = [c for x in ks for c in gaussian_rows(zip(x[::2], x[1::2]))]
+        kn = [[c[w * n : w * (n + 1)] for c in ks] for n in range(da)]
         xm = [[x[w * m : w * (m + 1)] for x in xs] for m in range(da)]
         # row (0, 0) is minus the sum of the other diagonal rows (n, n)
         R += [[sum(map(mul, xl, c)) for xl in xm[m] for c in kn[n]]
@@ -168,10 +165,12 @@ def signature(v: Tensor) -> InvariantSignature:
     A flattening's complement is its transpose, whose kernel follows by
     rank duality.  Bipartite, the (1)-flattening's rows are read from v's
     image and ranked.  Tripartite, so are the (1,2)-flattening's rows, runs
-    of e d3 integers of the image; its pivots are the concise slices
-    S = v[:,:,k], which give r, k3 and k12, and only those r slices are
-    read, each one row of e d1 d2 integers.  k1 and k2 are ranked on
-    [v_1 | ... | v_r] and [v_1; ...; v_r], v_l in S.
+    of e d3 integers of the image, each followed by its coordinates; its
+    pivots are the concise slices S = v[:,:,k], which give r, k3 and k12,
+    and the rows left below them, zero on the flattening (else a bug),
+    hold in their coordinates a basis of K = ker S^T, as Bareiss steps are
+    invertible.  Only those r slices are read, each one row of e d1 d2
+    integers; k1 and k2 are ranked on [v_1 | ... | v_r] and [v_1; ...; v_r].
     """
     d, field, flat = v.shape.dims, v.field, v.image
     e = field.width
@@ -183,14 +182,20 @@ def signature(v: Tensor) -> InvariantSignature:
     d1, d2, d3 = d
     w = e * d3  # a row of the (1,2)-flattening in the image
     spread = [o + u for o in range(0, len(flat), w) for u in range(e)]
-    slices = eliminate(field, [list(flat[o : o + w]) for o in spread[::e]], d3)
+    zeros = [0] * (e * d1 * d2)  # and a coordinate vector: 1, or 1 + 0i over Q(i)
+    image = [[*flat[o : o + w], *zeros[: e * q], 1, *zeros[e * q + 1 :]]
+             for q, o in enumerate(spread[::e])]
+    slices = eliminate(field, image, d3)
     r, rows = len(slices), [[flat[s + e * k] for s in spread] for k in slices]
+    if any(any(x[:w]) for x in image[r:]):
+        raise InternalConsistencyError(f"slice elimination of rank {r} left a nonzero row")
+    kernel = [x[w:] for x in image[r:]]
     w = e * d2  # a row of a slice in the image
     k1 = d1 - len(eliminate(field, [[t for x in rows for t in x[w * i : w * (i + 1)]]
                                     for i in range(d1)], d2 * r))
     k2 = d2 - len(eliminate(field, [x[w * i : w * (i + 1)] for x in rows for i in range(d1)], d2))
     pairs = (d1 * d2 - r, d1 * d3 - d2 + k2, d2 * d3 - d1 + k1)
-    return InvariantSignature(d, (k1, k2, d3 - r), pairs, triple_kernel_dim(v, rows))
+    return InvariantSignature(d, (k1, k2, d3 - r), pairs, triple_kernel_dim(v, rows, kernel))
 
 
 def slow_route_fault(v: Tensor, sig: InvariantSignature | None = None) -> str:

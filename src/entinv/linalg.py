@@ -314,28 +314,6 @@ def eliminate(field: Field, image: list[list[int]], cols: int, jordan: bool = Fa
     return pivots
 
 
-def image_kernel(field: Field, image: list[list[int]], cols: int) -> list[list[int]]:
-    """A kernel basis of a full-row-rank matrix with `cols` columns, from its image.
-
-    One Gauss-Jordan elimination of the image gives its pivot columns P,
-    the common pivot D and the reduced rows Y.  Basis vector f has D on
-    the free column f, -Y[m][f] on P_m and 0 elsewhere.  The result has
-    one row per column and, for each basis vector, the e integers of one
-    entry in the image's own layout: over Q(i), D and -Y[m][f] are
-    Gaussian integers, two integers each.
-    """
-    e = len(image[0]) // cols  # integers per entry: 2 over Q(i), else 1
-    pivots = eliminate(field, image, cols, jordan=True)
-    if len(pivots) < len(image):
-        raise InternalConsistencyError(f"rank {len(image)} matrix has {len(pivots)} pivots")
-    d, zero = image[0][e * pivots[0] : e * pivots[0] + e], [0] * e
-    free = [q for q in range(cols) if q not in pivots]
-    basis = [[t for f in free for t in (d if q == f else zero)] for q in range(cols)]
-    for row, p in zip(image, pivots):
-        basis[p] = [-row[e * f + u] for f in free for u in range(e)]
-    return basis
-
-
 def capped(count: int, den: int, dens: Sequence[int]) -> int:
     """lcm(den, *dens) as the denominator of an image of `count` integers,
     each about as large: refused by a ValueError once its bit length times

@@ -158,6 +158,18 @@ class TestClassify:
         read_to = streams[-1].tell() if stdin else streams[-1].read_to
         assert read_to == len(GHZ_DOC) + 11
 
+    def test_refusal_holds_the_text_read_once(self, tmp_path, monkeypatch, capsys):
+        # a file four times the cap is refused as the character past the
+        # cap is read, in pieces: what was read is held once, never joined
+        cap = 2**20
+        monkeypatch.setattr(cli, "MAX_DOCUMENT_BYTES", cap)
+        path = tmp_path / "long.json"
+        path.write_text(" " * (4 * cap))
+        code, peak = _main_peak(["classify", str(path)])
+        assert (code, capsys.readouterr().err) == (
+            1, f"error: {path}: document longer than the cap of {cap} characters\n")
+        assert peak < 1.5 * cap
+
     def test_gap_is_exit_2_with_the_state_in_the_report(self, monkeypatch, capsys):
         import io
         monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(GAP_DOC)))
@@ -262,22 +274,25 @@ class TestClassify:
         assert peak < 2**20
 
     # a rank fault is a bug in the program: one line, exit 1, no traceback.
-    # [1,1,1]+[1,2,2] with tall ranks short keeps 1 of its 2 slices, and
-    # lands on no key; GHZ with every rank short keeps 1 slice, then finds
-    # no pivot in it, over each field
+    # [1,1,1]+[1,2,2] with tall ranks short, and GHZ with every rank short,
+    # over each field, keep 1 of their 2 slices, and the other is left
+    # nonzero below the slice pivot; [1,1,1] with tall ranks short loses
+    # its one slice, where r = 0 would give C0's key, self-consistent
     @pytest.mark.parametrize("command,field,entries,fault,message", [
         ("classify", "rational", ["1", "0", "0", "1", "0", "0", "0", "0"], "tall",
-         "rank duality violated: factor 1 flattening has rank 1, its complement 0"),
+         "slice elimination of rank 1 left a nonzero row"),
         ("classify", "rational", ["1", "0", "0", "0", "0", "0", "0", "1"], "all",
-         "rank 1 matrix has 0 pivots"),
+         "slice elimination of rank 1 left a nonzero row"),
         ("explain3", "rational", ["1", "0", "0", "0", "0", "0", "0", "1"], "all",
-         "rank 1 matrix has 0 pivots"),
+         "slice elimination of rank 1 left a nonzero row"),
         ("classify", "gf(101)", ["1", "0", "0", "0", "0", "0", "0", "1"], "all",
-         "rank 1 matrix has 0 pivots"),
+         "slice elimination of rank 1 left a nonzero row"),
         ("classify", "gaussian-rational", ["1", "0", "0", "0", "0", "0", "0", "1"], "all",
-         "rank 1 matrix has 0 pivots"),
+         "slice elimination of rank 1 left a nonzero row"),
         ("explain3", "rational", ["1", "0", "0", "1", "0", "0", "0", "0"], "tall",
-         "rank duality violated: factor 1 flattening has rank 1, its complement 0"),
+         "slice elimination of rank 1 left a nonzero row"),
+        ("classify", "rational", ["1", "0", "0", "0", "0", "0", "0", "0"], "tall",
+         "slice elimination of rank 0 left a nonzero row"),
     ])
     def test_internal_error_is_one_line(self, command, field, entries, fault, message,
                                         monkeypatch, capsys):

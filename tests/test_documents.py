@@ -22,6 +22,7 @@ from entinv.linalg import CHUNK
 from entinv.tables import ClassificationGapError
 from entinv.tensors import Shape, Tensor, from_terms, random_tensor
 from elements import GAP_DOC, parse, zero
+import oracle_documents
 
 
 def test_dense_round_trip():
@@ -213,10 +214,10 @@ def test_each_denominator_is_capped_once(field, sparse, monkeypatch):
     """With CHUNK at 10, the denominators of entries -1/1, 1/2, ..., 1/24
     (over Q(i) each minus i/5) reach `capped` in full chunks and a
     leftover, each once, and the document is read exactly."""
-    calls, capped = [], linalg.capped
+    calls, chunks, capped = [], [], linalg.capped
     for module in (documents, linalg):
-        monkeypatch.setattr(module, "capped",
-                            lambda count, den, dens: calls.extend(dens) or capped(count, den, dens))
+        monkeypatch.setattr(module, "capped", lambda count, den, dens: calls.extend(dens)
+                            or chunks.append(len(dens)) or capped(count, den, dens))
     monkeypatch.setattr(documents, "CHUNK", 10)
     im = "-1/5i" if field == QQI else ""
     scalars = [f"{(-1) ** k}/{k}{im}" for k in range(1, 25)]
@@ -225,8 +226,34 @@ def test_each_denominator_is_capped_once(field, sparse, monkeypatch):
     v = parse_document(json.dumps({"field": field.descriptor, "dims": [2, 3, 4],
                                    "entries": entries}))
     assert calls == [d for k in range(1, 25) for d in ((k, 5) if im else (k,))]
+    assert chunks == ([10] * 4 + [8] if im else [10, 10, 4])
     assert v == Tensor(field, v.shape, [parse(field, x) for x in scalars])
     assert v.den == 5354228880
+
+
+@pytest.mark.parametrize("sparse", [False, True], ids=["dense", "sparse"])
+def test_numerator_bits_are_capped(sparse, monkeypatch):
+    """The numerators' bits in all, over Q(i) both parts', are capped by
+    MAX_IMAGE_BITS as each chunk is read, apart from the denominators'
+    cap: at the cap the document is read, one bit more is refused with
+    its own message, and a chunk that passes it ends the read."""
+    def doc(field, entries):
+        if sparse:
+            entries = [{"index": [k // 2, k % 2], "value": x} for k, x in enumerate(entries)]
+        return json.dumps({"field": field, "dims": [2, 2], "entries": entries})
+
+    monkeypatch.setattr(documents, "MAX_IMAGE_BITS", 40)
+    at_cap = ["1023", "-1023/7", "1023", "1023"]
+    assert parse_document(doc("rational", at_cap)) == Tensor(
+        QQ, Shape((2, 2)), [parse(QQ, x) for x in at_cap])
+    for field, entries in (("rational", ["1023", "-1023/7", "-1024", "1023"]),
+                           ("gaussian-rational", ["1023+1023i", "0", "1023-1024i", "0"])):
+        with pytest.raises(DocumentError, match=r"^<input>: numerators of 41\+ bits pass the "
+                                                r"cap of 40 bits on an image$"):
+            parse_document(doc(field, entries))
+    monkeypatch.setattr(documents, "CHUNK", 2)
+    with pytest.raises(DocumentError, match=r"^<input>: numerators of 41\+ bits"):
+        parse_document(doc("rational", [str(2**40 - 1), "1", "1.5", "0"]))
 
 
 def test_many_denominators_within_the_image_cap_are_read_exactly():
@@ -297,6 +324,98 @@ def test_any_input_gives_a_tensor_or_a_document_error(text):
     except DocumentError:
         return
     assert isinstance(v, Tensor)
+
+
+# -- the chunked entry loop against the per-entry oracle ----------------
+
+# scalars each field reads, and scalars no field reads
+_GOOD = {"rational": ["1", "-2/3", "0", "5", "7/2", " 3 / 4 "],
+         "gf(7)": ["1", "-2/3", "0", "5", " 3 / 4 "], "gf(2)": ["1", "0", "-1", "1/3"],
+         "gaussian-rational": ["1", "-2/3", "0", "1/5+2/3i", "-1i", "0+1/2i"]}
+_BAD = ["1.5", "x", "1/0", "", "1 2", "5/7", "2+3i", "٣"]
+_FAULTS = ["scalar", "value type", "index range", "index length", "index type",
+           "duplicate", "unknown key", "missing key"]
+
+
+def _faulty(entry, fault, earlier):
+    """A sparse `entry` with one `fault`; `earlier` are the indices before it."""
+    index, value = entry["index"], entry["value"]
+    return {
+        "scalar": {"index": index, "value": "1.5"},
+        "value type": {"index": index, "value": 7},
+        "index range": {"index": [0] * (len(index) - 1) + [5], "value": value},
+        "index length": {"index": index + [0], "value": value},
+        "index type": {"index": "0", "value": value},
+        "duplicate": {"index": earlier[0] if earlier else index, "value": value},
+        "unknown key": {"index": index, "value": value, "note": "x"},
+        "missing key": {"index": index},
+    }[fault]
+
+
+@st.composite
+def _chunked_documents(draw):
+    """Dense and sparse documents, valid or with one or two faults in
+    entries, for every field the grammar knows."""
+    field = draw(st.sampled_from(sorted(_GOOD)))
+    dims = draw(st.lists(st.integers(1, 3), min_size=2, max_size=3))
+    size, good = Shape(dims).size, st.sampled_from(_GOOD[field])
+    if draw(st.booleans()):  # dense, of the right length or one off
+        length = max(size + draw(st.sampled_from([0, 0, 0, 0, 0, -1, 1])), 0)
+        scalars = good | st.sampled_from(_BAD) if draw(st.booleans()) else good
+        entries = draw(st.lists(scalars, min_size=length, max_size=length))
+    else:
+        offsets = draw(st.lists(st.integers(0, size - 1), unique=True, max_size=size))
+        shape = Shape(dims)
+        indices = [list(i) for i in shape.indices()]
+        valid = [{"index": indices[o], "value": draw(good)} for o in offsets]
+        faults = draw(st.lists(st.sampled_from(_FAULTS), max_size=min(2, len(valid))))
+        at = draw(st.lists(st.integers(0, len(valid) - 1), unique=True,
+                           min_size=len(faults), max_size=len(faults))) if valid else []
+        entries = list(valid)
+        for k, fault in zip(at, faults):
+            entries[k] = _faulty(valid[k], fault, [x["index"] for x in valid[:k]])
+    return {"field": field, "dims": dims, "entries": entries}
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text)
+    except DocumentError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("chunk", [2, 3, CHUNK])
+@settings(max_examples=300, deadline=None)
+@given(doc=_chunked_documents())
+def test_chunked_entries_match_the_per_entry_oracle(chunk, doc):
+    """One chunk or several, a document gives an equal tensor or the same
+    DocumentError text as the oracle that reads one entry at a time."""
+    text = json.dumps(doc)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(documents, "CHUNK", chunk)
+        assert _outcome(parse_document, text) == _outcome(oracle_documents.parse_document, text)
+
+
+@pytest.mark.parametrize("order", [(0, 1), (1, 0)])
+@pytest.mark.parametrize("first,second", [
+    ("scalar", "duplicate"), ("index range", "scalar"), ("unknown key", "value type"),
+    ("scalar", "scalar"), ("missing key", "index type"),
+])
+def test_two_sparse_faults_report_the_first_listed(first, second, order):
+    """Of two faults in one sparse document, in either order, the one
+    listed first is reported, within one chunk and across two."""
+    shape = Shape((2, 2, 2))
+    entries = [{"index": list(i), "value": "1/2"} for i in shape.indices()]
+    faults = [first, second] if order == (0, 1) else [second, first]
+    for k, fault in zip((2, 5), faults):
+        entries[k] = _faulty(entries[k], fault, [x["index"] for x in entries[:k]])
+    text = json.dumps({"field": "rational", "dims": [2, 2, 2], "entries": entries})
+    want = _outcome(oracle_documents.parse_document, text)
+    assert want.startswith("<input>: entries[2]: ")
+    for chunk in (2, 4, 8, CHUNK):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(documents, "CHUNK", chunk)
+            assert _outcome(parse_document, text) == want
 
 
 # -- the scalar grammar, through the CLI -------------------------------

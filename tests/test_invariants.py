@@ -1,3 +1,4 @@
+import random
 import re
 from fractions import Fraction
 
@@ -14,7 +15,7 @@ from entinv.invariants import (
     triple_constraint_matrix,
     triple_kernel_dim,
 )
-from entinv.linalg import ExactMatrix, InternalConsistencyError, eliminate, to_image
+from entinv.linalg import ExactMatrix, InternalConsistencyError, eliminate, from_image, to_image
 from entinv.tables import ClassEntry, table_for
 from entinv.tensors import (
     ArityError,
@@ -26,8 +27,9 @@ from entinv.tensors import (
     random_invertible,
     random_tensor,
 )
-from elements import DENOMINATOR_FIELDS, denominator_states, from_rows, parse, zero
-from oracle_linalg import ring, rref_of
+from elements import (DENOMINATOR_FIELDS, denominator_states, from_rows, parse, upper_map,
+                      zero)
+from oracle_linalg import ring, rref, rref_of
 
 S222 = Shape((2, 2, 2))
 GHZ = from_terms(S222, [(1, 1, 1), (2, 2, 2)])
@@ -63,7 +65,7 @@ class TestTripleConstraintMatrix:
         v = from_terms(S222, [], field=QQ)
         m = triple_constraint_matrix(v)
         assert all(x == zero(QQ) for x in m.entries)
-        assert triple_kernel_dim(v, _concise_rows(v)) == 8
+        assert triple_kernel_dim(v, *_concise(v)) == 8
 
     def test_product_state_forces_four_coordinates(self):
         # for the state with a single unit coefficient at (1,1,1) the
@@ -115,15 +117,15 @@ class TestTripleConstraintMatrix:
 
 class TestTripleKernelDim:
     def test_ghz(self):
-        assert triple_kernel_dim(GHZ, _concise_rows(GHZ)) == 0
+        assert triple_kernel_dim(GHZ, *_concise(GHZ)) == 0
 
     def test_three_term_state(self):
         v = from_terms(S222, [(1, 1, 1), (1, 2, 2), (2, 1, 2)])
-        assert triple_kernel_dim(v, _concise_rows(v)) == 1
+        assert triple_kernel_dim(v, *_concise(v)) == 1
 
     def test_on_taller_third_factor(self):
         v = from_terms(Shape((2, 2, 3)), [(1, 1, 1), (2, 2, 1)])
-        assert triple_kernel_dim(v, _concise_rows(v)) == 6
+        assert triple_kernel_dim(v, *_concise(v)) == 6
 
     # each block's diagonal rows sum to 0 on the kernel of the slices, so R,
     # the one system `triple_kernel_dim` eliminates, drops row (0, 0) of
@@ -131,13 +133,13 @@ class TestTripleKernelDim:
     @pytest.mark.parametrize("dims,height", [((2, 2, 3), 6), ((2, 3, 4), 11), ((3, 3, 3), 16)])
     @pytest.mark.parametrize("descriptor", ["gf(2)", "rational", "gaussian-rational"])
     def test_r_drops_a_trace_row_of_each_block(self, monkeypatch, dims, height, descriptor):
+        v = random_tensor(Shape(dims), 1, seed=2, field=field_from_descriptor(descriptor))
+        rows, kernel = _concise(v)
+        assert 0 < len(rows) < dims[0] * dims[1]
         heights, eliminate = [], invariants.eliminate
         monkeypatch.setattr(invariants, "eliminate", lambda field, rows, cols, jordan=False:
                             heights.append(len(rows)) or eliminate(field, rows, cols, jordan))
-        v = random_tensor(Shape(dims), 1, seed=2, field=field_from_descriptor(descriptor))
-        rows = _concise_rows(v)
-        assert 0 < len(rows) < dims[0] * dims[1]
-        triple_kernel_dim(v, rows)
+        triple_kernel_dim(v, rows, kernel)
         assert heights == [height]
 
     # the stacked system stays the reference for the concise-slice route
@@ -155,7 +157,7 @@ class TestTripleKernelDim:
                         for axis, dim in enumerate(shape.dims)
                     ]
                     v = apply_local(from_terms(shape, entry.terms, field=field), bases)
-                    got = triple_kernel_dim(v, _concise_rows(v))
+                    got = triple_kernel_dim(v, *_concise(v))
                     assert got == _stacked_k123(v), (shape.dims, entry.label)
 
     # the concise systems are the sparse ones that `rank()` eliminates for
@@ -201,12 +203,13 @@ class TestTripleKernelDim:
                 want = shape.size - triple_constraint_matrix(v).rank()
             else:
                 want = _stacked_k123(v)
-            assert triple_kernel_dim(v, _concise_rows(v)) == want, v
+            assert triple_kernel_dim(v, *_concise(v)) == want, v
 
     # Concise states, one slice per row of the slice matrix S^T, made to
-    # reach each branch of its Gauss-Jordan elimination.  The first, third
-    # and fourth, like the Q(i) ones, have k123 > 0, which a kernel basis
-    # off by the factor D or by the sign of Y changes.  D is given over Q.
+    # reach each branch of a Gauss-Jordan elimination of S^T; the kernel
+    # basis `signature` leaves differs from that elimination's, and k123
+    # must not.  The first, third and fourth, like the Q(i) ones, have
+    # k123 > 0.  D is given over Q.
     # - r = 1: pivot column 1, D = 2;
     # - r = 3 = d1 d2 - 1: a row above the pivot has a 0 in the pivot
     #   column at step 1, so it is scaled, and is cleared at step 2; another
@@ -241,11 +244,33 @@ class TestTripleKernelDim:
             parse(field, slices[m][q]) for q in range(d12) for m in range(r)
         ])
         assert _slices(v) == list(range(r))
-        assert triple_kernel_dim(v, _concise_rows(v)) == _stacked_k123(v)
+        assert triple_kernel_dim(v, *_concise(v)) == _stacked_k123(v)
 
     def test_rejects_bipartite_input(self):
         with pytest.raises(ArityError):
-            triple_kernel_dim(random_tensor(Shape((2, 2)), 2, seed=1), [])
+            triple_kernel_dim(random_tensor(Shape((2, 2)), 2, seed=1), [], [])
+
+
+class TestSliceKernel:
+    # the rows that `signature`'s slice elimination leaves below its pivots
+    # are a basis of K = ker S^T: random states of t <= d3 independent
+    # slices, in bases whose entries carry denominators
+    @pytest.mark.parametrize("field", [QQ, GF(7), QQI], ids=lambda f: f.descriptor)
+    def test_rows_below_the_slice_pivots_are_a_kernel_basis(self, field):
+        rng, seen = random.Random(29), set()
+        for _ in range(60):
+            dims = (rng.randint(1, 3), rng.randint(1, 3), rng.randint(1, 5))
+            t = rng.randint(0, min(dims[0] * dims[1], dims[2]))
+            v = (_few_slices(Shape(dims), t, rng.randrange(10**6), field) if t
+                 else from_terms(Shape(dims), [], field=field))
+            v = apply_local(v, [upper_map(field, d, k) for k, d in enumerate(dims)])
+            rows, kernel = _concise(v)
+            _assert_slice_kernel(v, kernel)
+            seen.add((not rows, not kernel, v.den > 1))
+        # r = 0, r = d1 d2 and the rest are each reached, the last with
+        # denominators over Q and Q(i)
+        assert {(True, False), (False, True), (False, False)} <= {s[:2] for s in seen}
+        assert (False, False, not isinstance(field, PrimeField)) in seen
 
 
 def _slices(v):
@@ -258,6 +283,34 @@ def _concise_rows(v):
     """Integer images of the concise slices of `v`, one row per slice."""
     qoff = v.shape.offsets((0, 1))
     return [to_image(v.field, [v.coeffs[o + k] for o in qoff])[0] for k in _slices(v)]
+
+
+def _concise(v):
+    """The concise rows and the basis of K = ker S^T that `signature` hands
+    to `triple_kernel_dim`, in its one call of it."""
+    passed = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(invariants, "triple_kernel_dim",
+                   lambda v, rows, kernel: passed.append((rows, kernel)) or 0)
+        signature(v)
+    [args] = passed
+    return args
+
+
+def _assert_slice_kernel(v, kernel):
+    """`kernel`, rows of integer images, is a basis of the left kernel of
+    the (1,2) flattening, made afresh from v: d1 d2 - r rows x, each with
+    x^T M = 0, of rank d1 d2 - r, in the oracle's arithmetic."""
+    field, R = v.field, ring(v.field)
+    m = flatten(v, (1, 2))
+    r = len(rref_of(m)[1])
+    assert len(kernel) == m.rows - r
+    basis = [[R.lift(x) for x in from_image(field, row, 1)] for row in kernel]
+    for x in basis:
+        assert len(x) == m.rows
+        for col in zip(*R.rows(m)):
+            assert R.dot(x, col) == R.zero
+    assert len(rref(R, basis)[1]) == m.rows - r
 
 
 def _stacked_k123(v):
@@ -436,11 +489,7 @@ class TestSignature:
     # the pivot slices of the (1,2) flattening: the pivots of the transposed
     # slice matrix are those of the flattening, here on states with complex
     # entries
-    def test_concise_rows_are_the_flattening_pivots(self, monkeypatch):
-        passed = []
-        triple = invariants.triple_kernel_dim
-        monkeypatch.setattr(invariants, "triple_kernel_dim",
-                            lambda v, rows: passed.append(rows) or triple(v, rows))
+    def test_concise_rows_are_the_flattening_pivots(self):
         i = GaussianRational(0, 1)
         states = []
         for dims in [(2, 2, 3), (2, 3, 5), (3, 2, 4), (1, 3, 4)]:
@@ -455,9 +504,9 @@ class TestSignature:
             ]]),
         ]
         for v in states:
-            passed.clear()
-            signature(v)
-            assert passed == [_concise_rows(v)], v
+            rows, kernel = _concise(v)
+            assert rows == _concise_rows(v), v
+            _assert_slice_kernel(v, kernel)
         assert any(_slices(v) != list(range(len(_slices(v)))) for v in states)
         assert all(any(c.im for c in v.coeffs) for v in states[-2:])
 

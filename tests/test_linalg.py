@@ -13,7 +13,6 @@ from entinv.linalg import (
     _step_zi,
     eliminate,
     from_image,
-    image_kernel,
     to_image,
 )
 from entinv.tensors import Shape, ShapeError, Tensor, apply_local, flatten, from_terms
@@ -291,6 +290,20 @@ class TestPivots:
         m = from_rows(QQI, [[1, I, 0], [I, -1, 1]])
         assert eliminate(m.field, m.image_rows(), m.cols) == rref_of(m)[1] == [0, 2]
 
+    @pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.descriptor)
+    @settings(deadline=None)
+    @given(data=st.data())
+    def test_jordan_form_is_d_timesrref_of(self, field, data):
+        # over Q(i), D is a Gaussian integer
+        m = data.draw(st.one_of(_matrices(field), _sparse_matrices(field)))
+        R = ring(field)
+        reduced, pivots = rref_of(m)
+        image = _image_rows(field, rows_of(m))
+        assert eliminate(field, image, m.cols, jordan=True) == pivots
+        d = R.lift(_entries(field, image[0])[pivots[0]]) if pivots else R.one
+        for i in range(m.rows):
+            assert [R.div(R.lift(x), d) for x in _entries(field, image[i])] == reduced[i]
+
 
 class TestImage:
     @pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.descriptor)
@@ -326,40 +339,6 @@ class TestImage:
         for key in [(0, 4), (3, 0), (-1, 3), (0, -1)]:
             with pytest.raises(ShapeError, match="out of range"):
                 m[key]
-
-
-class TestImageKernel:
-    @pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.descriptor)
-    @settings(deadline=None)
-    @given(data=st.data())
-    def test_jordan_form_is_d_timesrref_of(self, field, data):
-        # over Q(i), D is a Gaussian integer
-        m = data.draw(st.one_of(_matrices(field), _sparse_matrices(field)))
-        R = ring(field)
-        reduced, pivots = rref_of(m)
-        image = _image_rows(field, rows_of(m))
-        assert eliminate(field, image, m.cols, jordan=True) == pivots
-        d = R.lift(_entries(field, image[0])[pivots[0]]) if pivots else R.one
-        for i in range(m.rows):
-            assert [R.div(R.lift(x), d) for x in _entries(field, image[i])] == reduced[i]
-
-    @pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.descriptor)
-    def test_basis_spans_the_kernel(self, field):
-        rng, R = random.Random(29), ring(field)
-        for _ in range(60):
-            cols = rng.randint(2, 6)
-            m = _random_matrix(field, rng.randint(1, cols - 1), cols, rng)
-            if len(rref_of(m)[1]) < m.rows:
-                continue
-            image = _image_rows(field, rows_of(m))
-            basis = image_kernel(field, [list(row) for row in image], cols)
-            # one basis row per column, in the image's layout: over Q(i),
-            # a Gaussian integer is two integers; its rank is over the field
-            kernel = from_rows(field, [_entries(field, row) for row in basis])
-            assert len(rref_of(kernel)[1]) == cols - m.rows
-            for row in image:
-                for col in zip(*R.rows(kernel)):
-                    assert R.dot([R.lift(x) for x in _entries(field, row)], col) == R.zero
 
 
 class TestRank:
