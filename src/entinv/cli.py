@@ -12,8 +12,8 @@ from __future__ import annotations
 
 import argparse
 import functools
+import os
 import sys
-from contextlib import nullcontext
 
 from .documents import (MAX_DOCUMENT_BYTES, DocumentError, admit, emit_document,
                         indented_json, parse_document)
@@ -104,16 +104,25 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     return parser, sub.choices
 
 
+_NOT_UTF8 = "document is not UTF-8 text"
+
+
 def _read_input(path: str) -> tuple[str, str]:
     # in pieces: the character past the cap refuses the document as it is read
     source, pieces, left = "<stdin>" if path == "-" else path, [], MAX_DOCUMENT_BYTES + 1
     try:
-        with nullcontext(sys.stdin) if path == "-" else open(path, "r", encoding="utf-8") as fh:
+        fh = sys.stdin if path == "-" else open(path, "r", encoding="utf-8")
+        try:
             while left and (piece := fh.read(min(left, 2**16))):
                 pieces.append(piece)
                 left -= len(piece)
+        finally:
+            if path != "-":
+                fh.close()
     except OSError as exc:
         raise DocumentError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise DocumentError(f"{source}: {_NOT_UTF8}") from exc
     if not left:
         raise DocumentError(f"{source}: document longer than the cap of "
                             f"{MAX_DOCUMENT_BYTES} characters")
@@ -138,7 +147,12 @@ def _shape_for(args) -> Shape:
 
 def _cmd_classify(args) -> int:
     text, source = _read_input(args.path)
-    digest = sha256(text.encode("utf-8")).hexdigest()
+    try:
+        digest = sha256(text.encode("utf-8")).hexdigest()
+    except UnicodeEncodeError as exc:
+        # stdin under a C or UTF-8 locale escapes a byte that is not UTF-8
+        # as a lone surrogate, which only the encode finds
+        raise DocumentError(f"{source}: {_NOT_UTF8}") from exc
     tensor = parse_document(text, source=source)
     if args.field is not None:
         wanted = field_from_descriptor(args.field)
@@ -264,7 +278,16 @@ def main(argv=None) -> int:
 
 
 def run():
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader is gone: point stdout at devnull, so the flush at exit
+        # finds nothing to write and prints no second traceback
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("error: stdout closed before the output was written", file=sys.stderr)
+        code = 1
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -3,9 +3,12 @@
 Every invariant in this package is a kernel dimension, so coefficient
 arithmetic must be exact; floating point is rejected at every boundary.
 Rationals are `fractions.Fraction` (already normalized: lowest terms,
-positive denominator).  GF(p) residues and Gaussian rationals are frozen
-records, `GFElement(value, p)` and `GaussianRational(re, im)`, that their
-field normalizes: `coerce` reduces a residue mod p and makes both parts
+positive denominator), imported through `fraction_type` where the first
+value is built or checked, so a process that only parses documents and
+ranks their images never loads `fractions` or the `decimal` it imports.
+GF(p) residues and Gaussian rationals are frozen records,
+`GFElement(value, p)` and `GaussianRational(re, im)`, that their field
+normalizes: `coerce` reduces a residue mod p and makes both parts
 of a Gaussian rational `Fraction`s, refusing any other part.
 Equality and hash come from the same fields, so an element equals only an
 element of its own field (never an int).  The records define no
@@ -26,10 +29,25 @@ slash and the i ("3/4 + 1/2 i"); floats are refused.
 from __future__ import annotations
 
 import re
-from fractions import Fraction
 from functools import cache
 from math import gcd
 from operator import attrgetter
+
+
+# `fractions.Fraction` once `fraction_type` has imported it; `coerce`, called
+# per value, reads it as `_fraction or fraction_type()`, under half the
+# cost of a call
+_fraction = None
+
+
+def fraction_type() -> type:
+    """`fractions.Fraction`, imported on the first call."""
+    global _fraction
+    if _fraction is None:
+        from fractions import Fraction
+
+        _fraction = Fraction
+    return _fraction
 
 
 class FieldMismatchError(TypeError):
@@ -143,6 +161,7 @@ class RationalField(Field):
     descriptor = "rational"
 
     def coerce(self, value) -> Fraction:
+        Fraction = _fraction or fraction_type()
         if isinstance(value, Fraction):
             return value
         if isinstance(value, int):
@@ -197,6 +216,7 @@ class GaussianRationalField(Field):
 
     def coerce(self, value) -> GaussianRational:
         """An int, a `Fraction` or an element; int parts become `Fraction`s."""
+        Fraction = _fraction or fraction_type()
         if isinstance(value, GaussianRational):
             if isinstance(value.re, Fraction) and isinstance(value.im, Fraction):
                 return value

@@ -23,13 +23,12 @@ against the oracle in the tests, not assumed.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from fractions import Fraction
 from functools import partial
 from itertools import product
 from math import gcd, lcm, prod
 from operator import mul
 
-from .fields import Field, GaussianRational, GFElement, PrimeField, RationalField
+from .fields import Field, GaussianRational, GFElement, PrimeField, RationalField, fraction_type
 
 
 class InternalConsistencyError(RuntimeError):
@@ -238,6 +237,7 @@ def from_image(field: Field, image: list[int], den: int) -> list:
     if isinstance(field, PrimeField):
         inv = pow(den, -1, field.p)
         return [GFElement(x * inv % field.p, field.p) for x in image]
+    Fraction = fraction_type()
     if isinstance(field, RationalField):
         return [Fraction(x, den) for x in image]
     return [GaussianRational(Fraction(a, den), Fraction(b, den))

@@ -8,9 +8,7 @@ over inputs.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
-from .fields import Field, QQ
+from .fields import Field, QQ, fraction_type
 from .invariants import slow_route_fault, signature
 from .reporting import Report
 from .tables import (
@@ -118,6 +116,7 @@ def suite_duality(samples: int = 200, seed: int = 0, field: Field = QQ) -> Repor
 def suite_local_invariance(draws: int = 100, d_max: int = 5, seed: int = 0) -> Report:
     """Invertible local maps and nonzero scalings must not move signatures (d_max <= 5)."""
     d_max = min(d_max, 5)
+    Fraction = fraction_type()
     report = Report(title=f"local invariance ({draws} draws per class, d up to {d_max})")
     scale_fail = ""
     for shape in _checked_shapes(d_max):

@@ -18,7 +18,6 @@ their image too: `flatten` slices the tensor's, and a map acts with its own.
 
 from __future__ import annotations
 
-import random
 from collections.abc import Sequence
 from math import prod
 from operator import mul
@@ -116,6 +115,8 @@ def random_tensor(shape: Shape, bound: int, seed: int, field: Field = QQ) -> Ten
     over Q(i), each entry's real part is drawn first, then its imaginary part."""
     if bound < 1:
         raise ValueError(f"bound must be >= 1, got {bound}")
+    import random
+
     rng = random.Random(f"tensor|{shape.dims}|{bound}|{seed}")
     return Tensor.of_image(field, shape,
                            [rng.randint(-bound, bound) for _ in range(field.width * shape.size)])
@@ -128,6 +129,8 @@ def random_invertible(d: int, bound: int, seed: int, field: Field = QQ) -> Exact
         raise ValueError(f"dimension must be >= 1, got {d}")
     if bound < 1:
         raise ValueError(f"bound must be >= 1, got {bound}")
+    import random
+
     rng = random.Random(f"invertible|{d}|{bound}|{seed}")
     while True:
         draws = [rng.randint(-bound, bound) for _ in range(field.width * d * d)]

@@ -6,7 +6,8 @@ gives the values its comments state.  No module imports sympy or numpy:
 neither is a declared dependency, even where both are installed.  No
 module imports a name it never uses.  And importing the package and its
 CLI loads no module that only reflection or typing would need, nor
-hashlib's OpenSSL, where the interpreter has a builtin sha256.
+hashlib's OpenSSL, where the interpreter has a builtin sha256, nor
+fractions, random or contextlib, which a one-shot classify never runs.
 """
 
 import ast
@@ -173,6 +174,27 @@ def _loaded_at_import(modules) -> list[str]:
 
 def test_import_loads_no_reflection_or_typing_modules():
     assert _loaded_at_import(_START_UP_UNUSED) == []
+
+
+# a document is read straight into its integer image, so a field value, the
+# only user of fractions (and of the decimal and numbers it imports), is
+# built on first use; random draws and contextlib are not on the classify route
+_NOT_ON_THE_CLASSIFY_ROUTE = ("fractions", "decimal", "numbers", "random", "contextlib")
+
+
+def test_import_loads_no_fractions_random_or_contextlib():
+    assert _loaded_at_import(_NOT_ON_THE_CLASSIFY_ROUTE) == []
+
+
+def test_classify_builds_no_fraction():
+    doc = ('{"field": "rational", "dims": [2, 2, 2], '
+           '"entries": ["1", "0", "0", "0", "0", "0", "0", "1/2"]}')
+    code = ("import io, sys; sys.path.insert(0, sys.argv[1]); import entinv.cli; "
+            "sys.stdin = io.StringIO(sys.argv[2]); code = entinv.cli.main(['classify', '-']); "
+            "print([m for m in ('fractions', 'decimal') if m in sys.modules], code)")
+    done = subprocess.run([sys.executable, "-I", "-S", "-c", code, str(ROOT / "src"), doc],
+                          capture_output=True, text=True, timeout=60, check=True)
+    assert done.stdout.splitlines()[-1] == "[] 0"
 
 
 @pytest.mark.skipif(not any(importlib.util.find_spec(m) for m in ("_sha2", "_sha256")),

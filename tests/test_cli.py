@@ -113,6 +113,19 @@ class TestClassify:
         assert main(["classify", "/nonexistent/state.json"]) == 1
         assert "cannot read" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("stdin", [True, False], ids=["stdin", "path"])
+    def test_document_not_utf8_names_its_source(self, stdin, tmp_path, monkeypatch, capsys):
+        # byte 0xff fails to decode from a file; stdin escapes it as "\udcff",
+        # which fails where the digest encodes the text
+        import io
+        path = tmp_path / "latin.json"
+        path.write_bytes(b"\xff{}")
+        monkeypatch.setattr("sys.stdin", io.StringIO("\udcff{}"))
+        source = "<stdin>" if stdin else str(path)
+        assert main(["classify", "-" if stdin else source]) == 1
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"error: {source}: document is not UTF-8 text\n")
+
     def test_stdin(self, monkeypatch, capsys):
         import io
         monkeypatch.setattr("sys.stdin", io.StringIO(GHZ_DOC))

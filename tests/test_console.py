@@ -5,9 +5,10 @@ The other CLI tests call `cli.main` in process, so they cannot see what
 `python -m entinv.cli`, which ends in `run()` as the installed `entinv`
 script does, with `src/` on the path.  They run the README's Examples
 block as a shell would under `pipefail`, and check the exit codes and
-streams of a classification gap.  The last test runs pytest on a few
-probe tests under this repository's pytest settings: every failure is
-reported, and a warning is still an error.
+streams of a classification gap and of a stdout with no reader.  The
+last test runs pytest on a few probe tests under this repository's
+pytest settings: every failure is reported, and a warning is still an
+error.
 """
 
 import json
@@ -18,12 +19,16 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from entinv.documents import MAX_DOCUMENT_BYTES
 from elements import GAP_DOC, padded_gap
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = str(ROOT / "src")
 ENTINV = [sys.executable, "-m", "entinv.cli"]
+GHZ_DOC = json.dumps({"field": "rational", "dims": [2, 2, 2],
+                      "entries": ["1", "0", "0", "0", "0", "0", "0", "1"]})
 
 
 def _env():
@@ -88,6 +93,24 @@ def test_document_one_character_past_the_cap_exits_1_with_one_line(tmp_path):
         assert (done.returncode, done.stdout) == (1, "")
         assert done.stderr == (f"error: {source}: document longer than the cap of "
                                f"{MAX_DOCUMENT_BYTES} characters\n")
+
+
+@pytest.mark.parametrize("args, unbuffered", [(["table", "--family", "23d", "--d", "6"], "1"),
+                                              (["classify", "-"], "")], ids=["table", "classify"])
+def test_closed_stdout_exits_1_with_one_line(args, unbuffered):
+    # a pipe whose read end is closed before the child starts: unbuffered,
+    # the table's first print fails inside main(); buffered, classify's
+    # small output fails at the flush in run()
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = subprocess.run(ENTINV + args, input=GHZ_DOC, stdout=write_end,
+                              stderr=subprocess.PIPE, text=True, timeout=60,
+                              env={**_env(), "PYTHONUNBUFFERED": unbuffered})
+    finally:
+        os.close(write_end)
+    assert done.returncode == 1
+    assert done.stderr == "error: stdout closed before the output was written\n"
 
 
 def test_explain3_reports_a_gap_as_unmatched():
